@@ -5,180 +5,30 @@ small closed-form models of statistical and parallel efficiency, and uses
 them to predict training time and dollar cost for candidate
 worker-count/batch-size configurations — then picks one under a deadline,
 budget, knee-point, or cost-time objective.
+
+The root exports the library API shown in the README; every other name
+imports from its module, e.g. ``from scalefit.search import partial_search``.
 """
 
-from .config import (
-    JobConfig,
-    PricingModel,
-    SearchBounds,
-    VMShape,
-    hourly_cluster_price,
-    max_batch_for_memory,
-    mini_batch,
-    run_cost_usd,
-)
-from .errors import (
-    CapabilityMissingError,
-    ConfigurationError,
-    CorruptDocumentError,
-    DegenerateFitError,
-    DegenerateGradientError,
-    EmptyInputError,
-    InfeasibleMemoryError,
-    ModelNotFoundError,
-    ModelOutOfDomainError,
-    ScalefitError,
-    ScenarioError,
-    SearchFailedError,
-    TraceParseError,
-)
-from .noise import (
-    EwmaConfig,
-    IterationSample,
-    NoiseEstimate,
-    NoiseTracker,
-    compute_raw_noise,
-    is_stabilized,
-    window_relative_spread,
-)
-from .perfmodel import (
-    ParallelFit,
-    PerfModel,
-    Prediction,
-    StatFit,
-    average_over_workers,
-    fit_epochs_vs_noise,
-    fit_iteration_time,
-    fit_iteration_time_best_effort,
-    fit_noise_vs_batch,
-    predict,
-)
-from .policy import Constraints, Objective, Recommendation, select
-from .scenario import Scenario, load_scenario, scenario_from_document
-from .search import (
-    Exploration,
-    GridSampling,
-    RandomSampling,
-    SearchOutcome,
-    SearchParams,
-    full_search,
-    no_search,
-    online_scaling_search,
-    partial_search,
-)
-from .simulator import (
-    PRESET_NAMES,
-    EndToEnd,
-    SimCluster,
-    SimEnvironment,
-    SimWorkload,
-    compose_end_to_end,
-    ground_truth,
-    ground_truth_points,
-    oracle_best,
-    preset_cluster,
-    preset_workload,
-)
-from .store import (
-    ModelStore,
-    StoredModel,
-    model_from_document,
-    model_to_document,
-    read_model_file,
-    write_model_file,
-)
-from .tradeoff import (
-    KneeResult,
-    TradeoffCurve,
-    TradeoffPoint,
-    kneedle_knee,
-    min_cost_time,
-    pareto_frontier,
-)
-from .traces import read_anchors, read_trace, write_anchors, write_trace
+from .config import JobConfig, PricingModel, SearchBounds, VMShape
+from .errors import ScalefitError
+from .perfmodel import predict, predict_grid
+from .policy import Objective, select
+from .store import read_model_file
+from .tradeoff import TradeoffPoint
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CapabilityMissingError",
-    "ConfigurationError",
-    "Constraints",
-    "CorruptDocumentError",
-    "DegenerateFitError",
-    "DegenerateGradientError",
-    "EmptyInputError",
-    "EndToEnd",
-    "EwmaConfig",
-    "Exploration",
-    "GridSampling",
-    "InfeasibleMemoryError",
-    "IterationSample",
     "JobConfig",
-    "KneeResult",
-    "ModelNotFoundError",
-    "ModelOutOfDomainError",
-    "ModelStore",
-    "NoiseEstimate",
-    "NoiseTracker",
     "Objective",
-    "ParallelFit",
-    "PerfModel",
-    "Prediction",
     "PricingModel",
-    "PRESET_NAMES",
-    "RandomSampling",
-    "Recommendation",
     "ScalefitError",
-    "Scenario",
-    "ScenarioError",
     "SearchBounds",
-    "SearchFailedError",
-    "SearchOutcome",
-    "SearchParams",
-    "SimCluster",
-    "SimEnvironment",
-    "SimWorkload",
-    "StatFit",
-    "StoredModel",
-    "TraceParseError",
-    "TradeoffCurve",
     "TradeoffPoint",
     "VMShape",
-    "average_over_workers",
-    "compose_end_to_end",
-    "compute_raw_noise",
-    "fit_epochs_vs_noise",
-    "fit_iteration_time",
-    "fit_iteration_time_best_effort",
-    "fit_noise_vs_batch",
-    "full_search",
-    "ground_truth",
-    "ground_truth_points",
-    "hourly_cluster_price",
-    "is_stabilized",
-    "kneedle_knee",
-    "load_scenario",
-    "max_batch_for_memory",
-    "min_cost_time",
-    "mini_batch",
-    "model_from_document",
-    "model_to_document",
-    "no_search",
-    "online_scaling_search",
-    "oracle_best",
-    "pareto_frontier",
-    "partial_search",
     "predict",
-    "preset_cluster",
-    "preset_workload",
-    "read_anchors",
+    "predict_grid",
     "read_model_file",
-    "read_trace",
-    "run_cost_usd",
-    "scenario_from_document",
     "select",
-    "window_relative_spread",
-    "write_anchors",
-    "write_model_file",
-    "write_trace",
 ]

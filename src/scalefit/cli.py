@@ -18,23 +18,17 @@ import io
 import json
 import sys
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 
-from .config import (
-    JobConfig,
-    PricingModel,
-    SearchBounds,
-    VMShape,
-    hourly_cluster_price,
-    mini_batch,
-)
+from .config import JobConfig, PricingModel, SearchBounds, VMShape, mini_batch
 from .errors import (
     CapabilityMissingError,
     ConfigurationError,
     CorruptDocumentError,
     DegenerateFitError,
+    DegenerateGradientError,
     EmptyInputError,
-    InfeasibleMemoryError,
     ModelNotFoundError,
     ModelOutOfDomainError,
     ScalefitError,
@@ -45,30 +39,26 @@ from .errors import (
 from .noise import compute_raw_noise
 from .perfmodel import (
     PerfModel,
+    Prediction,
     StatFit,
-    average_over_workers,
     fit_epochs_vs_noise,
     fit_iteration_time,
-    fit_noise_vs_batch,
+    fit_noise_curve,
     predict,
+    predict_grid,
 )
 from .policy import Constraints, Objective, select
-from .scenario import Scenario, load_scenario
-from .search import (
-    SearchOutcome,
-    full_search,
-    no_search,
-    online_scaling_search,
-    partial_search,
-)
+from .scenario import Scenario, _build_workload, load_scenario
+from .search import SearchOutcome, run_search
 from .simulator import (
     PRESET_NAMES,
+    SimCluster,
     SimEnvironment,
     compose_end_to_end,
     oracle_best,
     preset_workload,
 )
-from .store import ModelStore, model_to_document, read_model_file, write_model_file
+from .store import model_to_document, read_model_file, write_model_file
 from .tradeoff import TradeoffCurve, TradeoffPoint, kneedle_knee, pareto_frontier
 from .traces import read_anchors, read_trace, write_trace
 
@@ -193,15 +183,8 @@ def _csv_table(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _workload_from_arg(parser: argparse.ArgumentParser, args):
-    from .scenario import _build_workload  # shared validation
-
     if args.workload in PRESET_NAMES:
-        w = preset_workload(args.workload, seed=args.seed)
-        if args.jitter is not None:
-            from dataclasses import replace
-
-            w = replace(w, jitter=args.jitter)
-        return w
+        return preset_workload(args.workload, seed=args.seed, jitter=args.jitter)
     path = Path(args.workload)
     if not path.exists():
         parser.error(
@@ -212,17 +195,11 @@ def _workload_from_arg(parser: argparse.ArgumentParser, args):
     except json.JSONDecodeError as exc:
         raise ScenarioError("<file>", f"invalid JSON in {path}: {exc}") from None
     w = _build_workload(doc, seed=args.seed)
-    if args.jitter is not None:
-        from dataclasses import replace
-
-        w = replace(w, jitter=args.jitter)
-    return w
+    return w if args.jitter is None else replace(w, jitter=args.jitter)
 
 
 def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     workload = _workload_from_arg(parser, args)
-    from .simulator import SimCluster
-
     cluster = SimCluster(
         shape=VMShape(4, 16.0), pricing=PricingModel.flat(0.13402)
     )
@@ -260,7 +237,7 @@ def _measure_traces(paths: list[str]) -> dict[tuple[int, int], tuple[float, floa
         for s in samples:
             try:
                 noises.append(compute_raw_noise(s) / config.workers)
-            except Exception:
+            except DegenerateGradientError:
                 continue
         taus.extend(s.iteration_time_s for s in samples)
     out = {}
@@ -275,21 +252,9 @@ def _measure_traces(paths: list[str]) -> dict[tuple[int, int], tuple[float, floa
 
 def cmd_fit(parser: argparse.ArgumentParser, args) -> int:
     measured = _measure_traces(args.traces)
-    by_k: dict[int, list[tuple[int, float]]] = defaultdict(list)
-    for (k, b), (noise, _) in sorted(measured.items()):
-        by_k[k].append((b, noise))
     if len({b for _, b in measured}) < 2:
         raise DegenerateFitError("no variation in global_batch across trace files")
-    per_k = []
-    for k, pts in sorted(by_k.items()):
-        if len({b for b, _ in pts}) >= 2:
-            per_k.append((k, *fit_noise_vs_batch(pts)))
-    if per_k:
-        a_n, c_n = average_over_workers(per_k)
-    else:
-        a_n, c_n = fit_noise_vs_batch(
-            [(b, noise) for (_, b), (noise, _) in sorted(measured.items())]
-        )
+    a_n, c_n = fit_noise_curve(measured)
 
     relative_epochs = args.anchors is None
     if relative_epochs:
@@ -343,14 +308,10 @@ def cmd_fit(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------- predict
 
 
-def _prediction_row(
-    model: PerfModel, k: int, b: int, pricing: PricingModel, shape: VMShape
-) -> dict:
-    config = JobConfig(k, b)
-    p = predict(model, config, pricing, shape)
+def _prediction_row(config: JobConfig, p: Prediction) -> dict:
     return {
-        "workers": k,
-        "global_batch": b,
+        "workers": config.workers,
+        "global_batch": config.global_batch,
         "mini_batch": mini_batch(config),
         "normalized_noise": p.normalized_noise,
         "epochs": p.epochs,
@@ -381,7 +342,8 @@ def cmd_predict(parser: argparse.ArgumentParser, args) -> int:
     failures = 0
     for k, b in sorted(args.configs):
         try:
-            rows.append(_prediction_row(model, k, b, pricing, shape))
+            config = JobConfig(k, b)
+            rows.append(_prediction_row(config, predict(model, config, pricing, shape)))
         except (ConfigurationError, ModelOutOfDomainError) as exc:
             failures += 1
             rows.append({"workers": k, "global_batch": b, "error": str(exc)})
@@ -408,31 +370,23 @@ def cmd_curves(parser: argparse.ArgumentParser, args) -> int:
     model = read_model_file(args.model).model
     pricing, shape = _pricing_from_args(parser, args)
     bounds = _bounds_from_args(parser, args)
+    # Batch-major order keeps each batch's curve, and the skip notes, together.
+    configs = [
+        JobConfig(k, b) for b in bounds.b_values() for k in bounds.k_values() if b % k == 0
+    ]
+    all_points, predictions, skipped = predict_grid(model, configs, pricing, shape)
+    _note_skipped(skipped)
+    row_for = {pt.config: _prediction_row(pt.config, p) for pt, p in zip(all_points, predictions)}
+    by_batch: dict[int, list[TradeoffPoint]] = defaultdict(list)
+    for point in all_points:
+        by_batch[point.config.global_batch].append(point)
     batches = []
-    all_points: list[TradeoffPoint] = []
-    row_for: dict[tuple[int, int], dict] = {}
-    for b in bounds.b_values():
-        rows = []
-        points = []
-        for k in bounds.k_values():
-            if b % k != 0:
-                continue
-            try:
-                row = _prediction_row(model, k, b, pricing, shape)
-            except (ConfigurationError, ModelOutOfDomainError) as exc:
-                print(f"note: skipping K={k}, B={b}: {exc}", file=sys.stderr)
-                continue
-            rows.append(row)
-            point = TradeoffPoint(JobConfig(k, b), row["time_s"], row["cost_usd"])
-            points.append(point)
-            row_for[(k, b)] = row
-        if not rows:
-            continue
+    for b, points in by_batch.items():
         knee = kneedle_knee(TradeoffCurve.build(points, fixed_batch=b))
         batches.append(
             {
                 "global_batch": b,
-                "points": rows,
+                "points": [row_for[p.config] for p in points],
                 "knee": {
                     "workers": knee.point.config.workers,
                     "global_batch": knee.point.config.global_batch,
@@ -442,7 +396,6 @@ def cmd_curves(parser: argparse.ArgumentParser, args) -> int:
                 },
             }
         )
-        all_points.extend(points)
     if not batches:
         raise EmptyInputError("no configuration in bounds was predictable")
     frontier = pareto_frontier(all_points)
@@ -452,9 +405,7 @@ def cmd_curves(parser: argparse.ArgumentParser, args) -> int:
     }
     doc = {
         "batches": batches,
-        "pareto": [
-            row_for[(p.config.workers, p.config.global_batch)] for p in frontier
-        ],
+        "pareto": [row_for[p.config] for p in frontier],
     }
     if args.format == "json":
         _write_output(_dump_json(doc), args.out)
@@ -517,6 +468,14 @@ def _objective_from_args(parser: argparse.ArgumentParser, args) -> tuple[Objecti
     return objective, constraints
 
 
+def _note_skipped(skipped: list[tuple[JobConfig, str]]) -> None:
+    for config, reason in skipped:
+        print(
+            f"note: skipping K={config.workers}, B={config.global_batch}: {reason}",
+            file=sys.stderr,
+        )
+
+
 def _point_doc(point: TradeoffPoint | None) -> dict | None:
     if point is None:
         return None
@@ -533,17 +492,8 @@ def cmd_recommend(parser: argparse.ArgumentParser, args) -> int:
     pricing, shape = _pricing_from_args(parser, args)
     bounds = _bounds_from_args(parser, args)
     objective, constraints = _objective_from_args(parser, args)
-    points = []
-    for config in bounds.valid_configs():
-        try:
-            p = predict(model, config, pricing, shape)
-        except ModelOutOfDomainError as exc:
-            print(
-                f"note: skipping K={config.workers}, B={config.global_batch}: {exc}",
-                file=sys.stderr,
-            )
-            continue
-        points.append(TradeoffPoint(config, p.total_time_s, p.cost_usd))
+    points, _, skipped = predict_grid(model, bounds.valid_configs(), pricing, shape)
+    _note_skipped(skipped)
     if not points:
         raise EmptyInputError("no configuration in bounds was predictable")
     rec = select(points, objective, constraints)
@@ -614,66 +564,9 @@ def _outcome_doc(outcome: SearchOutcome, scenario: Scenario) -> dict:
     return doc
 
 
-def run_scenario(scenario: Scenario) -> SearchOutcome:
-    """Execute a scenario's search mode against its simulated environment."""
-    env = SimEnvironment(scenario.workload, scenario.cluster)
-    common = dict(
-        pricing=scenario.cluster.pricing,
-        shape=scenario.cluster.shape,
-    )
-    if scenario.params.mode == "full":
-        return full_search(
-            env,
-            scenario.bounds,
-            scenario.params,
-            scenario.objective,
-            constraints=scenario.constraints,
-            **common,
-        )
-    if scenario.params.mode == "partial":
-        return partial_search(
-            env,
-            scenario.bounds,
-            scenario.params,
-            scenario.objective,
-            constraints=scenario.constraints,
-            **common,
-        )
-    if scenario.params.mode == "scaling":
-        return online_scaling_search(env, scenario.bounds, scenario.params, **common)
-    # mode "none": reuse a stored model, no exploration at all.
-    store = ModelStore(scenario.store_dir)
-    model = no_search(
-        store,
-        scenario.workload.name,
-        dataset_size=scenario.workload.dataset_size,
-        allow_universal=scenario.allow_universal,
-    )
-    points = []
-    for config in scenario.bounds.valid_configs():
-        try:
-            p = predict(model, config, scenario.cluster.pricing, scenario.cluster.shape)
-        except ModelOutOfDomainError:
-            continue
-        points.append(TradeoffPoint(config, p.total_time_s, p.cost_usd))
-    if not points:
-        raise SearchFailedError("no configuration produced a usable prediction")
-    rec = select(points, scenario.objective, scenario.constraints)
-    return SearchOutcome(
-        mode="none",
-        chosen=rec.chosen.config if rec.chosen is not None else None,
-        model=model,
-        explored=(),
-        overhead_time_s=0.0,
-        overhead_cost_usd=0.0,
-        tradeoff_points=tuple(points),
-        recommendation=rec,
-    )
-
-
 def cmd_search(parser: argparse.ArgumentParser, args) -> int:
     scenario = load_scenario(args.scenario)
-    outcome = run_scenario(scenario)
+    outcome = run_search(scenario)
     doc = _outcome_doc(outcome, scenario)
 
     oracle = oracle_best(
@@ -798,7 +691,6 @@ _ERROR_EXITS: list[tuple[type, int]] = [
     (EmptyInputError, EXIT_DATA),
     (SearchFailedError, EXIT_DATA),
     (CapabilityMissingError, EXIT_DATA),
-    (InfeasibleMemoryError, EXIT_DATA),
     (ModelOutOfDomainError, EXIT_DATA),
     (ConfigurationError, EXIT_USAGE),
 ]

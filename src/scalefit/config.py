@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, InfeasibleMemoryError
+from .errors import ConfigurationError
 
 PRICING_MODES = ("flat_per_vm", "per_resource")
 
@@ -104,36 +104,6 @@ def run_cost_usd(
 ) -> float:
     """Cost of running the cluster for ``duration_s`` seconds."""
     return duration_s / 3600.0 * hourly_cluster_price(pricing, shape, workers)
-
-
-def max_batch_for_memory(
-    shape: VMShape,
-    per_sample_gb: float,
-    fixed_overhead_gb: float,
-    workers: int,
-) -> int:
-    """Largest global batch that fits in per-worker memory.
-
-    Each worker holds ``fixed_overhead_gb`` of model state plus
-    ``per_sample_gb`` for every sample of its mini-batch.  The result is
-    clamped so every worker keeps at least one sample.
-    """
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if per_sample_gb <= 0:
-        raise ConfigurationError(f"per_sample_gb must be > 0, got {per_sample_gb}")
-    if fixed_overhead_gb < 0:
-        raise ConfigurationError(
-            f"fixed_overhead_gb must be >= 0, got {fixed_overhead_gb}"
-        )
-    free_gb = shape.memory_gb - fixed_overhead_gb
-    if free_gb <= 0:
-        raise InfeasibleMemoryError(
-            f"VM memory {shape.memory_gb} GB does not exceed the fixed "
-            f"overhead {fixed_overhead_gb} GB"
-        )
-    per_worker = int(free_gb / per_sample_gb)
-    return workers * max(1, per_worker)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,6 @@ class ConfigurationError(ScalefitError):
     """A job configuration, VM shape, pricing model, or bounds value is invalid."""
 
 
-class InfeasibleMemoryError(ScalefitError):
-    """The VM memory cannot hold even the fixed overhead of the workload."""
-
-
 class DegenerateGradientError(ScalefitError):
     """The aggregated gradient norm is exactly zero; the noise ratio is undefined."""
 

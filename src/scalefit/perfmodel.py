@@ -13,8 +13,9 @@ exactly and three non-collinear points reproduce a plane exactly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .config import (
     run_cost_usd,
 )
 from .errors import DegenerateFitError, ModelOutOfDomainError
+from .tradeoff import TradeoffPoint
 
 PROVENANCES = ("full_search", "partial_search", "reused", "universal", "ground_truth")
 
@@ -91,9 +93,14 @@ class PerfModel:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
-    """Full prediction chain output for one configuration."""
+    """Full prediction chain output for one configuration.
+
+    Slotted: grid prediction keeps one per configuration alive, and a
+    per-instance dict would spread the tradeoff points it builds beside
+    them across memory, slowing the all-pairs Pareto scan over them.
+    """
 
     normalized_noise: float
     epochs: float
@@ -231,6 +238,35 @@ def average_over_workers(
     return slope, intercept
 
 
+def fit_noise_curve(
+    measured: Mapping[tuple[int, int], tuple[float, float]],
+) -> tuple[float, float]:
+    """Noise-vs-batch (slope, intercept) from per-configuration measurements.
+
+    Args:
+        measured: (workers, global_batch) -> (mean normalized noise, mean
+            iteration time); only the noise is used.
+
+    Averages the per-worker-count fits of every worker count measured at two
+    or more batch sizes; without any, fits all points pooled, and with a
+    single batch size returns a flat curve at the mean noise.
+    """
+    by_k: dict[int, list[tuple[int, float]]] = defaultdict(list)
+    for (k, b), (noise, _) in sorted(measured.items()):
+        by_k[k].append((b, noise))
+    per_k = [
+        (k, *fit_noise_vs_batch(pts))
+        for k, pts in sorted(by_k.items())
+        if len({b for b, _ in pts}) >= 2
+    ]
+    if per_k:
+        return average_over_workers(per_k)
+    pooled = [(b, noise) for (_, b), (noise, _) in sorted(measured.items())]
+    if len({b for b, _ in pooled}) >= 2:
+        return fit_noise_vs_batch(pooled)
+    return 0.0, sum(n for _, n in pooled) / len(pooled)
+
+
 def predict(
     model: PerfModel,
     config: JobConfig,
@@ -265,3 +301,30 @@ def predict(
         total_time_s=total_time,
         cost_usd=cost,
     )
+
+
+def predict_grid(
+    model: PerfModel,
+    configs: Sequence[JobConfig],
+    pricing: PricingModel,
+    shape: VMShape,
+) -> tuple[list[TradeoffPoint], list[Prediction], list[tuple[JobConfig, str]]]:
+    """Predict every configuration through :func:`predict`.
+
+    Returns:
+        (points, predictions, skipped): the in-domain configurations'
+        tradeoff points and predictions, both in input order, and
+        (config, reason) for each configuration outside the model's domain.
+    """
+    points: list[TradeoffPoint] = []
+    predictions: list[Prediction] = []
+    skipped: list[tuple[JobConfig, str]] = []
+    for config in configs:
+        try:
+            p = predict(model, config, pricing, shape)
+        except ModelOutOfDomainError as exc:
+            skipped.append((config, str(exc)))
+            continue
+        points.append(TradeoffPoint(config, p.total_time_s, p.cost_usd))
+        predictions.append(p)
+    return points, predictions, skipped

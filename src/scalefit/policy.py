@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import SearchBounds
 from .errors import ConfigurationError, EmptyInputError
 from .tradeoff import TradeoffCurve, TradeoffPoint, kneedle_knee, pareto_frontier
 
@@ -59,7 +58,6 @@ class Objective:
 class Constraints:
     """Extra feasibility caps applied on top of the objective's own cap."""
 
-    bounds: SearchBounds | None = None
     deadline_s: float | None = None
     budget_usd: float | None = None
 

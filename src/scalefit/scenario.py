@@ -229,7 +229,6 @@ def scenario_from_document(doc: dict) -> Scenario:
     deadline = _expect(constraints_doc, "deadline_s", (int, float), "constraints")
     budget = _expect(constraints_doc, "budget_usd", (int, float), "constraints")
     constraints = Constraints(
-        bounds=bounds,
         deadline_s=float(deadline) if deadline is not None else None,
         budget_usd=float(budget) if budget is not None else None,
     )

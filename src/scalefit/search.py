@@ -13,6 +13,13 @@ Three exploration strategies share the same machinery:
   knee with the smallest cost-time product.
 
 ``no_search`` skips profiling entirely and reuses a stored model.
+``run_search`` runs a scenario's mode, any of the four, against its
+simulated environment.
+
+A profiling ``env`` provides ``profile``, ``restore_overhead_s`` and
+``dataset_size``, plus ``pricing`` and ``shape`` unless both are passed.
+``epochs_to_target`` is optional: trace-replay environments may not know
+it, and every mode that profiles refuses such an environment.
 
 Every run on a configuration is recorded with its iteration count, restore
 overhead, and mean measured iteration time; the reported search overhead is
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Protocol
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -41,21 +48,25 @@ from .errors import (
     ConfigurationError,
     DegenerateGradientError,
     ModelNotFoundError,
-    ModelOutOfDomainError,
     SearchFailedError,
 )
 from .noise import EwmaConfig, NoiseTracker, compute_raw_noise
 from .perfmodel import (
     PerfModel,
     StatFit,
-    average_over_workers,
     fit_epochs_vs_noise,
     fit_iteration_time_best_effort,
+    fit_noise_curve,
     fit_noise_vs_batch,
-    predict,
+    predict_grid,
 )
 from .policy import Constraints, Objective, Recommendation, select
-from .tradeoff import TradeoffCurve, TradeoffPoint, kneedle_knee
+from .simulator import SimEnvironment
+from .store import ModelStore
+from .tradeoff import TradeoffCurve, TradeoffPoint, kneedle_knee, min_cost_time
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 SEARCH_MODES = ("full", "partial", "scaling", "none")
 
@@ -100,26 +111,6 @@ class SearchParams:
             raise ConfigurationError("max_stabilize_iters must be >= 1")
 
 
-class ProfilingEnvironment(Protocol):
-    """What a search needs from the system under test.
-
-    ``epochs_to_target`` is an optional capability: trace-replay
-    environments may not know it, in which case only ``no_search`` applies.
-    """
-
-    def profile(
-        self, workers: int, global_batch: int, iters: int, start_iteration: int = 0
-    ) -> list: ...
-
-    def restore_overhead_s(self, workers: int, global_batch: int) -> float: ...
-
-    def dataset_size(self) -> int: ...
-
-    def pricing(self) -> PricingModel: ...
-
-    def shape(self) -> VMShape: ...
-
-
 @dataclass(frozen=True)
 class Exploration:
     """One run (or refusal) on a configuration during the search."""
@@ -160,36 +151,32 @@ def _env_fingerprint(env) -> str:
     return fn() if callable(fn) else "unknown"
 
 
+def _extreme_batches(
+    valid: Iterable[tuple[int, int]],
+) -> tuple[int, list[int], int, list[int]]:
+    """(smallest batch, its sorted worker counts, largest batch, its sorted worker counts)."""
+    pairs = list(valid)
+    b_lo = min(b for _, b in pairs)
+    b_hi = max(b for _, b in pairs)
+    ks_lo = sorted(k for k, b in pairs if b == b_lo)
+    ks_hi = sorted(k for k, b in pairs if b == b_hi)
+    return b_lo, ks_lo, b_hi, ks_hi
+
+
 def _anchor_configs(valid: list[tuple[int, int]]) -> tuple[JobConfig, JobConfig]:
     """Extreme-batch anchor configs, sharing the smallest worker count when possible."""
-    bs = sorted({b for _, b in valid})
-    b_lo, b_hi = bs[0], bs[-1]
-    ks_lo = sorted(k for k, b in valid if b == b_lo)
-    ks_hi = sorted(k for k, b in valid if b == b_hi)
-    common = sorted(set(ks_lo) & set(ks_hi))
+    b_lo, ks_lo, b_hi, ks_hi = _extreme_batches(valid)
+    common = set(ks_lo) & set(ks_hi)
     if common:
-        return JobConfig(common[0], b_lo), JobConfig(common[0], b_hi)
+        return JobConfig(min(common), b_lo), JobConfig(min(common), b_hi)
     return JobConfig(ks_lo[0], b_lo), JobConfig(ks_hi[0], b_hi)
 
 
 def _corner_configs(valid: list[tuple[int, int]]) -> list[JobConfig]:
     """Unique timing-profile corners: extreme workers at each extreme batch."""
-    bs = sorted({b for _, b in valid})
-    b_lo, b_hi = bs[0], bs[-1]
-    ks_lo = sorted(k for k, b in valid if b == b_lo)
-    ks_hi = sorted(k for k, b in valid if b == b_hi)
-    corners = [
-        (ks_lo[0], b_lo),
-        (ks_hi[0], b_hi),
-        (ks_lo[-1], b_lo),
-        (ks_hi[-1], b_hi),
-    ]
-    out: list[JobConfig] = []
-    for k, b in corners:
-        cfg = JobConfig(k, b)
-        if cfg not in out:
-            out.append(cfg)
-    return out
+    b_lo, ks_lo, b_hi, ks_hi = _extreme_batches(valid)
+    corners = [(ks_lo[0], b_lo), (ks_hi[0], b_hi), (ks_lo[-1], b_lo), (ks_hi[-1], b_hi)]
+    return [JobConfig(k, b) for k, b in dict.fromkeys(corners)]
 
 
 class _Session:
@@ -227,8 +214,8 @@ class _Session:
         )
         return record, mean_noise, mean_tau
 
-    def run_anchor(self, config: JobConfig) -> tuple[Exploration, float, float]:
-        """Run until the noise estimate stabilizes: (record, noise, mean tau)."""
+    def run_anchor(self, config: JobConfig) -> tuple[Exploration, float]:
+        """Run until the noise estimate stabilizes: (record, noise)."""
         tracker = NoiseTracker(config.workers, self.params.ewma)
         chunk_size = self.params.ewma.stability_window
         consumed = 0
@@ -259,18 +246,28 @@ class _Session:
                 f"noise did not stabilize within {self.params.max_stabilize_iters} "
                 f"iterations at K={config.workers}, B={config.global_batch}"
             )
-        mean_tau = total_time / consumed
         record = Exploration(
             workers=config.workers,
             global_batch=config.global_batch,
             kind="anchor",
             iterations=consumed,
-            mean_iteration_time_s=mean_tau,
+            mean_iteration_time_s=total_time / consumed,
             restore_s=self.env.restore_overhead_s(
                 config.workers, config.global_batch
             ),
         )
-        return record, noise, mean_tau
+        return record, noise
+
+    def fit_anchors(self, valid: list[tuple[int, int]]) -> tuple[list[Exploration], StatFit]:
+        """Stabilize noise on the two extreme-batch anchors and fit both statistical laws."""
+        lo, hi = _anchor_configs(valid)
+        rec_lo, gamma_lo = self.run_anchor(lo)
+        rec_hi, gamma_hi = self.run_anchor(hi)
+        e_lo = self.env.epochs_to_target(lo.workers, lo.global_batch)
+        e_hi = self.env.epochs_to_target(hi.workers, hi.global_batch)
+        a_n, c_n = fit_noise_vs_batch([(lo.global_batch, gamma_lo), (hi.global_batch, gamma_hi)])
+        e_base, e_slope = _epoch_anchor_fit(gamma_lo, e_lo, gamma_hi, e_hi)
+        return [rec_lo, rec_hi], StatFit(a_n, c_n, e_base, e_slope)
 
 
 def _overheads(
@@ -294,6 +291,53 @@ def _epoch_anchor_fit(
         # Flat noise curve: epochs cannot depend on it, pin the mean.
         return (e_lo + e_hi) / 2.0, 0.0
     return fit_epochs_vs_noise([(gamma_lo, e_lo), (gamma_hi, e_hi)])
+
+
+def _measured_point(
+    stat: StatFit,
+    dataset_size: int,
+    config: JobConfig,
+    noise: float,
+    tau: float,
+    pricing: PricingModel,
+    shape: VMShape,
+) -> TradeoffPoint | None:
+    """The prediction chain on a given noise and a measured iteration time.
+
+    ``None`` when the noise, the epochs it implies, or ``tau`` is not positive.
+    """
+    epochs = stat.predicted_epochs(noise)
+    if noise <= 0 or epochs <= 0 or tau <= 0:
+        return None
+    total = epochs * dataset_size / config.global_batch * tau
+    return TradeoffPoint(config, total, run_cost_usd(pricing, shape, config.workers, total))
+
+
+def _selected_outcome(
+    mode: str,
+    model: PerfModel,
+    explored: list[Exploration],
+    points: list[TradeoffPoint],
+    objective: Objective,
+    constraints: Constraints | None,
+    pricing: PricingModel,
+    shape: VMShape,
+) -> SearchOutcome:
+    """Select from the predicted points and account the exploration ledger."""
+    if not points:
+        raise SearchFailedError("no configuration produced a usable prediction")
+    rec = select(points, objective, constraints)
+    overhead_t, overhead_c = _overheads(explored, pricing, shape)
+    return SearchOutcome(
+        mode=mode,
+        chosen=rec.chosen.config if rec.chosen is not None else None,
+        model=model,
+        explored=tuple(explored),
+        overhead_time_s=overhead_t,
+        overhead_cost_usd=overhead_c,
+        tradeoff_points=tuple(points),
+        recommendation=rec,
+    )
 
 
 def full_search(
@@ -322,9 +366,8 @@ def full_search(
     valid = [(k, b) for k, b in combos if b % k == 0]
     if not valid:
         raise SearchFailedError("bounds contain no valid (workers, batch) pair")
-    anchor_lo, _ = _anchor_configs(valid)
     session = _Session(env, params)
-    session.run_anchor(anchor_lo)
+    session.run_anchor(_anchor_configs(valid)[0])
 
     explored: list[Exploration] = []
     measured: dict[tuple[int, int], tuple[float, float]] = {}
@@ -354,70 +397,31 @@ def full_search(
         provenance="full_search",
     )
 
-    points = []
-    for (k, b), (noise, tau) in sorted(measured.items()):
-        epochs = stat.predicted_epochs(noise)
-        if noise <= 0 or epochs <= 0 or tau <= 0:
-            continue
-        total = epochs * model.dataset_size / b * tau
-        points.append(
-            TradeoffPoint(JobConfig(k, b), total, run_cost_usd(pricing, shape, k, total))
-        )
-    if not points:
-        raise SearchFailedError("no configuration produced a usable prediction")
-    rec = select(points, objective, constraints or Constraints(bounds=bounds))
-    overhead_t, overhead_c = _overheads(explored, pricing, shape)
-    return SearchOutcome(
-        mode="full",
-        chosen=rec.chosen.config if rec.chosen is not None else None,
-        model=model,
-        explored=tuple(explored),
-        overhead_time_s=overhead_t,
-        overhead_cost_usd=overhead_c,
-        tradeoff_points=tuple(points),
-        recommendation=rec,
+    chained = (
+        _measured_point(stat, model.dataset_size, JobConfig(k, b), noise, tau, pricing, shape)
+        for (k, b), (noise, tau) in sorted(measured.items())
+    )
+    points = [p for p in chained if p is not None]
+    return _selected_outcome(
+        "full", model, explored, points, objective, constraints, pricing, shape
     )
 
 
 def _stat_from_measurements(
     env, measured: dict[tuple[int, int], tuple[float, float]]
 ) -> StatFit:
-    """Noise curve from per-worker-count fits; epoch line from extreme-batch anchors."""
-    by_k: dict[int, list[tuple[int, float]]] = defaultdict(list)
-    for (k, b), (noise, _) in sorted(measured.items()):
-        by_k[k].append((b, noise))
-    per_k = []
-    for k, pts in sorted(by_k.items()):
-        if len({b for b, _ in pts}) >= 2:
-            slope, intercept = fit_noise_vs_batch(pts)
-            per_k.append((k, slope, intercept))
-    if per_k:
-        a_n, c_n = average_over_workers(per_k)
-    else:
-        all_pts = [(b, noise) for (_, b), (noise, _) in sorted(measured.items())]
-        if len({b for b, _ in all_pts}) >= 2:
-            a_n, c_n = fit_noise_vs_batch(all_pts)
-        else:
-            a_n, c_n = 0.0, sum(n for _, n in all_pts) / len(all_pts)
-
-    bs = sorted({b for _, b in measured})
-    b_lo, b_hi = bs[0], bs[-1]
-    cfg_lo = min((k, b) for (k, b) in measured if b == b_lo)
-    cfg_hi = min((k, b) for (k, b) in measured if b == b_hi)
-    e_lo = env.epochs_to_target(*cfg_lo)
-    gamma_lo = measured[cfg_lo][0]
+    """Noise curve from the measured noise; epoch line from extreme-batch anchors."""
+    a_n, c_n = fit_noise_curve(measured)
+    b_lo, ks_lo, b_hi, ks_hi = _extreme_batches(measured)
+    e_lo = env.epochs_to_target(ks_lo[0], b_lo)
+    gamma_lo = measured[(ks_lo[0], b_lo)][0]
     if b_lo == b_hi:
         e_base, e_slope = e_lo, 0.0
     else:
-        e_hi = env.epochs_to_target(*cfg_hi)
-        gamma_hi = measured[cfg_hi][0]
+        e_hi = env.epochs_to_target(ks_hi[0], b_hi)
+        gamma_hi = measured[(ks_hi[0], b_hi)][0]
         e_base, e_slope = _epoch_anchor_fit(gamma_lo, e_lo, gamma_hi, e_hi)
-    return StatFit(
-        noise_slope=a_n,
-        noise_intercept=c_n,
-        epochs_base=e_base,
-        epochs_slope=e_slope,
-    )
+    return StatFit(a_n, c_n, e_base, e_slope)
 
 
 def partial_search(
@@ -449,51 +453,23 @@ def partial_search(
     _require_epochs_capability(env)
 
     session = _Session(env, params)
-    anchor_lo, anchor_hi = _anchor_configs(valid)
-    rec_lo, gamma_lo, _ = session.run_anchor(anchor_lo)
-    rec_hi, gamma_hi, _ = session.run_anchor(anchor_hi)
-    e_lo = env.epochs_to_target(anchor_lo.workers, anchor_lo.global_batch)
-    e_hi = env.epochs_to_target(anchor_hi.workers, anchor_hi.global_batch)
-    a_n, c_n = fit_noise_vs_batch(
-        [(anchor_lo.global_batch, gamma_lo), (anchor_hi.global_batch, gamma_hi)]
-    )
-    e_base, e_slope = _epoch_anchor_fit(gamma_lo, e_lo, gamma_hi, e_hi)
-
-    explored: list[Exploration] = [rec_lo, rec_hi]
+    explored, stat = session.fit_anchors(valid)
     timing = []
     for config in _corner_configs(valid):
         record, _, mean_tau = session.run_profile(config)
         explored.append(record)
         timing.append(((config.workers, float(mini_batch(config))), mean_tau))
-    parallel = fit_iteration_time_best_effort(timing)
 
     model = PerfModel(
-        stat=StatFit(a_n, c_n, e_base, e_slope),
-        parallel=parallel,
+        stat=stat,
+        parallel=fit_iteration_time_best_effort(timing),
         dataset_size=env.dataset_size(),
         fingerprint=_env_fingerprint(env),
         provenance="partial_search",
     )
-    points = []
-    for config in candidates:
-        try:
-            p = predict(model, config, pricing, shape)
-        except ModelOutOfDomainError:
-            continue
-        points.append(TradeoffPoint(config, p.total_time_s, p.cost_usd))
-    if not points:
-        raise SearchFailedError("no configuration produced a usable prediction")
-    rec = select(points, objective, constraints or Constraints(bounds=bounds))
-    overhead_t, overhead_c = _overheads(explored, pricing, shape)
-    return SearchOutcome(
-        mode="partial",
-        chosen=rec.chosen.config if rec.chosen is not None else None,
-        model=model,
-        explored=tuple(explored),
-        overhead_time_s=overhead_t,
-        overhead_cost_usd=overhead_c,
-        tradeoff_points=tuple(points),
-        recommendation=rec,
+    points, _, _ = predict_grid(model, candidates, pricing, shape)
+    return _selected_outcome(
+        "partial", model, explored, points, objective, constraints, pricing, shape
     )
 
 
@@ -544,18 +520,7 @@ def online_scaling_search(
     _require_epochs_capability(env)
 
     session = _Session(env, params)
-    anchor_lo, anchor_hi = _anchor_configs(valid)
-    rec_lo, gamma_lo, _ = session.run_anchor(anchor_lo)
-    rec_hi, gamma_hi, _ = session.run_anchor(anchor_hi)
-    e_lo = env.epochs_to_target(anchor_lo.workers, anchor_lo.global_batch)
-    e_hi = env.epochs_to_target(anchor_hi.workers, anchor_hi.global_batch)
-    a_n, c_n = fit_noise_vs_batch(
-        [(anchor_lo.global_batch, gamma_lo), (anchor_hi.global_batch, gamma_hi)]
-    )
-    e_base, e_slope = _epoch_anchor_fit(gamma_lo, e_lo, gamma_hi, e_hi)
-    stat = StatFit(a_n, c_n, e_base, e_slope)
-
-    explored: list[Exploration] = [rec_lo, rec_hi]
+    explored, stat = session.fit_anchors(valid)
     timing = []
     all_points: list[TradeoffPoint] = []
     knees: list[TradeoffPoint] = []
@@ -571,32 +536,18 @@ def online_scaling_search(
                 continue
             explored.append(record)
             timing.append(((k, float(mini_batch(config))), mean_tau))
-            noise = stat.predicted_noise(b)
-            epochs = stat.predicted_epochs(noise)
-            if noise <= 0 or epochs <= 0 or mean_tau <= 0:
-                continue
-            est_time = epochs * dataset / b * mean_tau
-            batch_points.append(
-                TradeoffPoint(
-                    config, est_time, run_cost_usd(pricing, shape, k, est_time)
-                )
+            point = _measured_point(
+                stat, dataset, config, stat.predicted_noise(b), mean_tau, pricing, shape
             )
+            if point is not None:
+                batch_points.append(point)
         if not batch_points:
             continue
         all_points.extend(batch_points)
         knees.append(kneedle_knee(TradeoffCurve.build(batch_points, fixed_batch=b)).point)
     if not knees:
         raise SearchFailedError("every sampled batch size was skipped")
-    best = min(
-        knees,
-        key=lambda p: (
-            p.time_s * p.cost_usd,
-            p.time_s,
-            p.cost_usd,
-            p.config.workers,
-            p.config.global_batch,
-        ),
-    )
+    best = min_cost_time(knees)
 
     model = PerfModel(
         stat=stat,
@@ -642,3 +593,40 @@ def no_search(
             )
         return store.universal_average(dataset_size, fingerprint=fingerprint)
     return replace(stored.model, provenance="reused")
+
+
+def run_search(scenario: Scenario) -> SearchOutcome:
+    """Run a scenario's search mode against its simulated environment.
+
+    Mode ``none`` profiles nothing: it predicts the grid from the stored
+    model that :func:`no_search` returns and selects from that.
+    """
+    pricing, shape = scenario.cluster.pricing, scenario.cluster.shape
+    mode = scenario.params.mode
+    if mode == "none":
+        model = no_search(
+            ModelStore(scenario.store_dir),
+            scenario.workload.name,
+            dataset_size=scenario.workload.dataset_size,
+            allow_universal=scenario.allow_universal,
+        )
+        points, _, _ = predict_grid(model, scenario.bounds.valid_configs(), pricing, shape)
+        return _selected_outcome(
+            "none", model, [], points, scenario.objective, scenario.constraints,
+            pricing, shape,
+        )
+    env = SimEnvironment(scenario.workload, scenario.cluster)
+    if mode == "scaling":
+        return online_scaling_search(
+            env, scenario.bounds, scenario.params, pricing=pricing, shape=shape
+        )
+    driver = full_search if mode == "full" else partial_search
+    return driver(
+        env,
+        scenario.bounds,
+        scenario.params,
+        scenario.objective,
+        pricing=pricing,
+        shape=shape,
+        constraints=scenario.constraints,
+    )

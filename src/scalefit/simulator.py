@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -23,9 +22,9 @@ from .config import (
     mini_batch,
     run_cost_usd,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ModelOutOfDomainError
 from .noise import IterationSample
-from .perfmodel import ParallelFit, PerfModel, Prediction, StatFit, predict
+from .perfmodel import ParallelFit, PerfModel, Prediction, StatFit, predict, predict_grid
 from .policy import Constraints, Objective, Recommendation, select
 from .tradeoff import TradeoffPoint
 
@@ -99,18 +98,10 @@ class SimCluster:
     shape: VMShape
     pricing: PricingModel
     restore_overhead_s: float = 37.0
-    per_config_restore_s: Mapping[tuple[int, int], float] | None = None
 
     def __post_init__(self) -> None:
         if self.restore_overhead_s < 0:
             raise ConfigurationError("restore_overhead_s must be >= 0")
-
-    def restore_for(self, workers: int, global_batch: int) -> float:
-        if self.per_config_restore_s is not None:
-            key = (workers, global_batch)
-            if key in self.per_config_restore_s:
-                return self.per_config_restore_s[key]
-        return self.restore_overhead_s
 
 
 class SimEnvironment:
@@ -139,7 +130,7 @@ class SimEnvironment:
         return self.cluster.shape
 
     def restore_overhead_s(self, workers: int, global_batch: int) -> float:
-        return self.cluster.restore_for(workers, global_batch)
+        return self.cluster.restore_overhead_s
 
     def epochs_to_target(self, workers: int, global_batch: int) -> float:
         JobConfig(workers, global_batch)
@@ -223,13 +214,16 @@ def run_to_target(
 def ground_truth_points(
     workload: SimWorkload, cluster: SimCluster, bounds: SearchBounds
 ) -> list[TradeoffPoint]:
-    """Ground-truth tradeoff points for every valid configuration in bounds."""
-    points = []
-    for config in bounds.valid_configs():
-        p = ground_truth(workload, cluster, config)
-        points.append(
-            TradeoffPoint(config=config, time_s=p.total_time_s, cost_usd=p.cost_usd)
-        )
+    """Ground-truth tradeoff points for every valid configuration in bounds.
+
+    Raises ModelOutOfDomainError for the first configuration the true
+    coefficients cannot evaluate.
+    """
+    points, _, skipped = predict_grid(
+        workload.to_perf_model(), bounds.valid_configs(), cluster.pricing, cluster.shape
+    )
+    if skipped:
+        raise ModelOutOfDomainError(skipped[0][1])
     return points
 
 

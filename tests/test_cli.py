@@ -615,6 +615,19 @@ class TestSearch:
         assert code == 4
         assert "store is empty" in err
 
+    def test_mode_none_out_of_domain_model_exits_5(
+        self, run_cli, scenario_file, tmp_path, make_model
+    ):
+        store_dir = tmp_path / "store"
+        ModelStore(store_dir).save(
+            make_model(noise_intercept=-5.0, fingerprint="resnet18-like")
+        )
+        path = scenario_file(search={"mode": "none"}, store_dir=str(store_dir))
+        code, out, err = run_cli("search", "--scenario", str(path))
+        assert code == 5
+        assert out == ""
+        assert err == "error: no configuration produced a usable prediction\n"
+
     def test_infeasible_objective_exits_3(self, run_cli, scenario_file):
         path = scenario_file(objective={"kind": "budget", "budget_usd": 0.01})
         code, out, _ = run_cli("search", "--scenario", str(path))

@@ -1,4 +1,4 @@
-"""Job configurations, pricing, memory bounds, and search grids."""
+"""Job configurations, pricing, and search grids."""
 
 import pytest
 
@@ -8,11 +8,10 @@ from scalefit.config import (
     SearchBounds,
     VMShape,
     hourly_cluster_price,
-    max_batch_for_memory,
     mini_batch,
     run_cost_usd,
 )
-from scalefit.errors import ConfigurationError, InfeasibleMemoryError
+from scalefit.errors import ConfigurationError
 
 
 class TestJobConfig:
@@ -91,44 +90,6 @@ class TestPricing:
             VMShape(0, 16.0)
         with pytest.raises(ConfigurationError):
             VMShape(4, 0.0)
-
-
-class TestMaxBatchForMemory:
-    def test_worked_example(self):
-        assert max_batch_for_memory(VMShape(4, 16.0), 0.01, 4.0, 8) == 9600
-
-    def test_overhead_consuming_memory_is_infeasible(self):
-        with pytest.raises(InfeasibleMemoryError):
-            max_batch_for_memory(VMShape(4, 16.0), 0.01, 16.0, 8)
-        with pytest.raises(InfeasibleMemoryError):
-            max_batch_for_memory(VMShape(4, 16.0), 0.01, 17.0, 8)
-
-    def test_huge_samples_clamp_to_one_per_worker(self):
-        assert max_batch_for_memory(VMShape(4, 16.0), 20.0, 0.0, 8) == 8
-
-    def test_monotone_in_memory_and_workers(self):
-        for gb in (8.0, 16.0, 24.0, 64.0):
-            assert max_batch_for_memory(VMShape(4, gb), 0.05, 1.0, 4) <= (
-                max_batch_for_memory(VMShape(4, gb + 8.0), 0.05, 1.0, 4)
-            )
-        for k in (1, 2, 5, 9):
-            assert max_batch_for_memory(VMShape(4, 16.0), 0.05, 1.0, k) <= (
-                max_batch_for_memory(VMShape(4, 16.0), 0.05, 1.0, k + 1)
-            )
-
-    def test_halving_sample_size_at_least_doubles_per_worker_term(self):
-        for per_sample in (0.01, 0.07, 0.3, 1.1):
-            small = max_batch_for_memory(VMShape(4, 16.0), per_sample, 2.0, 1)
-            halved = max_batch_for_memory(VMShape(4, 16.0), per_sample / 2, 2.0, 1)
-            assert halved >= 2 * small
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ConfigurationError):
-            max_batch_for_memory(VMShape(4, 16.0), 0.0, 1.0, 4)
-        with pytest.raises(ConfigurationError):
-            max_batch_for_memory(VMShape(4, 16.0), 0.01, -1.0, 4)
-        with pytest.raises(ConfigurationError):
-            max_batch_for_memory(VMShape(4, 16.0), 0.01, 1.0, 0)
 
 
 class TestSearchBounds:

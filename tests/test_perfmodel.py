@@ -1,11 +1,14 @@
 """Performance model: statistical and parallel fits plus prediction chains."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scalefit.config import JobConfig, PricingModel, VMShape
+from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape
 from scalefit.errors import DegenerateFitError, ModelOutOfDomainError
 from scalefit.perfmodel import (
     ParallelFit,
@@ -15,8 +18,10 @@ from scalefit.perfmodel import (
     fit_epochs_vs_noise,
     fit_iteration_time,
     fit_iteration_time_best_effort,
+    fit_noise_curve,
     fit_noise_vs_batch,
     predict,
+    predict_grid,
 )
 
 
@@ -185,6 +190,114 @@ class TestAverageOverWorkers:
     def test_empty_rejected(self):
         with pytest.raises(DegenerateFitError):
             average_over_workers([])
+
+
+class TestNoiseCurve:
+    def test_averages_per_worker_fits(self):
+        measured = {(4, 256): (3.0, 0.1), (4, 1024): (1.5, 0.1),
+                    (8, 256): (4.0, 0.1), (8, 1024): (2.0, 0.1), (16, 512): (9.0, 0.1)}
+        slope, intercept = fit_noise_curve(measured)
+        assert slope == pytest.approx((48.0 + 64.0) / 2)
+        assert intercept == pytest.approx(0.0, abs=1e-12)
+
+    def test_pools_when_no_worker_count_varies_batch(self):
+        measured = {(4, 256): (3.0, 0.1), (8, 1024): (1.5, 0.1)}
+        assert fit_noise_curve(measured) == fit_noise_vs_batch([(256, 3.0), (1024, 1.5)])
+
+    def test_single_batch_is_flat_mean(self):
+        assert fit_noise_curve({(4, 256): (3.0, 0.1), (8, 256): (4.0, 0.1)}) == (0.0, 3.5)
+
+
+def _bits(prediction) -> tuple[str, ...]:
+    """Every field of a Prediction as an exact hex string."""
+    return tuple(getattr(prediction, f.name).hex() for f in fields(prediction))
+
+
+GRID = SearchBounds(k_min=1, k_max=12, b_min=1, b_max=600, k_step=1,
+                    b_candidates=(1, 12, 36, 64, 96, 240, 360, 480, 600))
+
+
+def coef(lo: float, hi: float):
+    """Coefficients at 1e-6 resolution.  A subnormal coefficient can underflow
+    an in-domain prediction's total time to 0, which TradeoffPoint rejects."""
+    return st.floats(lo, hi).map(lambda x: round(x, 6))
+
+
+# Signed intercepts and a signed worker term put part of the grid out of
+# domain for all three reasons (noise, epochs, iteration time).
+models = st.builds(
+    PerfModel,
+    stat=st.builds(
+        StatFit,
+        noise_slope=coef(0.1, 100.0),
+        noise_intercept=coef(-3.0, 2.0),
+        epochs_base=coef(-20.0, 20.0),
+        epochs_slope=coef(0.0, 60.0),
+    ),
+    parallel=st.builds(
+        ParallelFit,
+        base_s=coef(-0.5, 1.0),
+        per_sample_s=coef(0.0, 0.05),
+        per_worker_s=coef(-0.1, 0.1),
+    ),
+    dataset_size=st.integers(1, 5_000_000),
+    fingerprint=st.just("hyp"),
+    provenance=st.just("full_search"),
+)
+pricings = st.one_of(
+    st.builds(PricingModel.flat, st.floats(0.0, 5.0)),
+    st.builds(PricingModel.per_resource, st.floats(0.0, 0.1), st.floats(0.0, 0.02)),
+)
+
+
+class TestPredictGrid:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=models,
+        pricing=pricings,
+        picks=st.lists(st.integers(0, len(GRID.valid_configs()) - 1), max_size=40),
+    )
+    def test_matches_scalar_predict_bit_for_bit(self, model, pricing, picks):
+        valid = GRID.valid_configs()
+        configs = [valid[i] for i in picks]
+        shape = VMShape(4, 16.0)
+        points, predictions, skipped = predict_grid(model, configs, pricing, shape)
+        want_points, want_predictions, want_skipped = [], [], []
+        for config in configs:
+            try:
+                p = predict(model, config, pricing, shape)
+            except ModelOutOfDomainError as exc:
+                want_skipped.append((config, str(exc)))
+                continue
+            want_points.append(config)
+            want_predictions.append(p)
+        assert [pt.config for pt in points] == want_points
+        assert [_bits(p) for p in predictions] == [_bits(p) for p in want_predictions]
+        assert [(pt.time_s.hex(), pt.cost_usd.hex()) for pt in points] == [
+            (p.total_time_s.hex(), p.cost_usd.hex()) for p in want_predictions
+        ]
+        assert skipped == want_skipped
+
+    def test_fully_in_domain_model_skips_nothing(self, make_model):
+        configs = GRID.valid_configs()
+        points, predictions, skipped = predict_grid(
+            make_model(), configs, PricingModel.flat(0.13402), VMShape(4, 16.0)
+        )
+        assert skipped == []
+        assert [p.config for p in points] == configs
+        assert len(predictions) == len(configs)
+
+    def test_partly_out_of_domain_model_reports_each_reason(self, make_model):
+        model = make_model(noise_intercept=-2.0, epochs_base=-10.0, per_worker_s=-0.05)
+        configs = GRID.valid_configs()
+        points, _, skipped = predict_grid(
+            model, configs, PricingModel.flat(0.13402), VMShape(4, 16.0)
+        )
+        assert points and skipped
+        assert len(points) + len(skipped) == len(configs)
+        reasons = " ".join(reason for _, reason in skipped)
+        for word in ("predicted noise", "predicted epochs", "predicted iteration time"):
+            assert word in reasons
 
 
 class TestFlags:

@@ -38,7 +38,6 @@ class TestDefaults:
         assert s.params.ewma.stability_window == 200
         assert s.params.ewma.stability_rel_tol == 0.02
         assert s.objective.kind == "min_cost_time"
-        assert s.constraints.bounds == s.bounds
         assert s.constraints.deadline_s is None
         assert s.store_dir is None
         assert s.allow_universal is True

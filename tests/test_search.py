@@ -19,7 +19,9 @@ from scalefit.search import (
     no_search,
     online_scaling_search,
     partial_search,
+    run_search,
 )
+from scalefit.scenario import scenario_from_document
 from scalefit.simulator import (
     SimEnvironment,
     ground_truth_points,
@@ -329,3 +331,40 @@ class TestNoSearch:
         model = no_search(store, "example")
         p = predict(model, JobConfig(8, 512), PricingModel.flat(0.13402), VMShape(4, 16))
         assert p.total_time_s == pytest.approx(7526.15580138478, rel=1e-12)
+
+
+class TestRunSearch:
+    @staticmethod
+    def scenario(**overrides):
+        doc = {
+            "workload": {"preset": "resnet18-like"},
+            "cluster": {"pricing": {"flat_hourly_usd": 0.13402}},
+            "bounds": {"k_min": 8, "k_max": 20, "k_step": 4, "b_min": 1, "b_max": 2048,
+                       "b_candidates": [384, 512, 768, 1024]},
+            "objective": {"kind": "min_cost_time"},
+            **overrides,
+        }
+        return scenario_from_document(doc)
+
+    def test_dispatches_partial_to_its_driver(self):
+        s = self.scenario(search={"mode": "partial"})
+        direct = partial_search(
+            SimEnvironment(s.workload, s.cluster), s.bounds, s.params, s.objective,
+            pricing=s.cluster.pricing, shape=s.cluster.shape, constraints=s.constraints,
+        )
+        assert run_search(s) == direct
+
+    def test_mode_none_reuses_stored_model(self, tmp_path):
+        ModelStore(tmp_path).save(preset_workload("resnet18-like").to_perf_model())
+        outcome = run_search(self.scenario(search={"mode": "none"}, store_dir=str(tmp_path)))
+        assert outcome.mode == "none"
+        assert outcome.model.provenance == "reused"
+        assert outcome.explored == ()
+        assert (outcome.overhead_time_s, outcome.overhead_cost_usd) == (0.0, 0.0)
+        assert outcome.chosen == JobConfig(16, 1024)
+
+    def test_mode_none_out_of_domain_everywhere_fails(self, tmp_path, make_model):
+        ModelStore(tmp_path).save(make_model(noise_intercept=-5.0, fingerprint="resnet18-like"))
+        s = self.scenario(search={"mode": "none"}, store_dir=str(tmp_path))
+        with pytest.raises(SearchFailedError, match="no configuration produced a usable"):
+            run_search(s)

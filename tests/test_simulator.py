@@ -192,16 +192,6 @@ class TestGroundTruth:
 
 
 class TestRestoreAndEndToEnd:
-    def test_restore_for_prefers_per_config_table(self):
-        cluster = SimCluster(
-            VMShape(4, 16.0),
-            PricingModel.flat(0.1),
-            restore_overhead_s=30.0,
-            per_config_restore_s={(8, 512): 55.0},
-        )
-        assert cluster.restore_for(8, 512) == 55.0
-        assert cluster.restore_for(8, 1024) == 30.0
-
     def test_end_to_end_totals(self):
         e = EndToEnd(
             overhead_time_s=100.0,
