@@ -371,9 +371,7 @@ def cmd_curves(parser: argparse.ArgumentParser, args) -> int:
     pricing, shape = _pricing_from_args(parser, args)
     bounds = _bounds_from_args(parser, args)
     # Batch-major order keeps each batch's curve, and the skip notes, together.
-    configs = [
-        JobConfig(k, b) for b in bounds.b_values() for k in bounds.k_values() if b % k == 0
-    ]
+    configs = sorted(bounds.valid_configs(), key=lambda c: (c.global_batch, c.workers))
     all_points, predictions, skipped = predict_grid(model, configs, pricing, shape)
     _note_skipped(skipped)
     row_for = {pt.config: _prediction_row(pt.config, p) for pt, p in zip(all_points, predictions)}

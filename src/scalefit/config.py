@@ -159,9 +159,22 @@ class SearchBounds:
         return [(k, b) for k in self.k_values() for b in self.b_values()]
 
     def valid_configs(self) -> list[JobConfig]:
-        """Grid pairs that satisfy the JobConfig invariants, in grid order."""
+        """Grid pairs that satisfy the JobConfig invariants, in grid order.
+
+        Batch ranges step through each worker count's multiples directly
+        instead of filtering the full product.
+        """
+        if self.b_candidates is not None:
+            return [
+                JobConfig(k, b)
+                for k in self.k_values()
+                for b in self.b_candidates
+                if b % k == 0
+            ]
         return [
-            JobConfig(k, b) for k, b in self.grid() if b % k == 0
+            JobConfig(k, b)
+            for k in self.k_values()
+            for b in range(-(-self.b_min // k) * k, self.b_max + 1, k)
         ]
 
     def contains(self, config: JobConfig) -> bool:

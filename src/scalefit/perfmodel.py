@@ -13,6 +13,7 @@ exactly and three non-collinear points reproduce a plane exactly.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -293,6 +294,17 @@ def predict(
         )
     total_time = iterations * tau
     cost = run_cost_usd(pricing, shape, config.workers, total_time)
+    # Positive factors can still underflow the product to 0 or overflow it.
+    if not (math.isfinite(total_time) and total_time > 0):
+        raise ModelOutOfDomainError(
+            f"predicted total time {total_time:.6g} s is not finite and positive "
+            f"at K={config.workers}, B={config.global_batch}"
+        )
+    if not math.isfinite(cost):
+        raise ModelOutOfDomainError(
+            f"predicted cost {cost:.6g} USD is not finite "
+            f"at K={config.workers}, B={config.global_batch}"
+        )
     return Prediction(
         normalized_noise=noise,
         epochs=epochs,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from .config import JobConfig
 from .errors import ConfigurationError, EmptyInputError
@@ -17,10 +19,12 @@ class TradeoffPoint:
     cost_usd: float
 
     def __post_init__(self) -> None:
-        if self.time_s <= 0:
-            raise ConfigurationError(f"time_s must be > 0, got {self.time_s}")
-        if self.cost_usd < 0:
-            raise ConfigurationError(f"cost_usd must be >= 0, got {self.cost_usd}")
+        if not math.isfinite(self.time_s) or self.time_s <= 0:
+            raise ConfigurationError(f"time_s must be finite and > 0, got {self.time_s}")
+        if not math.isfinite(self.cost_usd) or self.cost_usd < 0:
+            raise ConfigurationError(
+                f"cost_usd must be finite and >= 0, got {self.cost_usd}"
+            )
 
 
 def _point_order(p: TradeoffPoint) -> tuple[float, float, int, int]:
@@ -52,20 +56,30 @@ def pareto_frontier(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
     """Points not dominated in both time and cost, sorted by time.
 
     A point dominates another when it is no worse on both axes and strictly
-    better on at least one.
+    better on at least one.  So of several points at one time only the
+    cheapest survive, a point survives only if it is strictly cheaper than
+    every faster point, and exact duplicate (time, cost) points all survive.
+    Ties in the output order break by workers, then batch.
+
+    Sort-and-sweep in O(n log n) (Kung, Luccio & Preparata, JACM 1975): sort
+    by time then cost and walk the groups of equal time, keeping a group's
+    cheapest points when they beat the best cost seen so far.
     """
     if not points:
         raise EmptyInputError("cannot take the pareto frontier of zero points")
     frontier = []
-    for p in points:
-        dominated = any(
-            (q.time_s <= p.time_s and q.cost_usd <= p.cost_usd)
-            and (q.time_s < p.time_s or q.cost_usd < p.cost_usd)
-            for q in points
-        )
-        if not dominated:
+    best_cost = math.inf
+    for _, group in groupby(sorted(points, key=_point_order), key=lambda p: p.time_s):
+        cheapest = next(group)
+        if cheapest.cost_usd >= best_cost:
+            continue
+        best_cost = cheapest.cost_usd
+        frontier.append(cheapest)
+        for p in group:
+            if p.cost_usd != best_cost:
+                break
             frontier.append(p)
-    return sorted(frontier, key=_point_order)
+    return frontier
 
 
 def min_cost_time(points: list[TradeoffPoint]) -> TradeoffPoint:

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from scalefit.cli import main as cli_main
 from scalefit.config import JobConfig
 from scalefit.perfmodel import ParallelFit, PerfModel, StatFit
 from scalefit.tradeoff import TradeoffPoint
+
+# Same examples on every run, and no per-example time limit: wall-clock
+# deadlines would make results depend on machine load.
+settings.register_profile("scalefit", derandomize=True, deadline=None)
+settings.load_profile("scalefit")
 
 
 @pytest.fixture

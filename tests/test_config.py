@@ -1,6 +1,8 @@
 """Job configurations, pricing, and search grids."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scalefit.config import (
     JobConfig,
@@ -105,6 +107,25 @@ class TestSearchBounds:
             (2, 4),
             (2, 6),
             (4, 4),
+        ]
+
+    @given(
+        k_min=st.integers(1, 12),
+        k_span=st.integers(0, 20),
+        k_step=st.integers(1, 5),
+        b_min=st.integers(1, 200),
+        b_span=st.integers(0, 200),
+        b_candidates=st.none() | st.lists(st.integers(1, 400), min_size=1, max_size=12),
+    )
+    def test_valid_configs_equal_the_filtered_grid(
+        self, k_min, k_span, k_step, b_min, b_span, b_candidates
+    ):
+        bounds = SearchBounds(
+            k_min=k_min, k_max=k_min + k_span, b_min=b_min, b_max=b_min + b_span,
+            k_step=k_step, b_candidates=None if b_candidates is None else tuple(b_candidates),
+        )
+        assert bounds.valid_configs() == [
+            JobConfig(k, b) for k, b in bounds.grid() if b % k == 0
         ]
 
     def test_b_candidates_sorted_and_deduplicated(self):

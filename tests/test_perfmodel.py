@@ -217,28 +217,22 @@ GRID = SearchBounds(k_min=1, k_max=12, b_min=1, b_max=600, k_step=1,
                     b_candidates=(1, 12, 36, 64, 96, 240, 360, 480, 600))
 
 
-def coef(lo: float, hi: float):
-    """Coefficients at 1e-6 resolution.  A subnormal coefficient can underflow
-    an in-domain prediction's total time to 0, which TradeoffPoint rejects."""
-    return st.floats(lo, hi).map(lambda x: round(x, 6))
-
-
 # Signed intercepts and a signed worker term put part of the grid out of
 # domain for all three reasons (noise, epochs, iteration time).
 models = st.builds(
     PerfModel,
     stat=st.builds(
         StatFit,
-        noise_slope=coef(0.1, 100.0),
-        noise_intercept=coef(-3.0, 2.0),
-        epochs_base=coef(-20.0, 20.0),
-        epochs_slope=coef(0.0, 60.0),
+        noise_slope=st.floats(0.1, 100.0),
+        noise_intercept=st.floats(-3.0, 2.0),
+        epochs_base=st.floats(-20.0, 20.0),
+        epochs_slope=st.floats(0.0, 60.0),
     ),
     parallel=st.builds(
         ParallelFit,
-        base_s=coef(-0.5, 1.0),
-        per_sample_s=coef(0.0, 0.05),
-        per_worker_s=coef(-0.1, 0.1),
+        base_s=st.floats(-0.5, 1.0),
+        per_sample_s=st.floats(0.0, 0.05),
+        per_worker_s=st.floats(-0.1, 0.1),
     ),
     dataset_size=st.integers(1, 5_000_000),
     fingerprint=st.just("hyp"),
@@ -251,7 +245,7 @@ pricings = st.one_of(
 
 
 class TestPredictGrid:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         model=models,
         pricing=pricings,
@@ -399,6 +393,21 @@ class TestPredict:
         )
         with pytest.raises(ModelOutOfDomainError, match="iteration time"):
             predict(bad_time, JobConfig(8, 512), pricing, shape)
+
+    def test_underflowed_or_overflowed_totals_are_out_of_domain(self, make_model):
+        shape = VMShape(4, 16)
+        tiny = make_model(base_s=5e-324, per_sample_s=0.0, per_worker_s=0.0,
+                          epochs_base=1e-300, epochs_slope=0.0)
+        with pytest.raises(ModelOutOfDomainError, match="total time 0 s"):
+            predict(tiny, JobConfig(1, 1), PricingModel.flat(0.1), shape)
+        with pytest.raises(ModelOutOfDomainError, match="total time inf s"):
+            predict(make_model(epochs_base=1e305), JobConfig(1, 1), PricingModel.flat(0.1), shape)
+        with pytest.raises(ModelOutOfDomainError, match="cost inf USD"):
+            predict(make_model(), JobConfig(8, 512), PricingModel.flat(1e308), shape)
+        points, _, skipped = predict_grid(
+            tiny, [JobConfig(1, 1)], PricingModel.flat(0.1), shape
+        )
+        assert points == [] and [c for c, _ in skipped] == [JobConfig(1, 1)]
 
 
 class TestValidation:

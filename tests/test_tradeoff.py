@@ -1,10 +1,15 @@
 """Time/cost tradeoff curves: pareto filtering and knee detection."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scalefit.config import JobConfig
 from scalefit.errors import ConfigurationError, EmptyInputError
+from scalefit.policy import Objective, select
 from scalefit.tradeoff import (
     TradeoffCurve,
     TradeoffPoint,
@@ -21,6 +26,13 @@ class TestPointAndCurve:
         with pytest.raises(ConfigurationError):
             TradeoffPoint(JobConfig(1, 1), 1.0, -1.0)
         assert point(1.0, 0.0).cost_usd == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_point_rejects_non_finite_values_naming_the_field(self, bad):
+        with pytest.raises(ConfigurationError, match="time_s"):
+            TradeoffPoint(JobConfig(1, 1), bad, 1.0)
+        with pytest.raises(ConfigurationError, match="cost_usd"):
+            TradeoffPoint(JobConfig(1, 1), 1.0, bad)
 
     def test_build_sorts_by_time(self, point):
         curve = TradeoffCurve.build([point(3, 1), point(1, 3), point(2, 2)])
@@ -77,6 +89,52 @@ class TestPareto:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             pareto_frontier([])
+
+
+def all_pairs_frontier(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
+    """Reference frontier: test every point against every other point."""
+    frontier = [
+        p
+        for p in points
+        if not any(
+            q.time_s <= p.time_s
+            and q.cost_usd <= p.cost_usd
+            and (q.time_s < p.time_s or q.cost_usd < p.cost_usd)
+            for q in points
+        )
+    ]
+    return sorted(
+        frontier,
+        key=lambda p: (p.time_s, p.cost_usd, p.config.workers, p.config.global_batch),
+    )
+
+
+# A few small values per axis, so equal times, equal costs and exact
+# duplicate points are common.
+tied_points = st.lists(
+    st.builds(
+        lambda k, m, t, c: TradeoffPoint(JobConfig(k, k * m), t, c),
+        st.integers(1, 3),
+        st.integers(1, 2),
+        st.sampled_from([1.0, 2.0, 3.0, 4.0]),
+        st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestParetoMatchesAllPairs:
+    @given(tied_points)
+    def test_same_points_in_same_order(self, pts):
+        assert [id(p) for p in pareto_frontier(pts)] == [
+            id(p) for p in all_pairs_frontier(pts)
+        ]
+
+    @given(tied_points)
+    def test_knee_select_picks_the_knee_of_the_reference_frontier(self, pts):
+        want = kneedle_knee(TradeoffCurve.build(all_pairs_frontier(pts))).point
+        assert select(pts, Objective.knee_point()).chosen is want
 
 
 class TestMinCostTime:
