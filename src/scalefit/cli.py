@@ -23,11 +23,9 @@ from pathlib import Path
 
 from .config import JobConfig, PricingModel, SearchBounds, VMShape, mini_batch
 from .errors import (
-    CapabilityMissingError,
     ConfigurationError,
     CorruptDocumentError,
     DegenerateFitError,
-    DegenerateGradientError,
     EmptyInputError,
     ModelNotFoundError,
     ModelOutOfDomainError,
@@ -36,7 +34,7 @@ from .errors import (
     SearchFailedError,
     TraceParseError,
 )
-from .noise import compute_raw_noise
+from .noise import normalized_noises
 from .perfmodel import (
     PerfModel,
     Prediction,
@@ -47,7 +45,7 @@ from .perfmodel import (
     predict,
     predict_grid,
 )
-from .policy import Constraints, Objective, select
+from .policy import Constraints, Objective, Recommendation, select
 from .scenario import Scenario, _build_workload, load_scenario
 from .search import SearchOutcome, run_search
 from .simulator import (
@@ -234,11 +232,7 @@ def _measure_traces(paths: list[str]) -> dict[tuple[int, int], tuple[float, floa
     for path in paths:
         config, samples = read_trace(path)
         noises, taus = measured[(config.workers, config.global_batch)]
-        for s in samples:
-            try:
-                noises.append(compute_raw_noise(s) / config.workers)
-            except DegenerateGradientError:
-                continue
+        noises.extend(normalized_noises(samples, config.workers))
         taus.extend(s.iteration_time_s for s in samples)
     out = {}
     for key, (noises, taus) in measured.items():
@@ -255,23 +249,19 @@ def cmd_fit(parser: argparse.ArgumentParser, args) -> int:
     if len({b for _, b in measured}) < 2:
         raise DegenerateFitError("no variation in global_batch across trace files")
     a_n, c_n = fit_noise_curve(measured)
-
+    stat = StatFit(a_n, c_n, epochs_base=0.0, epochs_slope=1.0)
     relative_epochs = args.anchors is None
-    if relative_epochs:
-        e_base, e_slope = 0.0, 1.0
-    else:
+    if not relative_epochs:
         anchors = read_anchors(args.anchors)
         if len(anchors) < 2:
             raise DegenerateFitError("need at least 2 epoch anchors")
-        pairs = [
-            (a_n * cfg.global_batch**-0.5 + c_n, epochs) for cfg, epochs in anchors
-        ]
+        pairs = [(stat.predicted_noise(cfg.global_batch), epochs) for cfg, epochs in anchors]
         e_base, e_slope = fit_epochs_vs_noise(pairs)
+        stat = replace(stat, epochs_base=e_base, epochs_slope=e_slope)
 
     timing = [((k, b / k), tau) for (k, b), (_, tau) in sorted(measured.items())]
     parallel = fit_iteration_time(timing)
 
-    stat = StatFit(a_n, c_n, e_base, e_slope)
     model = PerfModel(
         stat=stat,
         parallel=parallel,
@@ -292,7 +282,7 @@ def cmd_fit(parser: argparse.ArgumentParser, args) -> int:
     print(f"configs: {len(measured)}")
     print(f"noise fit: slope={_fmt6(a_n)} intercept={_fmt6(c_n)} max_resid={_fmt6(noise_resid)}")
     print(
-        f"epochs fit: base={_fmt6(e_base)} slope={_fmt6(e_slope)}"
+        f"epochs fit: base={_fmt6(stat.epochs_base)} slope={_fmt6(stat.epochs_slope)}"
         + (" (relative scale: no anchors file)" if relative_epochs else "")
     )
     print(
@@ -380,18 +370,12 @@ def cmd_curves(parser: argparse.ArgumentParser, args) -> int:
         by_batch[point.config.global_batch].append(point)
     batches = []
     for b, points in by_batch.items():
-        knee = kneedle_knee(TradeoffCurve.build(points, fixed_batch=b))
+        knee = kneedle_knee(TradeoffCurve.build(points))
         batches.append(
             {
                 "global_batch": b,
                 "points": [row_for[p.config] for p in points],
-                "knee": {
-                    "workers": knee.point.config.workers,
-                    "global_batch": knee.point.config.global_batch,
-                    "time_s": knee.point.time_s,
-                    "cost_usd": knee.point.cost_usd,
-                    "method": knee.method,
-                },
+                "knee": {**_point_doc(knee.point), "method": knee.method},
             }
         )
     if not batches:
@@ -485,6 +469,15 @@ def _point_doc(point: TradeoffPoint | None) -> dict | None:
     }
 
 
+def _recommendation_doc(rec: Recommendation) -> dict:
+    return {
+        "feasible": rec.feasible,
+        "feasible_count": rec.feasible_count,
+        "chosen": _point_doc(rec.chosen),
+        "nearest_miss": _point_doc(rec.nearest_miss),
+    }
+
+
 def cmd_recommend(parser: argparse.ArgumentParser, args) -> int:
     model = read_model_file(args.model).model
     pricing, shape = _pricing_from_args(parser, args)
@@ -505,10 +498,7 @@ def cmd_recommend(parser: argparse.ArgumentParser, args) -> int:
             "deadline_s": constraints.deadline_s,
             "budget_usd": constraints.budget_usd,
         },
-        "feasible": rec.feasible,
-        "feasible_count": rec.feasible_count,
-        "chosen": _point_doc(rec.chosen),
-        "nearest_miss": _point_doc(rec.nearest_miss),
+        **_recommendation_doc(rec),
     }
     _write_output(_dump_json(doc), args.out)
     return EXIT_OK if rec.feasible else EXIT_INFEASIBLE
@@ -552,13 +542,7 @@ def _outcome_doc(outcome: SearchOutcome, scenario: Scenario) -> dict:
         "tradeoff_points": [_point_doc(p) for p in outcome.tradeoff_points],
     }
     if outcome.recommendation is not None:
-        rec = outcome.recommendation
-        doc["recommendation"] = {
-            "feasible": rec.feasible,
-            "feasible_count": rec.feasible_count,
-            "chosen": _point_doc(rec.chosen),
-            "nearest_miss": _point_doc(rec.nearest_miss),
-        }
+        doc["recommendation"] = _recommendation_doc(outcome.recommendation)
     return doc
 
 
@@ -688,7 +672,6 @@ _ERROR_EXITS: list[tuple[type, int]] = [
     (DegenerateFitError, EXIT_DEGENERATE),
     (EmptyInputError, EXIT_DATA),
     (SearchFailedError, EXIT_DATA),
-    (CapabilityMissingError, EXIT_DATA),
     (ModelOutOfDomainError, EXIT_DATA),
     (ConfigurationError, EXIT_USAGE),
 ]

@@ -7,6 +7,7 @@ once, in :func:`run_cost_usd`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -69,8 +70,9 @@ class PricingModel:
                 f"pricing mode must be one of {PRICING_MODES}, got {self.mode!r}"
             )
         for name in ("flat_hourly_usd", "per_vcpu_hourly_usd", "per_gb_hourly_usd"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
 
     @classmethod
     def flat(cls, hourly_usd: float) -> "PricingModel":
@@ -176,9 +178,3 @@ class SearchBounds:
             for k in self.k_values()
             for b in range(-(-self.b_min // k) * k, self.b_max + 1, k)
         ]
-
-    def contains(self, config: JobConfig) -> bool:
-        return (
-            config.workers in self.k_values()
-            and config.global_batch in self.b_values()
-        )

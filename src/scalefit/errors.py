@@ -25,10 +25,6 @@ class EmptyInputError(ScalefitError):
     """An operation that requires at least one point received none."""
 
 
-class CapabilityMissingError(ScalefitError):
-    """The profiling environment lacks an optional capability the search mode needs."""
-
-
 class SearchFailedError(ScalefitError):
     """No candidate configuration could be profiled or selected."""
 

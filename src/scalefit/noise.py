@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .errors import ConfigurationError, DegenerateGradientError
 
@@ -54,6 +55,17 @@ def compute_raw_noise(sample: IterationSample) -> float:
     return mean_worker / sample.aggregated_grad_sqnorm
 
 
+def normalized_noises(samples: Iterable[IterationSample], workers: int) -> list[float]:
+    """Raw noise over ``workers`` for each sample, leaving out zero-aggregate samples."""
+    out = []
+    for s in samples:
+        try:
+            out.append(compute_raw_noise(s) / workers)
+        except DegenerateGradientError:
+            continue
+    return out
+
+
 @dataclass(frozen=True)
 class EwmaConfig:
     """Smoothing and stabilization parameters for the noise tracker."""
@@ -84,7 +96,6 @@ class EwmaConfig:
 class NoiseEstimate:
     """Snapshot of the tracker state after an update."""
 
-    raw: float
     smoothed: float
     normalized: float
     samples_seen: int
@@ -129,7 +140,6 @@ class NoiseTracker:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.cfg = cfg if cfg is not None else EwmaConfig()
-        self._raw = 0.0
         self._smoothed: float | None = None
         self._seen = 0
         self._skipped = 0
@@ -151,7 +161,6 @@ class NoiseTracker:
         else:
             a = self.cfg.alpha
             self._smoothed = a * raw + (1.0 - a) * self._smoothed
-        self._raw = raw
         self._seen += 1
         self._window.append(self._smoothed)
         return self.estimate
@@ -160,7 +169,6 @@ class NoiseTracker:
     def estimate(self) -> NoiseEstimate:
         smoothed = self._smoothed if self._smoothed is not None else 0.0
         est = NoiseEstimate(
-            raw=self._raw,
             smoothed=smoothed,
             normalized=smoothed / self.workers,
             samples_seen=self._seen,

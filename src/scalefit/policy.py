@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError, EmptyInputError
 from .tradeoff import TradeoffCurve, TradeoffPoint, kneedle_knee, pareto_frontier
 
 OBJECTIVE_KINDS = ("deadline", "budget", "knee_point", "min_cost_time")
+
+
+def _check_caps(caps: Objective | Constraints) -> None:
+    for name in ("deadline_s", "budget_usd"):
+        value = getattr(caps, name)
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -28,14 +36,11 @@ class Objective:
             raise ConfigurationError(
                 f"objective kind must be one of {OBJECTIVE_KINDS}, got {self.kind!r}"
             )
-        if self.kind == "deadline" and (self.deadline_s is None or self.deadline_s <= 0):
+        _check_caps(self)
+        if self.kind == "deadline" and self.deadline_s is None:
             raise ConfigurationError("deadline objective needs deadline_s > 0")
-        if self.kind == "budget" and (self.budget_usd is None or self.budget_usd <= 0):
+        if self.kind == "budget" and self.budget_usd is None:
             raise ConfigurationError("budget objective needs budget_usd > 0")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ConfigurationError(f"deadline_s must be > 0, got {self.deadline_s}")
-        if self.budget_usd is not None and self.budget_usd <= 0:
-            raise ConfigurationError(f"budget_usd must be > 0, got {self.budget_usd}")
 
     @classmethod
     def deadline(cls, deadline_s: float) -> "Objective":
@@ -61,6 +66,9 @@ class Constraints:
     deadline_s: float | None = None
     budget_usd: float | None = None
 
+    def __post_init__(self) -> None:
+        _check_caps(self)
+
 
 @dataclass(frozen=True)
 class Recommendation:
@@ -68,7 +76,6 @@ class Recommendation:
     feasible: bool
     feasible_count: int
     nearest_miss: TradeoffPoint | None
-    objective: Objective
 
 
 def _violation(p: TradeoffPoint, t_cap: float | None, c_cap: float | None) -> float:
@@ -123,7 +130,6 @@ def select(
             feasible=False,
             feasible_count=0,
             nearest_miss=nearest,
-            objective=objective,
         )
 
     if objective.kind == "deadline":
@@ -155,5 +161,4 @@ def select(
         feasible=True,
         feasible_count=len(feasible),
         nearest_miss=None,
-        objective=objective,
     )

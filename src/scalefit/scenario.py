@@ -228,10 +228,13 @@ def scenario_from_document(doc: dict) -> Scenario:
     constraints_doc = _expect(doc, "constraints", dict, "<root>", default={})
     deadline = _expect(constraints_doc, "deadline_s", (int, float), "constraints")
     budget = _expect(constraints_doc, "budget_usd", (int, float), "constraints")
-    constraints = Constraints(
-        deadline_s=float(deadline) if deadline is not None else None,
-        budget_usd=float(budget) if budget is not None else None,
-    )
+    try:
+        constraints = Constraints(
+            deadline_s=float(deadline) if deadline is not None else None,
+            budget_usd=float(budget) if budget is not None else None,
+        )
+    except ConfigurationError as exc:
+        raise ScenarioError("constraints", str(exc)) from None
     store_dir = _expect(doc, "store_dir", str, "<root>")
     allow_universal = _expect(doc, "allow_universal", bool, "<root>", default=True)
     if params.mode == "none" and store_dir is None:

@@ -16,10 +16,8 @@ Three exploration strategies share the same machinery:
 ``run_search`` runs a scenario's mode, any of the four, against its
 simulated environment.
 
-A profiling ``env`` provides ``profile``, ``restore_overhead_s`` and
-``dataset_size``, plus ``pricing`` and ``shape`` unless both are passed.
-``epochs_to_target`` is optional: trace-replay environments may not know
-it, and every mode that profiles refuses such an environment.
+The profiling drivers run against a :class:`SimEnvironment` and read its
+workload and cluster directly.
 
 Every run on a configuration is recorded with its iteration count, restore
 overhead, and mean measured iteration time; the reported search overhead is
@@ -44,13 +42,12 @@ from .config import (
     run_cost_usd,
 )
 from .errors import (
-    CapabilityMissingError,
     ConfigurationError,
     DegenerateGradientError,
     ModelNotFoundError,
     SearchFailedError,
 )
-from .noise import EwmaConfig, NoiseTracker, compute_raw_noise
+from .noise import EwmaConfig, NoiseTracker, normalized_noises
 from .perfmodel import (
     PerfModel,
     StatFit,
@@ -61,7 +58,7 @@ from .perfmodel import (
     predict_grid,
 )
 from .policy import Constraints, Objective, Recommendation, select
-from .simulator import SimEnvironment
+from .simulator import SimEnvironment, SimWorkload
 from .store import ModelStore
 from .tradeoff import TradeoffCurve, TradeoffPoint, kneedle_knee, min_cost_time
 
@@ -75,8 +72,6 @@ SEARCH_MODES = ("full", "partial", "scaling", "none")
 class GridSampling:
     """Exhaustive deterministic sampling over the valid grid."""
 
-    kind: str = "grid"
-
 
 @dataclass(frozen=True)
 class RandomSampling:
@@ -85,7 +80,6 @@ class RandomSampling:
     seed: int
     bspace: int = 4
     kspace: int = 4
-    kind: str = "random"
 
     def __post_init__(self) -> None:
         if self.bspace < 1 or self.kspace < 1:
@@ -138,19 +132,6 @@ class SearchOutcome:
     recommendation: Recommendation | None
 
 
-def _require_epochs_capability(env) -> None:
-    if not callable(getattr(env, "epochs_to_target", None)):
-        raise CapabilityMissingError(
-            "environment cannot report epochs-to-target; "
-            "only no_search works without it"
-        )
-
-
-def _env_fingerprint(env) -> str:
-    fn = getattr(env, "fingerprint", None)
-    return fn() if callable(fn) else "unknown"
-
-
 def _extreme_batches(
     valid: Iterable[tuple[int, int]],
 ) -> tuple[int, list[int], int, list[int]]:
@@ -182,7 +163,7 @@ def _corner_configs(valid: list[tuple[int, int]]) -> list[JobConfig]:
 class _Session:
     """Tracks the global iteration cursor across exploration runs."""
 
-    def __init__(self, env, params: SearchParams) -> None:
+    def __init__(self, env: SimEnvironment, params: SearchParams) -> None:
         self.env = env
         self.params = params
         self.cursor = 0
@@ -194,12 +175,7 @@ class _Session:
             config.workers, config.global_batch, iters, self.cursor
         )
         self.cursor += len(samples)
-        noises = []
-        for s in samples:
-            try:
-                noises.append(compute_raw_noise(s) / config.workers)
-            except DegenerateGradientError:
-                continue
+        noises = normalized_noises(samples, config.workers)
         mean_noise = sum(noises) / len(noises) if noises else 0.0
         mean_tau = sum(s.iteration_time_s for s in samples) / len(samples)
         record = Exploration(
@@ -208,9 +184,7 @@ class _Session:
             kind="profile",
             iterations=len(samples),
             mean_iteration_time_s=mean_tau,
-            restore_s=self.env.restore_overhead_s(
-                config.workers, config.global_batch
-            ),
+            restore_s=self.env.cluster.restore_overhead_s,
         )
         return record, mean_noise, mean_tau
 
@@ -252,9 +226,7 @@ class _Session:
             kind="anchor",
             iterations=consumed,
             mean_iteration_time_s=total_time / consumed,
-            restore_s=self.env.restore_overhead_s(
-                config.workers, config.global_batch
-            ),
+            restore_s=self.env.cluster.restore_overhead_s,
         )
         return record, noise
 
@@ -263,8 +235,8 @@ class _Session:
         lo, hi = _anchor_configs(valid)
         rec_lo, gamma_lo = self.run_anchor(lo)
         rec_hi, gamma_hi = self.run_anchor(hi)
-        e_lo = self.env.epochs_to_target(lo.workers, lo.global_batch)
-        e_hi = self.env.epochs_to_target(hi.workers, hi.global_batch)
+        e_lo = self.env.workload.true_epochs(lo.global_batch)
+        e_hi = self.env.workload.true_epochs(hi.global_batch)
         a_n, c_n = fit_noise_vs_batch([(lo.global_batch, gamma_lo), (hi.global_batch, gamma_hi)])
         e_base, e_slope = _epoch_anchor_fit(gamma_lo, e_lo, gamma_hi, e_hi)
         return [rec_lo, rec_hi], StatFit(a_n, c_n, e_base, e_slope)
@@ -341,7 +313,7 @@ def _selected_outcome(
 
 
 def full_search(
-    env,
+    env: SimEnvironment,
     bounds: SearchBounds,
     params: SearchParams,
     objective: Objective,
@@ -356,12 +328,10 @@ def full_search(
     configuration until the noise estimate stabilizes; that cold-start run
     is productive training and is not charged to the exploration ledger.
     Every grid pair is then profiled for ``profile_iters`` iterations —
-    pairs that violate divisibility or that the environment refuses are
-    recorded as skipped.
+    pairs that violate divisibility are recorded as skipped.
     """
-    pricing = pricing if pricing is not None else env.pricing()
-    shape = shape if shape is not None else env.shape()
-    _require_epochs_capability(env)
+    pricing = pricing if pricing is not None else env.cluster.pricing
+    shape = shape if shape is not None else env.cluster.shape
     combos = bounds.grid()
     valid = [(k, b) for k, b in combos if b % k == 0]
     if not valid:
@@ -375,25 +345,19 @@ def full_search(
         if b % k != 0:
             explored.append(Exploration(k, b, "skipped", 0, 0.0, 0.0))
             continue
-        try:
-            record, mean_noise, mean_tau = session.run_profile(JobConfig(k, b))
-        except ConfigurationError:
-            explored.append(Exploration(k, b, "skipped", 0, 0.0, 0.0))
-            continue
+        record, mean_noise, mean_tau = session.run_profile(JobConfig(k, b))
         explored.append(record)
         measured[(k, b)] = (mean_noise, mean_tau)
-    if not measured:
-        raise SearchFailedError("every candidate configuration was refused")
 
-    stat = _stat_from_measurements(env, measured)
+    stat = _stat_from_measurements(env.workload, measured)
     parallel = fit_iteration_time_best_effort(
         [((k, b / k), tau) for (k, b), (_, tau) in sorted(measured.items())]
     )
     model = PerfModel(
         stat=stat,
         parallel=parallel,
-        dataset_size=env.dataset_size(),
-        fingerprint=_env_fingerprint(env),
+        dataset_size=env.workload.dataset_size,
+        fingerprint=env.workload.name,
         provenance="full_search",
     )
 
@@ -408,24 +372,24 @@ def full_search(
 
 
 def _stat_from_measurements(
-    env, measured: dict[tuple[int, int], tuple[float, float]]
+    workload: SimWorkload, measured: dict[tuple[int, int], tuple[float, float]]
 ) -> StatFit:
     """Noise curve from the measured noise; epoch line from extreme-batch anchors."""
     a_n, c_n = fit_noise_curve(measured)
     b_lo, ks_lo, b_hi, ks_hi = _extreme_batches(measured)
-    e_lo = env.epochs_to_target(ks_lo[0], b_lo)
+    e_lo = workload.true_epochs(b_lo)
     gamma_lo = measured[(ks_lo[0], b_lo)][0]
     if b_lo == b_hi:
         e_base, e_slope = e_lo, 0.0
     else:
-        e_hi = env.epochs_to_target(ks_hi[0], b_hi)
+        e_hi = workload.true_epochs(b_hi)
         gamma_hi = measured[(ks_hi[0], b_hi)][0]
         e_base, e_slope = _epoch_anchor_fit(gamma_lo, e_lo, gamma_hi, e_hi)
     return StatFit(a_n, c_n, e_base, e_slope)
 
 
 def partial_search(
-    env,
+    env: SimEnvironment,
     bounds: SearchBounds,
     params: SearchParams,
     objective: Objective,
@@ -440,8 +404,8 @@ def partial_search(
     valid at both; iteration time is profiled only at the four grid corners.
     Every other configuration is predicted from the fitted model.
     """
-    pricing = pricing if pricing is not None else env.pricing()
-    shape = shape if shape is not None else env.shape()
+    pricing = pricing if pricing is not None else env.cluster.pricing
+    shape = shape if shape is not None else env.cluster.shape
     candidates = bounds.valid_configs()
     if not candidates:
         raise SearchFailedError("bounds contain no valid (workers, batch) pair")
@@ -450,7 +414,6 @@ def partial_search(
         raise SearchFailedError("partial search needs at least 2 distinct batch sizes")
     if len({k for k, _ in valid}) < 2:
         raise SearchFailedError("partial search needs at least 2 distinct worker counts")
-    _require_epochs_capability(env)
 
     session = _Session(env, params)
     explored, stat = session.fit_anchors(valid)
@@ -463,8 +426,8 @@ def partial_search(
     model = PerfModel(
         stat=stat,
         parallel=fit_iteration_time_best_effort(timing),
-        dataset_size=env.dataset_size(),
-        fingerprint=_env_fingerprint(env),
+        dataset_size=env.workload.dataset_size,
+        fingerprint=env.workload.name,
         provenance="partial_search",
     )
     points, _, _ = predict_grid(model, candidates, pricing, shape)
@@ -494,7 +457,7 @@ def _sampled_configs(
 
 
 def online_scaling_search(
-    env,
+    env: SimEnvironment,
     bounds: SearchBounds,
     params: SearchParams,
     *,
@@ -509,31 +472,26 @@ def online_scaling_search(
     batch size contributes the knee of its worker sweep, and the knee with
     the smallest cost-time product wins.
     """
-    pricing = pricing if pricing is not None else env.pricing()
-    shape = shape if shape is not None else env.shape()
+    pricing = pricing if pricing is not None else env.cluster.pricing
+    shape = shape if shape is not None else env.cluster.shape
     candidates = bounds.valid_configs()
     if not candidates:
         raise SearchFailedError("bounds contain no valid (workers, batch) pair")
     valid = [(c.workers, c.global_batch) for c in candidates]
     if len({b for _, b in valid}) < 2:
         raise SearchFailedError("scaling search needs at least 2 distinct batch sizes")
-    _require_epochs_capability(env)
 
     session = _Session(env, params)
     explored, stat = session.fit_anchors(valid)
     timing = []
     all_points: list[TradeoffPoint] = []
     knees: list[TradeoffPoint] = []
-    dataset = env.dataset_size()
+    dataset = env.workload.dataset_size
     for b, ks in _sampled_configs(valid, params.sampling).items():
         batch_points = []
         for k in ks:
             config = JobConfig(k, b)
-            try:
-                record, _, mean_tau = session.run_profile(config)
-            except ConfigurationError:
-                explored.append(Exploration(k, b, "skipped", 0, 0.0, 0.0))
-                continue
+            record, _, mean_tau = session.run_profile(config)
             explored.append(record)
             timing.append(((k, float(mini_batch(config))), mean_tau))
             point = _measured_point(
@@ -544,7 +502,7 @@ def online_scaling_search(
         if not batch_points:
             continue
         all_points.extend(batch_points)
-        knees.append(kneedle_knee(TradeoffCurve.build(batch_points, fixed_batch=b)).point)
+        knees.append(kneedle_knee(TradeoffCurve.build(batch_points)).point)
     if not knees:
         raise SearchFailedError("every sampled batch size was skipped")
     best = min_cost_time(knees)
@@ -553,7 +511,7 @@ def online_scaling_search(
         stat=stat,
         parallel=fit_iteration_time_best_effort(timing),
         dataset_size=dataset,
-        fingerprint=_env_fingerprint(env),
+        fingerprint=env.workload.name,
         provenance="partial_search",
     )
     overhead_t, overhead_c = _overheads(explored, pricing, shape)

@@ -20,7 +20,6 @@ from .config import (
     SearchBounds,
     VMShape,
     mini_batch,
-    run_cost_usd,
 )
 from .errors import ConfigurationError, ModelOutOfDomainError
 from .noise import IterationSample
@@ -117,25 +116,6 @@ class SimEnvironment:
         self.cluster = cluster
         self._rng = np.random.default_rng(workload.seed)
 
-    def fingerprint(self) -> str:
-        return self.workload.name
-
-    def dataset_size(self) -> int:
-        return self.workload.dataset_size
-
-    def pricing(self) -> PricingModel:
-        return self.cluster.pricing
-
-    def shape(self) -> VMShape:
-        return self.cluster.shape
-
-    def restore_overhead_s(self, workers: int, global_batch: int) -> float:
-        return self.cluster.restore_overhead_s
-
-    def epochs_to_target(self, workers: int, global_batch: int) -> float:
-        JobConfig(workers, global_batch)
-        return self.workload.true_epochs(global_batch)
-
     def profile(
         self,
         workers: int,
@@ -203,14 +183,6 @@ def ground_truth(
     return predict(workload.to_perf_model(), config, cluster.pricing, cluster.shape)
 
 
-def run_to_target(
-    workload: SimWorkload, cluster: SimCluster, config: JobConfig
-) -> tuple[float, float]:
-    """(time_s, cost_usd) of running the job to target on one configuration."""
-    p = ground_truth(workload, cluster, config)
-    return p.total_time_s, p.cost_usd
-
-
 def ground_truth_points(
     workload: SimWorkload, cluster: SimCluster, bounds: SearchBounds
 ) -> list[TradeoffPoint]:
@@ -260,12 +232,12 @@ def compose_end_to_end(outcome, workload: SimWorkload, cluster: SimCluster) -> E
     """End-to-end totals for a search outcome: exploration plus remaining run."""
     if outcome.chosen is None:
         raise ConfigurationError("search outcome has no chosen configuration")
-    run_time, run_cost = run_to_target(workload, cluster, outcome.chosen)
+    run = ground_truth(workload, cluster, outcome.chosen)
     return EndToEnd(
         overhead_time_s=outcome.overhead_time_s,
         overhead_cost_usd=outcome.overhead_cost_usd,
-        run_time_s=run_time,
-        run_cost_usd=run_cost,
+        run_time_s=run.total_time_s,
+        run_cost_usd=run.cost_usd,
     )
 
 

@@ -3,8 +3,9 @@
 One JSON document per fingerprint plus an index file.  Coefficients are
 stored as decimal strings produced by ``repr(float)``, whose shortest
 round-trip guarantee makes save/load bit-exact.  Writes go through a
-temporary file and an atomic rename so a crashed writer never leaves a
-half-written document behind.
+temporary file private to the writing process and thread, then an atomic
+rename, so a crashed writer never leaves a half-written document behind and
+concurrent writers never rename each other's temporary files.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -117,13 +119,15 @@ def model_from_document(doc: dict, source: str = "<document>") -> StoredModel:
     return StoredModel(model=model, created_at=doc["created_at"])
 
 
-def write_model_file(path: str | Path, model: PerfModel, created_at: str | None = None) -> None:
-    """Write one model document atomically to an arbitrary path."""
-    path = Path(path)
-    doc = model_to_document(model, created_at)
-    tmp = path.with_name(path.name + ".tmp")
+def _write_json_atomically(path: Path, doc: dict) -> None:
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
     tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path)
+
+
+def write_model_file(path: str | Path, model: PerfModel, created_at: str | None = None) -> None:
+    """Write one model document atomically to an arbitrary path."""
+    _write_json_atomically(Path(path), model_to_document(model, created_at))
 
 
 def read_model_file(path: str | Path) -> StoredModel:
@@ -167,11 +171,6 @@ class ModelStore:
             raise CorruptDocumentError(f"{self._index_path}: index must be an object")
         return index
 
-    def _write_index(self, index: dict[str, str]) -> None:
-        tmp = self._index_path.with_name("index.json.tmp")
-        tmp.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, self._index_path)
-
     def save(self, model: PerfModel, created_at: str | None = None) -> Path:
         """Persist a model under its fingerprint, replacing any previous one."""
         if not model.fingerprint:
@@ -180,7 +179,7 @@ class ModelStore:
         write_model_file(self.root / filename, model, created_at)
         index = self._read_index()
         index[model.fingerprint] = filename
-        self._write_index(index)
+        _write_json_atomically(self._index_path, index)
         return self.root / filename
 
     def load(self, fingerprint: str) -> StoredModel:

@@ -36,20 +36,16 @@ class TradeoffCurve:
     """Points sorted by time with exact time ties collapsed to the cheapest."""
 
     points: tuple[TradeoffPoint, ...]
-    fixed_batch: int | None = None
 
     @classmethod
-    def build(
-        cls, points: list[TradeoffPoint] | tuple[TradeoffPoint, ...],
-        fixed_batch: int | None = None,
-    ) -> "TradeoffCurve":
+    def build(cls, points: list[TradeoffPoint] | tuple[TradeoffPoint, ...]) -> "TradeoffCurve":
         if not points:
             raise EmptyInputError("cannot build a curve from zero points")
         by_time: dict[float, TradeoffPoint] = {}
         for p in sorted(points, key=_point_order):
             by_time.setdefault(p.time_s, p)
         ordered = tuple(by_time[t] for t in sorted(by_time))
-        return cls(points=ordered, fixed_batch=fixed_batch)
+        return cls(points=ordered)
 
 
 def pareto_frontier(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
@@ -95,11 +91,10 @@ def min_cost_time(points: list[TradeoffPoint]) -> TradeoffPoint:
 
 @dataclass(frozen=True)
 class KneeResult:
-    """Knee selection plus the difference curve for diagnostics."""
+    """Knee selection and the method that made it."""
 
     point: TradeoffPoint
     method: str
-    difference: tuple[float, ...] = ()
 
 
 def kneedle_knee(curve: TradeoffCurve) -> KneeResult:
@@ -108,8 +103,8 @@ def kneedle_knee(curve: TradeoffCurve) -> KneeResult:
     Normalizes both axes to [0, 1], classifies direction and curvature from
     the endpoints and the interior-mean-versus-chord test, maps the curve to
     the increasing-concave canonical form, and returns the point with the
-    maximum difference between the canonical value and the normalized time.
-    Difference ties break toward smaller time.  Curves with fewer than three
+    maximum gap between the canonical value and the normalized time.  Gap
+    ties break toward smaller time.  Curves with fewer than three
     points, or flat-cost curves that normalization cannot separate, fall
     back to the minimum cost-time product.
     """
@@ -145,4 +140,4 @@ def kneedle_knee(curve: TradeoffCurve) -> KneeResult:
     for i in range(1, len(d)):
         if d[i] > d[best]:
             best = i
-    return KneeResult(point=pts[best], method="kneedle", difference=tuple(d))
+    return KneeResult(point=pts[best], method="kneedle")

@@ -1,11 +1,14 @@
 """End-to-end command-line behavior for all six subcommands."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import scalefit
 from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape
 from scalefit.perfmodel import predict
 from scalefit.policy import Objective
@@ -14,7 +17,6 @@ from scalefit.simulator import (
     oracle_best,
     preset_cluster,
     preset_workload,
-    run_to_target,
 )
 from scalefit.store import ModelStore, read_model_file, write_model_file
 from scalefit.tradeoff import TradeoffCurve, TradeoffPoint, kneedle_knee, pareto_frontier
@@ -354,7 +356,8 @@ class TestFit:
     def test_malformed_trace_line_exits_5(self, run_cli, tmp_path, corner_traces):
         paths, anchors = corner_traces
         victim = paths[0]
-        lines = open(victim).read().splitlines()
+        with open(victim) as fh:
+            lines = fh.read().splitlines()
         lines[16] = "{broken"
         with open(victim, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -364,6 +367,21 @@ class TestFit:
         )
         assert code == 5
         assert ":17:" in err
+
+    def test_zero_gradient_trace_exits_6(self, run_cli, tmp_path, corner_traces):
+        paths, anchors = corner_traces
+        victim = paths[0]
+        with open(victim) as fh:
+            records = [json.loads(line) for line in fh]
+        with open(victim, "w") as fh:
+            for record in records:
+                fh.write(json.dumps({**record, "agg_sqnorm": 0.0}) + "\n")
+        code, _, err = run_cli(
+            "fit", "--traces", *paths, "--anchors", str(anchors),
+            "--dataset-size", "1000000", "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 6
+        assert "trace for K=8, B=384 has no usable samples" in err
 
 
 CURVE_FLAGS = [
@@ -389,9 +407,7 @@ class TestCurves:
                 )
                 for r in c["points"]
             ]
-            expected = kneedle_knee(
-                TradeoffCurve.build(points, fixed_batch=c["global_batch"])
-            )
+            expected = kneedle_knee(TradeoffCurve.build(points))
             assert c["knee"]["workers"] == expected.point.config.workers
             assert c["knee"]["time_s"] == expected.point.time_s
             assert c["knee"]["method"] == expected.method
@@ -510,6 +526,22 @@ class TestRecommend:
         code, _, _ = run_cli("recommend", "--model", str(model_file), *GRID_FLAGS)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--objective", "min-cost-time", "--price-flat", "nan"], "flat_hourly_usd"),
+            (["--deadline", "nan"], "deadline_s"),
+            (["--objective", "knee", "--deadline", "inf"], "deadline_s"),
+            (["--objective", "knee", "--budget", "nan"], "budget_usd"),
+            (["--objective", "knee", "--budget", "inf"], "budget_usd"),
+        ],
+    )
+    def test_non_finite_flags_exit_2_naming_the_field(self, run_cli, model_file, flags, field):
+        code, out, err = run_cli("recommend", "--model", str(model_file), *GRID_FLAGS, *flags)
+        assert code == 2
+        assert out == ""
+        assert f"{field} must be finite" in err
+
 
 def scenario_doc(**overrides):
     doc = {
@@ -565,9 +597,9 @@ class TestSearch:
         assert e2e["total_cost_usd"] == doc["overhead_cost_usd"] + e2e["run_cost_usd"]
         w = preset_workload("resnet18-like")
         cluster = preset_cluster("resnet18-like")
-        run_t, run_c = run_to_target(w, cluster, JobConfig(16, 1024))
-        assert e2e["run_time_s"] == run_t
-        assert e2e["run_cost_usd"] == run_c
+        run = ground_truth(w, cluster, JobConfig(16, 1024))
+        assert e2e["run_time_s"] == run.total_time_s
+        assert e2e["run_cost_usd"] == run.cost_usd
         oracle = oracle_best(w, cluster, GRID, Objective.min_cost_time())
         assert e2e["oracle_time_s"] == oracle.chosen.time_s
         assert e2e["time_increase_fraction"] == (
@@ -637,6 +669,13 @@ class TestSearch:
         assert doc["recommendation"]["feasible"] is False
         assert doc["recommendation"]["nearest_miss"] is not None
 
+    def test_non_finite_constraint_exits_5(self, run_cli, scenario_file):
+        path = scenario_file(constraints={"deadline_s": float("nan")})
+        code, out, err = run_cli("search", "--scenario", str(path))
+        assert code == 5
+        assert out == ""
+        assert "constraints: deadline_s must be finite and > 0, got nan" in err
+
     def test_bad_scenario_exits_5(self, run_cli, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text("{broken")
@@ -657,10 +696,12 @@ class TestTopLevel:
         assert code == 2
 
     def test_module_entrypoint(self):
+        src_dir = str(Path(scalefit.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "scalefit.cli", "--help"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": src_dir},
         )
         assert proc.returncode == 0
         assert "scalefit" in proc.stdout

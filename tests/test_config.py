@@ -1,5 +1,7 @@
 """Job configurations, pricing, and search grids."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -87,6 +89,13 @@ class TestPricing:
         with pytest.raises(ConfigurationError):
             hourly_cluster_price(PricingModel.flat(1.0), VMShape(4, 16.0), 0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_prices_name_the_field(self, value):
+        with pytest.raises(ConfigurationError, match="flat_hourly_usd must be finite"):
+            PricingModel.flat(value)
+        with pytest.raises(ConfigurationError, match="per_gb_hourly_usd must be finite"):
+            PricingModel.per_resource(0.02, value)
+
     def test_invalid_shape_rejected(self):
         with pytest.raises(ConfigurationError):
             VMShape(0, 16.0)
@@ -133,12 +142,6 @@ class TestSearchBounds:
             k_min=1, k_max=1, b_min=1, b_max=100, b_candidates=(64, 16, 64, 32)
         )
         assert bounds.b_values() == (16, 32, 64)
-
-    def test_contains(self):
-        bounds = SearchBounds(k_min=2, k_max=8, b_min=32, b_max=64, k_step=3)
-        assert bounds.contains(JobConfig(5, 40))
-        assert not bounds.contains(JobConfig(4, 40))
-        assert not bounds.contains(JobConfig(5, 65))
 
     def test_validation_errors(self):
         with pytest.raises(ConfigurationError):

@@ -11,6 +11,7 @@ from scalefit.noise import (
     NoiseTracker,
     compute_raw_noise,
     is_stabilized,
+    normalized_noises,
     window_relative_spread,
 )
 from scalefit.simulator import SimCluster, SimEnvironment, preset_cluster, preset_workload
@@ -40,6 +41,11 @@ class TestRawNoise:
     def test_zero_aggregate_is_degenerate(self):
         with pytest.raises(DegenerateGradientError):
             compute_raw_noise(sample([1.0, 1.0], 0.0))
+
+    def test_normalized_noises_leave_out_zero_aggregates(self):
+        samples = [sample([3.0, 3.0], 1.0), sample([1.0, 1.0], 0.0), sample([4.0, 2.0], 2.0)]
+        assert normalized_noises(samples, 2) == [1.5, 0.75]
+        assert normalized_noises(samples[1:2], 2) == []
 
     def test_sample_validation(self):
         with pytest.raises(ConfigurationError):
@@ -83,7 +89,6 @@ class TestEwma:
         tracker = NoiseTracker(1)
         est = tracker.update(sample([7.0], 1.0))
         assert est.smoothed == 7.0
-        assert est.raw == 7.0
 
     def test_smoothed_stays_in_convex_hull_of_raws(self):
         rng = np.random.default_rng(11)
@@ -150,7 +155,6 @@ class TestStabilization:
     def test_warmup_gate(self):
         cfg = EwmaConfig(warmup_iters=100, stability_window=5)
         est = NoiseEstimate(
-            raw=1.0,
             smoothed=1.0,
             normalized=1.0,
             samples_seen=99,
@@ -160,7 +164,6 @@ class TestStabilization:
         )
         assert not is_stabilized(est, cfg)
         est_after = NoiseEstimate(
-            raw=1.0,
             smoothed=1.0,
             normalized=1.0,
             samples_seen=100,
@@ -175,7 +178,6 @@ class TestStabilization:
         for _ in range(100):
             window = tuple(rng.uniform(0.5, 2.0, size=20))
             est = NoiseEstimate(
-                raw=window[-1],
                 smoothed=window[-1],
                 normalized=window[-1],
                 samples_seen=1000,

@@ -1,5 +1,7 @@
 """Objective-driven selection over tradeoff points."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,17 @@ class TestObjective:
             Objective.deadline(0.0)
         with pytest.raises(ConfigurationError):
             Objective.budget(-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_caps_name_the_field(self, value):
+        with pytest.raises(ConfigurationError, match="deadline_s must be finite"):
+            Objective.deadline(value)
+        with pytest.raises(ConfigurationError, match="budget_usd must be finite"):
+            Objective("knee_point", budget_usd=value)
+        with pytest.raises(ConfigurationError, match="deadline_s must be finite"):
+            Constraints(deadline_s=value)
+        with pytest.raises(ConfigurationError, match="budget_usd must be finite"):
+            Constraints(budget_usd=value)
 
 
 class TestSelectExamples:
@@ -72,6 +85,13 @@ class TestSelectExamples:
 
 
 class TestConstraints:
+    def test_caps_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match="deadline_s must be finite and > 0"):
+            Constraints(deadline_s=0.0)
+        with pytest.raises(ConfigurationError, match="budget_usd must be finite and > 0"):
+            Constraints(budget_usd=-1.0)
+        assert Constraints(deadline_s=1e300, budget_usd=10**400).budget_usd == 10**400
+
     def test_caps_combine_to_tightest(self, point):
         pts = [point(100, 10), point(200, 5), point(400, 4)]
         rec = select(

@@ -206,6 +206,12 @@ class TestValidationErrors:
         path, _ = error_path(doc)
         assert path == "cluster.pricing.mode"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+    def test_invalid_constraints_name_their_path(self, value):
+        path, msg = error_path(minimal_doc(constraints={"budget_usd": value}))
+        assert path == "constraints"
+        assert "budget_usd must be finite and > 0" in msg
+
     def test_b_candidates_must_be_integers(self):
         doc = minimal_doc()
         doc["bounds"]["b_candidates"] = [512, "768"]

@@ -4,7 +4,6 @@ import pytest
 
 from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape, run_cost_usd
 from scalefit.errors import (
-    CapabilityMissingError,
     ConfigurationError,
     ModelNotFoundError,
     SearchFailedError,
@@ -102,7 +101,7 @@ class TestFullSearch:
         assert outcome.model.fingerprint == "resnet18-like"
         assert outcome.recommendation.feasible
 
-        t, c = overhead_identity(outcome, env.pricing(), env.shape())
+        t, c = overhead_identity(outcome, env.cluster.pricing, env.cluster.shape)
         assert outcome.overhead_time_s == t
         assert outcome.overhead_cost_usd == c
 
@@ -158,7 +157,7 @@ class TestPartialSearch:
         taus = [e.mean_iteration_time_s for e in outcome.explored]
         assert taus == pytest.approx([0.89, 1.85, 0.89, 1.85, 0.666, 1.146], rel=1e-9)
 
-        t, c = overhead_identity(outcome, env.pricing(), env.shape())
+        t, c = overhead_identity(outcome, env.cluster.pricing, env.cluster.shape)
         assert outcome.overhead_time_s == t
         assert outcome.overhead_cost_usd == c
 
@@ -226,7 +225,7 @@ class TestScalingSearch:
         kinds = [e.kind for e in outcome.explored]
         assert kinds.count("anchor") == 2
         assert kinds.count("profile") == 10
-        t, c = overhead_identity(outcome, env.pricing(), env.shape())
+        t, c = overhead_identity(outcome, env.cluster.pricing, env.cluster.shape)
         assert outcome.overhead_time_s == t
         assert outcome.overhead_cost_usd == c
 
@@ -261,33 +260,6 @@ class TestScalingSearch:
             out = online_scaling_search(make_env(), GRID, params)
             outcomes.add(tuple((e.workers, e.global_batch) for e in out.explored))
         assert len(outcomes) > 1
-
-
-class TestCapability:
-    def test_environment_without_epoch_oracle_refused(self):
-        class TraceOnlyEnv:
-            def profile(self, workers, global_batch, iters, start_iteration=0):
-                raise AssertionError("should not be reached")
-
-            def restore_overhead_s(self, workers, global_batch):
-                return 0.0
-
-            def dataset_size(self):
-                return 1000
-
-        env = TraceOnlyEnv()
-        pricing = PricingModel.flat(0.1)
-        shape = VMShape(4, 16.0)
-        for driver in (full_search, partial_search):
-            with pytest.raises(CapabilityMissingError, match="epochs-to-target"):
-                driver(
-                    env, GRID, SearchParams(), Objective.min_cost_time(),
-                    pricing=pricing, shape=shape,
-                )
-        with pytest.raises(CapabilityMissingError):
-            online_scaling_search(
-                env, GRID, SearchParams(mode="scaling"), pricing=pricing, shape=shape
-            )
 
 
 class TestNoSearch:

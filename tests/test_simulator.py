@@ -22,7 +22,6 @@ from scalefit.simulator import (
     oracle_best,
     preset_cluster,
     preset_workload,
-    run_to_target,
 )
 
 
@@ -126,9 +125,7 @@ class TestProfile:
             env.profile(8, 100, 5)  # indivisible batch
 
     def test_epochs_query_is_worker_independent(self):
-        env = SimEnvironment(small_workload(), flat_cluster())
-        assert env.epochs_to_target(8, 576) == env.epochs_to_target(4, 576)
-        assert env.epochs_to_target(8, 576) == pytest.approx(110.0)
+        assert small_workload().true_epochs(576) == pytest.approx(110.0)
 
 
 class TestJitterRealism:
@@ -160,10 +157,15 @@ class TestGroundTruth:
         assert p.total_time_s == pytest.approx(7526.15580138478, rel=1e-12)
 
     def test_run_to_target_projects_prediction(self):
-        w = small_workload()
-        t, c = run_to_target(w, flat_cluster(), JobConfig(8, 512))
-        assert t == pytest.approx(7526.15580138478, rel=1e-12)
-        assert c == pytest.approx(2.241456445559085, rel=1e-12)
+        class Outcome:
+            chosen = JobConfig(8, 512)
+            overhead_time_s = 100.0
+            overhead_cost_usd = 1.0
+
+        e = compose_end_to_end(Outcome(), small_workload(), flat_cluster())
+        assert e.run_time_s == pytest.approx(7526.15580138478, rel=1e-12)
+        assert e.run_cost_usd == pytest.approx(2.241456445559085, rel=1e-12)
+        assert e.total_time_s == 100.0 + e.run_time_s
 
     def test_points_cover_valid_configs(self):
         w = small_workload()

@@ -2,6 +2,8 @@
 
 import json
 import math
+import multiprocessing
+from dataclasses import replace
 
 import pytest
 
@@ -43,6 +45,12 @@ def odd_model():
         "odd floats",
         "full_search",
     )
+
+
+def _save_models(root: str, worker: int, count: int) -> None:
+    store = ModelStore(root)
+    for i in range(count):
+        store.save(replace(odd_model(), fingerprint=f"worker{worker}-model{i}"))
 
 
 class TestRoundTrip:
@@ -94,6 +102,26 @@ class TestRoundTrip:
         p2 = store.save(make_model(fingerprint="a-b"))
         assert p1 != p2
         assert sorted(store.fingerprints()) == ["a b", "a-b"]
+
+
+    def test_concurrent_writers_leave_a_usable_store(self, tmp_path):
+        # Writers that shared one temporary file renamed each other's files
+        # away and interleaved their writes into an unparseable index.
+        ctx = multiprocessing.get_context("spawn")
+        with ctx.Pool(4) as pool:
+            pool.starmap_async(
+                _save_models, [(str(tmp_path), w, 20) for w in range(4)]
+            ).get(timeout=120)
+        store = ModelStore(tmp_path)
+        json.loads((tmp_path / "index.json").read_text())
+        # Racing index updates can still drop entries, never documents.
+        assert all(s.model.stat == odd_model().stat for s in store.load_all())
+        documents = [p for p in tmp_path.glob("*.json") if p.name != "index.json"]
+        assert len(documents) == 80
+        assert {read_model_file(p).model.fingerprint for p in documents} == {
+            f"worker{w}-model{i}" for w in range(4) for i in range(20)
+        }
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestValidation:

@@ -173,8 +173,6 @@ class TestKneedle:
         result = kneedle_knee(TradeoffCurve.build(pts))
         assert result.method == "kneedle"
         assert result.point.time_s == 2.0
-        assert max(result.difference) == pytest.approx(0.375)
-        assert result.difference.index(max(result.difference)) == 1
 
     def test_two_points_fall_back_to_min_product(self, point):
         pts = [point(2, 3), point(3, 2.1)]
