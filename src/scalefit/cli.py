@@ -230,10 +230,10 @@ def _measure_traces(paths: list[str]) -> dict[tuple[int, int], tuple[float, floa
         lambda: ([], [])
     )
     for path in paths:
-        config, samples = read_trace(path)
+        config, batch = read_trace(path)
         noises, taus = measured[(config.workers, config.global_batch)]
-        noises.extend(normalized_noises(samples, config.workers))
-        taus.extend(s.iteration_time_s for s in samples)
+        noises.extend(normalized_noises(batch))
+        taus.extend(batch.iteration_time_s.tolist())
     out = {}
     for key, (noises, taus) in measured.items():
         if not noises or not taus:

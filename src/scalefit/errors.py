@@ -9,6 +9,20 @@ class ConfigurationError(ScalefitError):
     """A job configuration, VM shape, pricing model, or bounds value is invalid."""
 
 
+class InvalidSampleError(ConfigurationError):
+    """A sample batch holds a value out of range.
+
+    Carries the column name and the first offending row, so a trace reader
+    can point at the line the row came from.
+    """
+
+    def __init__(self, field: str, row: int, reason: str) -> None:
+        super().__init__(f"{field} {reason} at row {row}")
+        self.field = field
+        self.row = row
+        self.reason = reason
+
+
 class DegenerateGradientError(ScalefitError):
     """The aggregated gradient norm is exactly zero; the noise ratio is undefined."""
 

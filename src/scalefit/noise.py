@@ -5,15 +5,22 @@ gradient norms divided by the squared norm of the aggregated gradient.
 Raw values are smoothed with an exponentially weighted moving average and
 reported both as-is and normalized by the worker count, which maps the
 saturation level of the raw ratio to 1 regardless of cluster size.
+
+Samples travel as one columnar :class:`SampleBatch` per profiling run or
+trace file, validated once; an :class:`IterationSample` is one of its rows.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .errors import ConfigurationError, DegenerateGradientError
+import numpy as np
+
+from .errors import ConfigurationError, DegenerateGradientError, InvalidSampleError
 
 
 @dataclass(frozen=True)
@@ -31,16 +38,128 @@ class IterationSample:
             raise ConfigurationError(f"iteration must be >= 0, got {self.iteration}")
         if len(self.per_worker_grad_sqnorms) < 1:
             raise ConfigurationError("per_worker_grad_sqnorms must not be empty")
-        if any(v < 0 for v in self.per_worker_grad_sqnorms):
-            raise ConfigurationError("per-worker squared norms must be >= 0")
-        if self.aggregated_grad_sqnorm < 0:
-            raise ConfigurationError("aggregated_grad_sqnorm must be >= 0")
-        if self.compute_time_s < 0 or self.sync_time_s < 0:
-            raise ConfigurationError("iteration times must be >= 0")
+        values = [("per_worker_grad_sqnorms", v) for v in self.per_worker_grad_sqnorms]
+        for name in ("aggregated_grad_sqnorm", "compute_time_s", "sync_time_s"):
+            values.append((name, getattr(self, name)))
+        for name, value in values:
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
 
     @property
     def iteration_time_s(self) -> float:
         return self.compute_time_s + self.sync_time_s
+
+
+_FLOAT_COLUMNS = ("worker_sqnorms", "agg_sqnorm", "compute_s", "sync_s")
+
+
+class SampleBatch(Sequence):
+    """Per-iteration samples of one configuration as read-only columns.
+
+    ``iteration`` is int64 of shape ``(n,)``; ``worker_sqnorms`` is float64
+    of shape ``(n, K)``; ``agg_sqnorm``, ``compute_s`` and ``sync_s`` are
+    float64 of shape ``(n,)``.  Construction copies and validates the
+    columns once: shapes must agree, iterations must be >= 0 and every float
+    finite and >= 0, or :class:`InvalidSampleError` names the column and the
+    first bad row.  As a sequence the batch yields :class:`IterationSample`
+    rows; two batches are equal when their columns are.
+    """
+
+    __slots__ = ("iteration", *_FLOAT_COLUMNS)
+
+    def __init__(self, iteration, worker_sqnorms, agg_sqnorm, compute_s, sync_s) -> None:
+        try:
+            self.iteration = np.array(iteration, dtype=np.int64)
+        except OverflowError:
+            row = next(i for i, t in enumerate(iteration) if not -(2**63) <= t < 2**63)
+            raise InvalidSampleError(
+                "iteration", row, f"must be < 2**63, got {iteration[row]}"
+            ) from None
+        self.worker_sqnorms = np.array(worker_sqnorms, dtype=np.float64)
+        self.agg_sqnorm = np.array(agg_sqnorm, dtype=np.float64)
+        self.compute_s = np.array(compute_s, dtype=np.float64)
+        self.sync_s = np.array(sync_s, dtype=np.float64)
+        shapes = {name: getattr(self, name).shape for name in self.__slots__}
+        n, k = shapes["worker_sqnorms"] if self.worker_sqnorms.ndim == 2 else (0, 0)
+        rows = {shape for name, shape in shapes.items() if name != "worker_sqnorms"}
+        if not n or not k or rows != {(n,)}:
+            raise ConfigurationError(
+                f"columns need n >= 1 rows and worker_sqnorms shape (n, K >= 1), got {shapes}"
+            )
+        for name in self.__slots__:
+            getattr(self, name).flags.writeable = False
+        if self.iteration.min() < 0:
+            row = int(np.argmax(self.iteration < 0))
+            raise InvalidSampleError(
+                "iteration", row, f"must be >= 0, got {self.iteration[row]}"
+            )
+        for name in _FLOAT_COLUMNS:
+            column = getattr(self, name)
+            if not (column.min() >= 0 and column.max() < np.inf):  # False for NaN too
+                first = tuple(np.argwhere(~((column >= 0) & (column < np.inf)))[0])
+                raise InvalidSampleError(
+                    name, int(first[0]), f"must be finite and >= 0, got {float(column[first])}"
+                )
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[IterationSample]) -> SampleBatch:
+        rows = list(samples)
+        return cls(
+            [s.iteration for s in rows],
+            [s.per_worker_grad_sqnorms for s in rows],
+            [s.aggregated_grad_sqnorm for s in rows],
+            [s.compute_time_s for s in rows],
+            [s.sync_time_s for s in rows],
+        )
+
+    @property
+    def workers(self) -> int:
+        return self.worker_sqnorms.shape[1]
+
+    @property
+    def iteration_time_s(self) -> np.ndarray:
+        return self.compute_s + self.sync_s
+
+    def __len__(self) -> int:
+        return len(self.iteration)
+
+    def __getitem__(self, i: int) -> IterationSample:
+        return IterationSample(
+            iteration=int(self.iteration[i]),
+            per_worker_grad_sqnorms=tuple(self.worker_sqnorms[i].tolist()),
+            aggregated_grad_sqnorm=float(self.agg_sqnorm[i]),
+            compute_time_s=float(self.compute_s[i]),
+            sync_time_s=float(self.sync_s[i]),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SampleBatch):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def _raw_noise_column(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
+    """(raw noise per row, rows with a non-zero aggregate); raw is 0 elsewhere.
+
+    Worker columns are added left to right into zeros, the order in which the
+    built-in ``sum`` (through Python 3.11) adds one sample's norms, so every
+    value equals the per-sample ratio bit for bit.  ``np.sum`` would add
+    pairwise and could change the last bit.
+    """
+    acc = np.zeros(len(batch))
+    usable = batch.agg_sqnorm != 0
+    with np.errstate(over="ignore"):  # overflow gives inf, as the float sum does
+        for column in batch.worker_sqnorms.T:
+            acc += column
+        raw = np.divide(
+            acc / batch.workers, batch.agg_sqnorm, out=np.zeros_like(acc), where=usable
+        )
+    return raw, usable
 
 
 def compute_raw_noise(sample: IterationSample) -> float:
@@ -49,21 +168,14 @@ def compute_raw_noise(sample: IterationSample) -> float:
         raise DegenerateGradientError(
             f"aggregated gradient norm is zero at iteration {sample.iteration}"
         )
-    mean_worker = sum(sample.per_worker_grad_sqnorms) / len(
-        sample.per_worker_grad_sqnorms
-    )
-    return mean_worker / sample.aggregated_grad_sqnorm
+    raw, _ = _raw_noise_column(SampleBatch.from_samples([sample]))
+    return float(raw[0])
 
 
-def normalized_noises(samples: Iterable[IterationSample], workers: int) -> list[float]:
-    """Raw noise over ``workers`` for each sample, leaving out zero-aggregate samples."""
-    out = []
-    for s in samples:
-        try:
-            out.append(compute_raw_noise(s) / workers)
-        except DegenerateGradientError:
-            continue
-    return out
+def normalized_noises(batch: SampleBatch) -> list[float]:
+    """Raw noise over the worker count for each row, leaving out zero-aggregate rows."""
+    raw, usable = _raw_noise_column(batch)
+    return (raw[usable] / batch.workers).tolist()
 
 
 @dataclass(frozen=True)
@@ -86,9 +198,9 @@ class EwmaConfig:
             raise ConfigurationError(
                 f"stability_window must be >= 2, got {self.stability_window}"
             )
-        if self.stability_rel_tol <= 0:
+        if not 0 < self.stability_rel_tol < math.inf:
             raise ConfigurationError(
-                f"stability_rel_tol must be > 0, got {self.stability_rel_tol}"
+                f"stability_rel_tol must be finite and > 0, got {self.stability_rel_tol}"
             )
 
 
@@ -131,8 +243,12 @@ class NoiseTracker:
     """Accumulates per-iteration samples for one configuration.
 
     Samples with a zero aggregated gradient cannot produce a noise ratio;
-    the tracker counts them as skipped, leaves the smoothed state unchanged,
-    and re-raises so the caller can decide whether to continue.
+    the tracker counts them as skipped and leaves the smoothed state
+    unchanged.  The window's maximum and minimum are kept in monotonic
+    deques of (sample number, smoothed value), so each row costs O(1)
+    amortized instead of a scan of the window (Lemire, "Streaming
+    maximum-minimum filter using no more than three comparisons per
+    element", 2006).
     """
 
     def __init__(self, workers: int, cfg: EwmaConfig | None = None) -> None:
@@ -144,25 +260,63 @@ class NoiseTracker:
         self._seen = 0
         self._skipped = 0
         self._window: deque[float] = deque(maxlen=self.cfg.stability_window)
+        # A NaN, which the deques cannot order, only arises as alpha = 1 times
+        # an infinite previous value, and then every later value is NaN too;
+        # on such windows the deques still agree with max() and min().
+        self._hi: deque[tuple[int, float]] = deque()
+        self._lo: deque[tuple[int, float]] = deque()
+
+    def consume(self, batch: SampleBatch) -> int | None:
+        """Feed the rows of ``batch`` in order until the estimate is stabilized.
+
+        Returns the index of the row after which it first is, consuming no
+        row past that one, or ``None`` once every row is consumed.
+        """
+        if batch.workers != self.workers:
+            raise ConfigurationError(
+                f"sample has {batch.workers} workers, tracker expects {self.workers}"
+            )
+        raws, usable = _raw_noise_column(batch)
+        cfg = self.cfg
+        a, b = cfg.alpha, 1.0 - cfg.alpha
+        size, warmup, tol = cfg.stability_window, cfg.warmup_iters, cfg.stability_rel_tol
+        smoothed, seen = self._smoothed, self._seen
+        window, hi, lo = self._window, self._hi, self._lo
+        stop = None
+        for row, (raw, ok) in enumerate(zip(raws.tolist(), usable.tolist())):
+            if not ok:
+                self._skipped += 1
+                continue
+            smoothed = raw if smoothed is None else a * raw + b * smoothed
+            seen += 1
+            window.append(smoothed)
+            while hi and hi[-1][1] <= smoothed:
+                hi.pop()
+            hi.append((seen, smoothed))
+            if hi[0][0] <= seen - size:
+                hi.popleft()
+            while lo and lo[-1][1] >= smoothed:
+                lo.pop()
+            lo.append((seen, smoothed))
+            if lo[0][0] <= seen - size:
+                lo.popleft()
+            if seen < warmup:
+                continue
+            top = hi[0][1]
+            spread = 0.0 if top == 0 else (top - lo[0][1]) / top
+            if spread <= tol:
+                stop = row
+                break
+        self._smoothed, self._seen = smoothed, seen
+        return stop
 
     def update(self, sample: IterationSample) -> NoiseEstimate:
-        if len(sample.per_worker_grad_sqnorms) != self.workers:
-            raise ConfigurationError(
-                f"sample has {len(sample.per_worker_grad_sqnorms)} workers, "
-                f"tracker expects {self.workers}"
+        """Feed one sample; a zero aggregate is counted as skipped, then raised."""
+        self.consume(SampleBatch.from_samples([sample]))
+        if sample.aggregated_grad_sqnorm == 0:
+            raise DegenerateGradientError(
+                f"aggregated gradient norm is zero at iteration {sample.iteration}"
             )
-        try:
-            raw = compute_raw_noise(sample)
-        except DegenerateGradientError:
-            self._skipped += 1
-            raise
-        if self._smoothed is None:
-            self._smoothed = raw
-        else:
-            a = self.cfg.alpha
-            self._smoothed = a * raw + (1.0 - a) * self._smoothed
-        self._seen += 1
-        self._window.append(self._smoothed)
         return self.estimate
 
     @property

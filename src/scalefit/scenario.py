@@ -51,6 +51,17 @@ def _expect(doc: dict, key: str, kinds, path: str, default=None, required=False)
     return value
 
 
+def _number(doc: dict, key: str, path: str, default=None, required=False) -> float | None:
+    """A JSON number field as a float, or ``default`` when it is absent."""
+    value = _expect(doc, key, (int, float), path, default, required)
+    if value is None:
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{path}.{key}", "is too large to be a float") from None
+
+
 def _build_workload(doc: dict, seed: int) -> SimWorkload:
     if not isinstance(doc, dict):
         raise ScenarioError("workload", "must be an object")
@@ -61,7 +72,7 @@ def _build_workload(doc: dict, seed: int) -> SimWorkload:
             overrides = {}
             for key in ("jitter", "ramp_iters"):
                 if key in doc:
-                    overrides[key] = float(_expect(doc, key, (int, float), "workload"))
+                    overrides[key] = _number(doc, key, "workload")
             if "grad_dim" in doc:
                 overrides["grad_dim"] = _expect(doc, "grad_dim", int, "workload")
             if "dataset_size" in doc:
@@ -70,15 +81,15 @@ def _build_workload(doc: dict, seed: int) -> SimWorkload:
         return SimWorkload(
             name=_expect(doc, "name", str, "workload", default="custom"),
             dataset_size=_expect(doc, "dataset_size", int, "workload", required=True),
-            noise_slope=float(_expect(doc, "noise_slope", (int, float), "workload", required=True)),
-            noise_intercept=float(_expect(doc, "noise_intercept", (int, float), "workload", default=0.0)),
-            epochs_base=float(_expect(doc, "epochs_base", (int, float), "workload", required=True)),
-            epochs_slope=float(_expect(doc, "epochs_slope", (int, float), "workload", required=True)),
-            time_base_s=float(_expect(doc, "time_base_s", (int, float), "workload", required=True)),
-            time_per_sample_s=float(_expect(doc, "time_per_sample_s", (int, float), "workload", required=True)),
-            time_per_worker_s=float(_expect(doc, "time_per_worker_s", (int, float), "workload", required=True)),
-            ramp_iters=float(_expect(doc, "ramp_iters", (int, float), "workload", default=500.0)),
-            jitter=float(_expect(doc, "jitter", (int, float), "workload", default=0.0)),
+            noise_slope=_number(doc, "noise_slope", "workload", required=True),
+            noise_intercept=_number(doc, "noise_intercept", "workload", default=0.0),
+            epochs_base=_number(doc, "epochs_base", "workload", required=True),
+            epochs_slope=_number(doc, "epochs_slope", "workload", required=True),
+            time_base_s=_number(doc, "time_base_s", "workload", required=True),
+            time_per_sample_s=_number(doc, "time_per_sample_s", "workload", required=True),
+            time_per_worker_s=_number(doc, "time_per_worker_s", "workload", required=True),
+            ramp_iters=_number(doc, "ramp_iters", "workload", default=500.0),
+            jitter=_number(doc, "jitter", "workload", default=0.0),
             grad_dim=_expect(doc, "grad_dim", int, "workload", default=10_000),
             seed=seed,
         )
@@ -94,9 +105,7 @@ def _build_cluster(doc: dict) -> SimCluster:
     try:
         shape = VMShape(
             vcpus=_expect(shape_doc, "vcpus", int, "cluster.shape", required=True),
-            memory_gb=float(
-                _expect(shape_doc, "memory_gb", (int, float), "cluster.shape", required=True)
-            ),
+            memory_gb=_number(shape_doc, "memory_gb", "cluster.shape", required=True),
         )
     except ConfigurationError as exc:
         raise ScenarioError("cluster.shape", str(exc)) from None
@@ -104,18 +113,12 @@ def _build_cluster(doc: dict) -> SimCluster:
     try:
         if mode == "flat_per_vm":
             pricing = PricingModel.flat(
-                float(
-                    _expect(pricing_doc, "flat_hourly_usd", (int, float), "cluster.pricing", required=True)
-                )
+                _number(pricing_doc, "flat_hourly_usd", "cluster.pricing", required=True)
             )
         elif mode == "per_resource":
             pricing = PricingModel.per_resource(
-                float(
-                    _expect(pricing_doc, "per_vcpu_hourly_usd", (int, float), "cluster.pricing", required=True)
-                ),
-                float(
-                    _expect(pricing_doc, "per_gb_hourly_usd", (int, float), "cluster.pricing", required=True)
-                ),
+                _number(pricing_doc, "per_vcpu_hourly_usd", "cluster.pricing", required=True),
+                _number(pricing_doc, "per_gb_hourly_usd", "cluster.pricing", required=True),
             )
         else:
             raise ScenarioError(
@@ -124,9 +127,7 @@ def _build_cluster(doc: dict) -> SimCluster:
         return SimCluster(
             shape=shape,
             pricing=pricing,
-            restore_overhead_s=float(
-                _expect(doc, "restore_overhead_s", (int, float), "cluster", default=37.0)
-            ),
+            restore_overhead_s=_number(doc, "restore_overhead_s", "cluster", default=37.0),
         )
     except ConfigurationError as exc:
         raise ScenarioError("cluster", str(exc)) from None
@@ -174,12 +175,10 @@ def _build_params(doc: dict) -> SearchParams:
             raise ScenarioError("search.sampling.kind", "must be grid or random")
         ewma_doc = _expect(doc, "ewma", dict, "search", default={})
         ewma = EwmaConfig(
-            alpha=float(_expect(ewma_doc, "alpha", (int, float), "search.ewma", default=0.01)),
+            alpha=_number(ewma_doc, "alpha", "search.ewma", default=0.01),
             warmup_iters=_expect(ewma_doc, "warmup_iters", int, "search.ewma", default=1000),
             stability_window=_expect(ewma_doc, "stability_window", int, "search.ewma", default=200),
-            stability_rel_tol=float(
-                _expect(ewma_doc, "stability_rel_tol", (int, float), "search.ewma", default=0.02)
-            ),
+            stability_rel_tol=_number(ewma_doc, "stability_rel_tol", "search.ewma", default=0.02),
         )
         return SearchParams(
             mode=mode,
@@ -202,13 +201,11 @@ def _build_objective(doc: dict) -> Objective:
         raise ScenarioError(
             "objective.kind", f"must be one of {OBJECTIVE_KINDS}, got {kind!r}"
         )
-    deadline = _expect(doc, "deadline_s", (int, float), "objective")
-    budget = _expect(doc, "budget_usd", (int, float), "objective")
     try:
         return Objective(
             kind=kind,
-            deadline_s=float(deadline) if deadline is not None else None,
-            budget_usd=float(budget) if budget is not None else None,
+            deadline_s=_number(doc, "deadline_s", "objective"),
+            budget_usd=_number(doc, "budget_usd", "objective"),
         )
     except ConfigurationError as exc:
         raise ScenarioError("objective", str(exc)) from None
@@ -226,12 +223,10 @@ def scenario_from_document(doc: dict) -> Scenario:
         _expect(doc, "objective", dict, "<root>", default={"kind": "min_cost_time"})
     )
     constraints_doc = _expect(doc, "constraints", dict, "<root>", default={})
-    deadline = _expect(constraints_doc, "deadline_s", (int, float), "constraints")
-    budget = _expect(constraints_doc, "budget_usd", (int, float), "constraints")
     try:
         constraints = Constraints(
-            deadline_s=float(deadline) if deadline is not None else None,
-            budget_usd=float(budget) if budget is not None else None,
+            deadline_s=_number(constraints_doc, "deadline_s", "constraints"),
+            budget_usd=_number(constraints_doc, "budget_usd", "constraints"),
         )
     except ConfigurationError as exc:
         raise ScenarioError("constraints", str(exc)) from None
@@ -258,6 +253,6 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise ScenarioError("<file>", f"no scenario file at {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit
         raise ScenarioError("<file>", f"invalid JSON in {path}: {exc}") from None
     return scenario_from_document(doc)

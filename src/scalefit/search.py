@@ -43,7 +43,6 @@ from .config import (
 )
 from .errors import (
     ConfigurationError,
-    DegenerateGradientError,
     ModelNotFoundError,
     SearchFailedError,
 )
@@ -171,53 +170,47 @@ class _Session:
     def run_profile(self, config: JobConfig) -> tuple[Exploration, float, float]:
         """Short profiling pass: (record, mean normalized noise, mean tau)."""
         iters = self.params.profile_iters
-        samples = self.env.profile(
-            config.workers, config.global_batch, iters, self.cursor
-        )
-        self.cursor += len(samples)
-        noises = normalized_noises(samples, config.workers)
+        batch = self.env.profile(config.workers, config.global_batch, iters, self.cursor)
+        self.cursor += len(batch)
+        noises = normalized_noises(batch)
         mean_noise = sum(noises) / len(noises) if noises else 0.0
-        mean_tau = sum(s.iteration_time_s for s in samples) / len(samples)
+        taus = batch.iteration_time_s.tolist()
+        mean_tau = sum(taus) / len(taus)
         record = Exploration(
             workers=config.workers,
             global_batch=config.global_batch,
             kind="profile",
-            iterations=len(samples),
+            iterations=len(batch),
             mean_iteration_time_s=mean_tau,
             restore_s=self.env.cluster.restore_overhead_s,
         )
         return record, mean_noise, mean_tau
 
     def run_anchor(self, config: JobConfig) -> tuple[Exploration, float]:
-        """Run until the noise estimate stabilizes: (record, noise)."""
+        """Run until the noise estimate stabilizes: (record, noise).
+
+        Profiles in chunks of ``stability_window`` iterations; the rows of a
+        chunk past the one that stabilizes the estimate are discarded.
+        """
         tracker = NoiseTracker(config.workers, self.params.ewma)
-        chunk_size = self.params.ewma.stability_window
+        limit = self.params.max_stabilize_iters
         consumed = 0
         total_time = 0.0
-        noise = None
-        while consumed < self.params.max_stabilize_iters:
-            chunk = min(chunk_size, self.params.max_stabilize_iters - consumed)
-            samples = self.env.profile(
+        stop = None
+        while stop is None and consumed < limit:
+            chunk = min(self.params.ewma.stability_window, limit - consumed)
+            batch = self.env.profile(
                 config.workers, config.global_batch, chunk, self.cursor
             )
-            used = 0
-            for s in samples:
-                used += 1
-                total_time += s.iteration_time_s
-                try:
-                    est = tracker.update(s)
-                except DegenerateGradientError:
-                    continue
-                if est.stabilized:
-                    noise = est.normalized
-                    break
+            stop = tracker.consume(batch)
+            used = len(batch) if stop is None else stop + 1
+            for tau in batch.iteration_time_s[:used].tolist():
+                total_time += tau
             self.cursor += used
             consumed += used
-            if noise is not None:
-                break
-        if noise is None:
+        if stop is None:
             raise SearchFailedError(
-                f"noise did not stabilize within {self.params.max_stabilize_iters} "
+                f"noise did not stabilize within {limit} "
                 f"iterations at K={config.workers}, B={config.global_batch}"
             )
         record = Exploration(
@@ -228,7 +221,7 @@ class _Session:
             mean_iteration_time_s=total_time / consumed,
             restore_s=self.env.cluster.restore_overhead_s,
         )
-        return record, noise
+        return record, tracker.estimate.normalized
 
     def fit_anchors(self, valid: list[tuple[int, int]]) -> tuple[list[Exploration], StatFit]:
         """Stabilize noise on the two extreme-batch anchors and fit both statistical laws."""

@@ -22,7 +22,7 @@ from .config import (
     mini_batch,
 )
 from .errors import ConfigurationError, ModelOutOfDomainError
-from .noise import IterationSample
+from .noise import SampleBatch
 from .perfmodel import ParallelFit, PerfModel, Prediction, StatFit, predict, predict_grid
 from .policy import Constraints, Objective, Recommendation, select
 from .tradeoff import TradeoffPoint
@@ -122,7 +122,7 @@ class SimEnvironment:
         global_batch: int,
         iters: int,
         start_iteration: int = 0,
-    ) -> list[IterationSample]:
+    ) -> SampleBatch:
         """Synthesize ``iters`` per-iteration samples starting at ``start_iteration``.
 
         The raw noise target ramps as ``1 - exp(-t / ramp_iters)`` toward
@@ -132,8 +132,10 @@ class SimEnvironment:
         config = JobConfig(workers, global_batch)
         if iters < 1:
             raise ConfigurationError(f"iters must be >= 1, got {iters}")
-        if start_iteration < 0:
-            raise ConfigurationError("start_iteration must be >= 0")
+        if not 0 <= start_iteration <= 2**62:  # iterations are stored as int64
+            raise ConfigurationError(
+                f"start_iteration must be in [0, 2**62], got {start_iteration}"
+            )
         w = self.workload
         b = mini_batch(config)
         t_idx = start_iteration + np.arange(iters, dtype=float)
@@ -162,18 +164,9 @@ class SimEnvironment:
             None,
         )
 
-        samples = []
-        for i in range(iters):
-            samples.append(
-                IterationSample(
-                    iteration=int(t_idx[i]),
-                    per_worker_grad_sqnorms=tuple(float(v) for v in worker_vals[i]),
-                    aggregated_grad_sqnorm=1.0,
-                    compute_time_s=float(compute[i]),
-                    sync_time_s=float(sync[i]),
-                )
-            )
-        return samples
+        return SampleBatch(
+            t_idx.astype(np.int64), worker_vals, np.ones(iters), compute, sync
+        )
 
 
 def ground_truth(

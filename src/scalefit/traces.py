@@ -5,45 +5,52 @@ A trace file is JSON Lines, one record per iteration::
     {"t": 0, "K": 8, "B": 512, "worker_sqnorms": [...], "agg_sqnorm": 1.0,
      "compute_s": 0.33, "sync_s": 0.33}
 
-All records in one file must share the same (K, B).  The anchors side file
-is a single JSON object: ``{"anchors": [{"K": 8, "B": 384, "epochs": 35.2},
-...]}``.
+All records in one file must share the same (K, B), and every number must
+be finite and >= 0: ``NaN`` and ``Infinity`` are rejected at their line.
+The anchors side file is a single JSON object: ``{"anchors": [{"K": 8,
+"B": 384, "epochs": 35.2}, ...]}``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable
 
 from .config import JobConfig
-from .errors import ConfigurationError, TraceParseError
-from .noise import IterationSample
+from .errors import ConfigurationError, InvalidSampleError, TraceParseError
+from .noise import SampleBatch
+
+_KEYS = ("t", "K", "B", "worker_sqnorms", "agg_sqnorm", "compute_s", "sync_s")
 
 
-def write_trace(
-    path: str | Path, config: JobConfig, samples: Iterable[IterationSample]
-) -> None:
-    path = Path(path)
-    with path.open("w") as fh:
-        for s in samples:
-            record = {
-                "t": s.iteration,
-                "K": config.workers,
-                "B": config.global_batch,
-                "worker_sqnorms": list(s.per_worker_grad_sqnorms),
-                "agg_sqnorm": s.aggregated_grad_sqnorm,
-                "compute_s": s.compute_time_s,
-                "sync_s": s.sync_time_s,
-            }
-            fh.write(json.dumps(record) + "\n")
+def write_trace(path: str | Path, config: JobConfig, samples: SampleBatch) -> None:
+    """Write one line per row, byte for byte what ``json.dumps`` gives for the record."""
+    head = f'"K": {config.workers}, "B": {config.global_batch}, "worker_sqnorms": ['
+    with Path(path).open("w") as fh:
+        fh.writelines(
+            f'{{"t": {t}, {head}{", ".join(map(repr, norms))}], '
+            f'"agg_sqnorm": {agg!r}, "compute_s": {compute!r}, "sync_s": {sync!r}}}\n'
+            for t, norms, agg, compute, sync in zip(
+                samples.iteration.tolist(),
+                samples.worker_sqnorms.tolist(),
+                samples.agg_sqnorm.tolist(),
+                samples.compute_s.tolist(),
+                samples.sync_s.tolist(),
+            )
+        )
 
 
-def read_trace(path: str | Path) -> tuple[JobConfig, list[IterationSample]]:
-    """Parse one trace file, validating record shape and (K, B) consistency."""
+def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
+    """Parse one trace file, validating record shape and (K, B) consistency.
+
+    Lines are parsed one at a time; the columns are stacked and validated
+    once at the end, and a bad value is reported at the line it came from.
+    """
     path = Path(path)
     config: JobConfig | None = None
-    samples: list[IterationSample] = []
+    first_kb = None
+    linenos: list[int] = []
+    rows: list[tuple] = []
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -51,26 +58,28 @@ def read_trace(path: str | Path) -> tuple[JobConfig, list[IterationSample]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer past the digit limit
                 raise TraceParseError(str(path), lineno, f"invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise TraceParseError(str(path), lineno, "record must be an object")
-            for key in ("t", "K", "B", "worker_sqnorms", "agg_sqnorm", "compute_s", "sync_s"):
+            for key in _KEYS:
                 if key not in record:
                     raise TraceParseError(str(path), lineno, f"missing field {key!r}")
-            try:
-                line_config = JobConfig(int(record["K"]), int(record["B"]))
-            except (ConfigurationError, TypeError, ValueError) as exc:
-                raise TraceParseError(str(path), lineno, str(exc)) from None
-            if config is None:
-                config = line_config
-            elif line_config != config:
-                raise TraceParseError(
-                    str(path),
-                    lineno,
-                    f"configuration changed mid-file: expected "
-                    f"K={config.workers}, B={config.global_batch}",
-                )
+            kb = (record["K"], record["B"])
+            if kb != first_kb:
+                try:
+                    line_config = JobConfig(int(kb[0]), int(kb[1]))
+                except (ConfigurationError, TypeError, ValueError) as exc:
+                    raise TraceParseError(str(path), lineno, str(exc)) from None
+                if config is None:
+                    config, first_kb = line_config, kb
+                elif line_config != config:
+                    raise TraceParseError(
+                        str(path),
+                        lineno,
+                        f"configuration changed mid-file: expected "
+                        f"K={config.workers}, B={config.global_batch}",
+                    )
             norms = record["worker_sqnorms"]
             if not isinstance(norms, list) or len(norms) != config.workers:
                 raise TraceParseError(
@@ -79,19 +88,24 @@ def read_trace(path: str | Path) -> tuple[JobConfig, list[IterationSample]]:
                     f"worker_sqnorms must list exactly {config.workers} values",
                 )
             try:
-                sample = IterationSample(
-                    iteration=int(record["t"]),
-                    per_worker_grad_sqnorms=tuple(float(v) for v in norms),
-                    aggregated_grad_sqnorm=float(record["agg_sqnorm"]),
-                    compute_time_s=float(record["compute_s"]),
-                    sync_time_s=float(record["sync_s"]),
-                )
-            except (ConfigurationError, TypeError, ValueError) as exc:
+                rows.append((
+                    int(record["t"]),
+                    list(map(float, norms)),
+                    float(record["agg_sqnorm"]),
+                    float(record["compute_s"]),
+                    float(record["sync_s"]),
+                ))
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise TraceParseError(str(path), lineno, str(exc)) from None
-            samples.append(sample)
+            linenos.append(lineno)
     if config is None:
         raise TraceParseError(str(path), 0, "trace file has no records")
-    return config, samples
+    try:
+        return config, SampleBatch(*zip(*rows))
+    except InvalidSampleError as exc:
+        raise TraceParseError(
+            str(path), linenos[exc.row], f"{exc.field} {exc.reason}"
+        ) from None
 
 
 def write_anchors(path: str | Path, anchors: list[tuple[JobConfig, float]]) -> None:
@@ -108,7 +122,7 @@ def read_anchors(path: str | Path) -> list[tuple[JobConfig, float]]:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit
         raise TraceParseError(str(path), 0, f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "anchors" not in doc or not isinstance(
         doc["anchors"], list

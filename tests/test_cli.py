@@ -368,6 +368,26 @@ class TestFit:
         assert code == 5
         assert ":17:" in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("compute_s", float("nan")), ("agg_sqnorm", float("inf")), ("sync_s", -0.5),
+    ])
+    def test_non_finite_trace_value_exits_5(self, run_cli, tmp_path, corner_traces,
+                                            field, value):
+        paths, anchors = corner_traces
+        with open(paths[1]) as fh:
+            records = [json.loads(line) for line in fh]
+        records[6][field] = value
+        with open(paths[1], "w") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
+        code, out, err = run_cli(
+            "fit", "--traces", *paths, "--anchors", str(anchors),
+            "--dataset-size", "1000000", "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 5
+        assert out == ""
+        assert f"{paths[1]}:7: {field} must be finite and >= 0, got {value}" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_zero_gradient_trace_exits_6(self, run_cli, tmp_path, corner_traces):
         paths, anchors = corner_traces
         victim = paths[0]
@@ -675,6 +695,34 @@ class TestSearch:
         assert code == 5
         assert out == ""
         assert "constraints: deadline_s must be finite and > 0, got nan" in err
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"constraints": {"deadline_s": 10**400}}, "constraints.deadline_s"),
+        ({"search": {"mode": "partial", "ewma": {"stability_rel_tol": 10**400}}},
+         "search.ewma.stability_rel_tol"),
+        ({"workload": {"preset": "resnet18-like", "jitter": 10**400}}, "workload.jitter"),
+    ])
+    def test_huge_integer_exits_5_naming_its_path(self, run_cli, scenario_file, overrides,
+                                                  field):
+        code, out, err = run_cli("search", "--scenario", str(scenario_file(**overrides)))
+        assert code == 5
+        assert out == ""
+        assert err == f"error: {field}: is too large to be a float\n"
+
+    def test_integer_past_the_digit_limit_exits_5(self, run_cli, tmp_path):
+        path = tmp_path / "scenario.json"
+        text = json.dumps(scenario_doc())
+        path.write_text('{"seed": ' + "9" * 5000 + ", " + text[1:])
+        code, out, err = run_cli("search", "--scenario", str(path))
+        assert (code, out) == (5, "")
+        assert "<file>: invalid JSON in" in err and "Exceeds the limit" in err
+
+    def test_non_finite_tolerance_exits_5(self, run_cli, scenario_file):
+        ewma = {"stability_rel_tol": float("nan")}
+        path = scenario_file(search={"mode": "partial", "ewma": ewma})
+        code, _, err = run_cli("search", "--scenario", str(path))
+        assert code == 5
+        assert "search: stability_rel_tol must be finite and > 0, got nan" in err
 
     def test_bad_scenario_exits_5(self, run_cli, tmp_path):
         path = tmp_path / "scenario.json"

@@ -43,6 +43,8 @@ RESNET_GRID_FLAGS = [
 ]
 TRACE_CONFIGS = [(8, 384), (8, 1024), (16, 384), (16, 1024), (12, 768)]
 TRACES = [f"traces/trace_K{k}_B{b}.jsonl" for k, b in TRACE_CONFIGS]
+# Copies of TRACES[0] and TRACES[3] with zero-aggregate rows and blank lines.
+MIXED = ["traces/mixed_K8_B384.jsonl", "traces/mixed_K16_B1024.jsonl"]
 
 
 def _model(stat: tuple, parallel: tuple, fingerprint: str) -> PerfModel:
@@ -86,6 +88,13 @@ def _build_workspace(root: Path) -> None:
     (root / "traces").mkdir()
     for i, (k, b) in enumerate(TRACE_CONFIGS):
         write_trace(root / TRACES[i], JobConfig(k, b), env.profile(k, b, 15, 12_500 + 15 * i))
+    for source, mixed in zip((TRACES[0], TRACES[3]), MIXED):
+        lines = []
+        for i, line in enumerate((root / source).read_text().splitlines()):
+            if i % 4 == 1:
+                line = line.replace('"agg_sqnorm": 1.0', '"agg_sqnorm": 0.0')
+            lines += [line, "  "] if i % 5 == 2 else [line]
+        (root / mixed).write_text("\n".join(lines) + "\n\n")
     write_model_file(root / "resnet.json", RESNET, created_at=CREATED_AT)
     write_model_file(root / "partly.json", PARTIAL, created_at=CREATED_AT)
     write_anchors(
@@ -160,6 +169,10 @@ CASES: list[tuple[str, list[str]]] = [
     # No worker count sees two batch sizes, so the noise curve is fitted pooled.
     ("fit-pooled", ["fit", "--traces", TRACES[0], TRACES[3], TRACES[4],
                     "--dataset-size", "1000000", "--out", "fit_pooled.json"]),
+    # Skipped zero-aggregate rows and blank lines in two of the four traces.
+    ("fit-mixed", ["fit", "--traces", MIXED[0], TRACES[1], TRACES[2], MIXED[1],
+                   "--anchors", "anchors.json", "--dataset-size", "1000000",
+                   "--out", "fit_mixed.json"]),
     ("fit-single-batch", ["fit", "--traces", TRACES[0], TRACES[2],
                           "--dataset-size", "1000000", "--out", "fit_single.json"]),
     ("predict-json", ["predict", "--model", "resnet.json", "8x512", "16x1024", "3x512"]),
@@ -244,6 +257,12 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
         "d9db948098506c68e11514981390d94adc43438d5abae7c047f28a1aadcb53df",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "5a190bb008e1d9e7922e1aa1b232a1c54cba4cf5d90cfe739c7ca98e4f6afc7a",
+    ),
+    "fit-mixed": (
+        0,
+        "f578182d276a269867c17330bf4a32dfe855e4ed127cc2a3c5ff8336950698be",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4a60f60a623f454e677ea59ead7fa2dfb6d94117ab94d32cea9b4026a5d107d3",
     ),
     "fit-single-batch": (
         6,

@@ -1,14 +1,19 @@
-"""Gradient-noise estimation: raw ratio, smoothing, stabilization."""
+"""Gradient-noise estimation: sample batches, raw ratio, smoothing, stabilization."""
+
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scalefit.errors import ConfigurationError, DegenerateGradientError
+from scalefit.errors import ConfigurationError, DegenerateGradientError, InvalidSampleError
 from scalefit.noise import (
     EwmaConfig,
     IterationSample,
     NoiseEstimate,
     NoiseTracker,
+    SampleBatch,
     compute_raw_noise,
     is_stabilized,
     normalized_noises,
@@ -25,6 +30,74 @@ def sample(norms, agg, t=0, compute=0.1, sync=0.1):
         compute_time_s=compute,
         sync_time_s=sync,
     )
+
+
+def batch_columns(n=4, k=2):
+    return {
+        "iteration": list(range(n)),
+        "worker_sqnorms": np.ones((n, k)),
+        "agg_sqnorm": np.ones(n),
+        "compute_s": np.full(n, 0.1),
+        "sync_s": np.full(n, 0.2),
+    }
+
+
+class TestSampleBatch:
+    def test_sequence_of_rows(self):
+        rows = [sample([1.0, 2.0], 0.5, t=3), sample([0.0, 4.0], 0.0, t=4, compute=0.25)]
+        batch = SampleBatch.from_samples(rows)
+        assert (len(batch), batch.workers) == (2, 2)
+        assert list(batch) == rows
+        assert batch[-1] == rows[1]
+        assert batch.iteration_time_s.tolist() == [0.1 + 0.1, 0.25 + 0.1]
+
+    def test_equality_compares_columns(self):
+        rows = [sample([1.0, 2.0], 0.5, t=3), sample([0.0, 4.0], 1.0, t=4)]
+        assert SampleBatch.from_samples(rows) == SampleBatch.from_samples(rows)
+        assert SampleBatch.from_samples(rows) != SampleBatch.from_samples(rows[:1])
+        assert SampleBatch.from_samples(rows) != SampleBatch.from_samples(rows[::-1])
+
+    def test_columns_are_read_only_copies(self):
+        columns = batch_columns()
+        batch = SampleBatch(**columns)
+        columns["agg_sqnorm"][0] = 5.0
+        assert batch.agg_sqnorm[0] == 1.0
+        with pytest.raises(ValueError):
+            batch.agg_sqnorm[0] = 2.0
+
+    @pytest.mark.parametrize("field", ["worker_sqnorms", "agg_sqnorm", "compute_s", "sync_s"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_value_names_field_and_first_row(self, field, bad):
+        columns = batch_columns()
+        columns[field][2:] = bad
+        with pytest.raises(InvalidSampleError) as exc_info:
+            SampleBatch(**columns)
+        assert (exc_info.value.field, exc_info.value.row) == (field, 2)
+        assert str(exc_info.value) == f"{field} must be finite and >= 0, got {bad} at row 2"
+
+    def test_iteration_must_be_non_negative_and_fit_64_bits(self):
+        for bad, reason in ((-1, "must be >= 0, got -1"), (2**63, f"must be < 2**63, got {2**63}")):
+            columns = batch_columns()
+            columns["iteration"][1] = bad
+            with pytest.raises(InvalidSampleError) as exc_info:
+                SampleBatch(**columns)
+            assert str(exc_info.value) == f"iteration {reason} at row 1"
+
+    @pytest.mark.parametrize("field,value", [
+        ("iteration", [0, 1, 2]),
+        ("worker_sqnorms", np.ones(4)),
+        ("worker_sqnorms", np.ones((4, 0))),
+        ("sync_s", np.ones((4, 1))),
+    ])
+    def test_shapes_must_agree(self, field, value):
+        columns = batch_columns()
+        columns[field] = value
+        with pytest.raises(ConfigurationError, match="shape"):
+            SampleBatch(**columns)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ConfigurationError, match="n >= 1"):
+            SampleBatch(**batch_columns(n=0))
 
 
 class TestRawNoise:
@@ -44,8 +117,8 @@ class TestRawNoise:
 
     def test_normalized_noises_leave_out_zero_aggregates(self):
         samples = [sample([3.0, 3.0], 1.0), sample([1.0, 1.0], 0.0), sample([4.0, 2.0], 2.0)]
-        assert normalized_noises(samples, 2) == [1.5, 0.75]
-        assert normalized_noises(samples[1:2], 2) == []
+        assert normalized_noises(SampleBatch.from_samples(samples)) == [1.5, 0.75]
+        assert normalized_noises(SampleBatch.from_samples(samples[1:2])) == []
 
     def test_sample_validation(self):
         with pytest.raises(ConfigurationError):
@@ -58,6 +131,18 @@ class TestRawNoise:
             IterationSample(-1, (1.0,), 1.0, 0.1, 0.1)
         with pytest.raises(ConfigurationError):
             IterationSample(0, (1.0,), 1.0, -0.1, 0.1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_sample_values_must_be_finite(self, bad):
+        fields = {
+            "per_worker_grad_sqnorms": lambda v: sample([1.0, v], 1.0),
+            "aggregated_grad_sqnorm": lambda v: sample([1.0], v),
+            "compute_time_s": lambda v: sample([1.0], 1.0, compute=v),
+            "sync_time_s": lambda v: sample([1.0], 1.0, sync=v),
+        }
+        for name, build in fields.items():
+            with pytest.raises(ConfigurationError, match=f"{name} must be finite and >= 0"):
+                build(bad)
 
     def test_iteration_time_is_compute_plus_sync(self):
         s = sample([1.0], 1.0, compute=0.4, sync=0.25)
@@ -143,6 +228,128 @@ class TestTrackerEdgeCases:
             EwmaConfig(stability_window=1)
         with pytest.raises(ConfigurationError):
             EwmaConfig(stability_rel_tol=0.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tolerance_names_the_field(self, tol):
+        with pytest.raises(ConfigurationError, match="stability_rel_tol must be finite and > 0"):
+            EwmaConfig(stability_rel_tol=tol)
+
+
+def reference_run(rows, workers, cfg):
+    """The per-sample tracker loop: Python ``sum``, scalar EWMA, full window scan.
+
+    Returns (first stabilized row or None, normalized, samples seen, skipped,
+    recent window).
+    """
+    smoothed, seen, skipped = None, 0, 0
+    window = deque(maxlen=cfg.stability_window)
+    for i, (norms, agg) in enumerate(rows):
+        if agg == 0:
+            skipped += 1
+            continue
+        raw = sum(norms) / len(norms) / agg
+        smoothed = raw if smoothed is None else cfg.alpha * raw + (1.0 - cfg.alpha) * smoothed
+        seen += 1
+        window.append(smoothed)
+        est = NoiseEstimate(smoothed, smoothed / workers, seen, skipped, False, tuple(window))
+        if is_stabilized(est, cfg):
+            return i, smoothed / workers, seen, skipped, tuple(window)
+    final = smoothed if smoothed is not None else 0.0
+    return None, final / workers, seen, skipped, tuple(window)
+
+
+def same_float(a, b):
+    return a == b or (a != a and b != b)
+
+
+NORMS = st.sampled_from([0.0, 1.0, 2.0, 3.0, 1e-300, 1.7e308]) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def tracker_runs(draw):
+    """Runs of repeated rows, so that windows flatten, stabilize and can be all zero."""
+    workers = draw(st.integers(1, 12))
+    row = st.tuples(
+        st.just([0.0] * workers) | st.lists(NORMS, min_size=workers, max_size=workers),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 5e-324]) | st.floats(0.1, 10.0),
+    )
+    segments = draw(st.lists(st.tuples(row, st.integers(1, 25)), min_size=1, max_size=6))
+    rows = [r for r, repeat in segments for _ in range(repeat)]
+    cfg = EwmaConfig(
+        alpha=draw(st.sampled_from([0.05, 0.3, 1.0]) | st.floats(0.01, 1.0)),
+        warmup_iters=draw(st.integers(1, 40)),
+        stability_window=draw(st.integers(2, 12)),
+        stability_rel_tol=draw(st.sampled_from([1e-12, 0.05, 0.5, 1.0]) | st.floats(1e-6, 2.0)),
+    )
+    chunks = draw(st.lists(st.integers(1, 15), min_size=1, max_size=10))
+    return workers, rows, cfg, chunks
+
+
+def assert_matches_reference(workers, rows, cfg, chunks):
+    """Feed ``rows`` to a tracker in chunks of the given sizes and compare with the loop."""
+    expected = reference_run(rows, workers, cfg)
+    batch = SampleBatch(
+        list(range(len(rows))),
+        [norms for norms, _ in rows],
+        [agg for _, agg in rows],
+        np.zeros(len(rows)),
+        np.zeros(len(rows)),
+    )
+    tracker = NoiseTracker(workers, cfg)
+    start, stop, sizes = 0, None, iter(chunks * len(rows))
+    while stop is None and start < len(rows):
+        size = next(sizes)
+        chunk = SampleBatch(*(getattr(batch, name)[start:start + size]
+                              for name in SampleBatch.__slots__))
+        hit = tracker.consume(chunk)
+        stop = None if hit is None else start + hit
+        start += size
+    est = tracker.estimate
+    assert stop == expected[0]
+    assert same_float(est.normalized, expected[1])
+    assert (est.samples_seen, est.skipped_samples) == expected[2:4]
+    assert len(est.recent_window) == len(expected[4])
+    assert all(map(same_float, est.recent_window, expected[4]))
+    assert est.stabilized == (stop is not None)
+
+
+class TestBatchTracker:
+    @settings(max_examples=300)
+    @given(run=tracker_runs())
+    def test_matches_the_per_sample_loop(self, run):
+        assert_matches_reference(*run)
+
+    @pytest.mark.parametrize("warmup", [1, 4, 6])
+    def test_nan_after_an_infinite_value_matches_the_loop(self, warmup):
+        # With alpha = 1 an overflowed raw value turns every later smoothed value into NaN.
+        ones, huge = ([1.0, 1.0], 1.0), ([1.7e308, 1.7e308], 1.0)
+        rows = [ones, ([2.0, 2.0], 1.0), ones, huge] + [ones] * 6
+        cfg = EwmaConfig(alpha=1.0, warmup_iters=warmup, stability_window=3,
+                         stability_rel_tol=0.6)
+        assert_matches_reference(2, rows, cfg, [1, 2, 3])
+
+    @pytest.mark.parametrize("peak", [10.0, 0.1])
+    def test_value_leaving_the_window_stops_counting(self, peak):
+        # With alpha = 1 the window after row 2 is (1, 1): flat, though the
+        # value that just left it was the maximum (or the minimum).
+        rows = [([peak], 1.0), ([1.0], 1.0), ([1.0], 1.0), ([1.0], 1.0)]
+        cfg = EwmaConfig(alpha=1.0, warmup_iters=3, stability_window=2, stability_rel_tol=0.1)
+        assert reference_run(rows, 1, cfg)[0] == 2
+        assert_matches_reference(1, rows, cfg, [4])
+
+    def test_update_delegates_and_reraises_zero_aggregates(self):
+        tracker = NoiseTracker(2, EwmaConfig(warmup_iters=2, stability_window=2))
+        with pytest.raises(DegenerateGradientError, match="iteration 7"):
+            tracker.update(sample([1.0, 1.0], 0.0, t=7))
+        assert not tracker.update(sample([2.0, 2.0], 1.0)).stabilized
+        est = tracker.update(sample([2.0, 2.0], 1.0))
+        assert (est.stabilized, est.samples_seen, est.skipped_samples) == (True, 2, 1)
+
+    def test_consume_stops_at_the_stabilizing_row(self):
+        tracker = NoiseTracker(1, EwmaConfig(warmup_iters=3, stability_window=2))
+        batch = SampleBatch.from_samples(sample([1.0], 1.0, t=t) for t in range(10))
+        assert tracker.consume(batch) == 2
+        assert tracker.estimate.samples_seen == 3
 
 
 class TestStabilization:

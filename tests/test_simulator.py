@@ -121,6 +121,8 @@ class TestProfile:
             env.profile(8, 512, 0)
         with pytest.raises(ConfigurationError):
             env.profile(8, 512, 5, start_iteration=-1)
+        with pytest.raises(ConfigurationError, match="start_iteration"):
+            env.profile(8, 512, 5, start_iteration=2**63)
         with pytest.raises(ConfigurationError):
             env.profile(8, 100, 5)  # indivisible batch
 

@@ -1,17 +1,21 @@
 """Trace (JSONL) and epoch-anchor file round trips and error reporting."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scalefit.config import JobConfig
 from scalefit.errors import TraceParseError
-from scalefit.noise import IterationSample
+from scalefit.noise import IterationSample, SampleBatch
 from scalefit.traces import read_anchors, read_trace, write_anchors, write_trace
 
 
 def make_samples(workers, n):
-    return [
+    return SampleBatch.from_samples(
         IterationSample(
             iteration=t,
             per_worker_grad_sqnorms=tuple(1.0 + 0.1 * w for w in range(workers)),
@@ -20,7 +24,7 @@ def make_samples(workers, n):
             sync_time_s=0.12,
         )
         for t in range(n)
-    ]
+    )
 
 
 class TestTraceRoundTrip:
@@ -41,7 +45,90 @@ class TestTraceRoundTrip:
         assert len(back) == 2
 
 
+FLOATS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e308, 1.7976931348623157e308]
+)
+
+
+@st.composite
+def batches(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    column = st.lists(FLOATS, min_size=n, max_size=n)
+    return SampleBatch(
+        draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)),
+        draw(st.lists(st.lists(FLOATS, min_size=k, max_size=k), min_size=n, max_size=n)),
+        draw(column),
+        draw(column),
+        draw(column),
+    )
+
+
+def json_lines(config, batch):
+    """What writing each row as a ``json.dumps`` record gives."""
+    return "".join(
+        json.dumps({
+            "t": s.iteration,
+            "K": config.workers,
+            "B": config.global_batch,
+            "worker_sqnorms": list(s.per_worker_grad_sqnorms),
+            "agg_sqnorm": s.aggregated_grad_sqnorm,
+            "compute_s": s.compute_time_s,
+            "sync_s": s.sync_time_s,
+        }) + "\n"
+        for s in batch
+    )
+
+
+class TestTraceProperties:
+    @given(batch=batches(), per_worker=st.integers(1, 64))
+    def test_bytes_equal_json_dumps_and_round_trip_bit_exact(self, batch, per_worker):
+        config = JobConfig(batch.workers, batch.workers * per_worker)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.jsonl"
+            write_trace(path, config, batch)
+            assert path.read_text() == json_lines(config, batch)
+            back_config, back = read_trace(path)
+        assert back_config == config
+        for name in SampleBatch.__slots__:
+            column, read = getattr(batch, name), getattr(back, name)
+            assert read.dtype == column.dtype
+            assert read.tobytes() == column.tobytes()
+
+
 class TestTraceErrors:
+    @pytest.mark.parametrize("field,value", [
+        ("compute_s", "NaN"), ("agg_sqnorm", "Infinity"), ("sync_s", "-Infinity"),
+    ])
+    def test_non_finite_value_cites_line_and_field(self, tmp_path, field, value):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, JobConfig(2, 64), make_samples(2, 3))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace(f'"{field}": ', f'"{field}": {value}, "was": ')
+        path.write_text(lines[0] + "\n\n" + "\n".join(lines[1:]) + "\n")
+        with pytest.raises(TraceParseError) as exc_info:
+            read_trace(path)
+        assert exc_info.value.line == 4
+        assert f"{path}:4: {field} must be finite and >= 0, got " in str(exc_info.value)
+
+    def test_integer_past_the_digit_limit_cites_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, JobConfig(2, 64), make_samples(2, 2))
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"t": 1', '"t": ' + "9" * 5000)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceParseError, match=":2: invalid JSON: Exceeds the limit"):
+            read_trace(path)
+
+    def test_bad_worker_value_cites_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        rec = {"t": 0, "K": 2, "B": 64, "worker_sqnorms": [1.0, "x"], "agg_sqnorm": 1.0,
+               "compute_s": 0.1, "sync_s": 0.1}
+        good = dict(rec, worker_sqnorms=[1.0, 2.0])
+        path.write_text(json.dumps(good) + "\n" + json.dumps(rec) + "\n")
+        with pytest.raises(TraceParseError, match=":2: could not convert string to float"):
+            read_trace(path)
+
     def test_mid_file_config_change_cites_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         rec1 = {
