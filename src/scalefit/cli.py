@@ -21,6 +21,8 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import JobConfig, PricingModel, SearchBounds, VMShape, mini_batch
 from .errors import (
     ConfigurationError,
@@ -43,9 +45,9 @@ from .perfmodel import (
     fit_iteration_time,
     fit_noise_curve,
     predict,
-    predict_grid,
+    predict_columns,
 )
-from .policy import Constraints, Objective, Recommendation, select
+from .policy import Constraints, Objective, Recommendation, select_rows
 from .scenario import Scenario, _build_workload, load_scenario
 from .search import SearchOutcome, run_search
 from .simulator import (
@@ -57,7 +59,7 @@ from .simulator import (
     preset_workload,
 )
 from .store import model_to_document, read_model_file, write_model_file
-from .tradeoff import TradeoffCurve, TradeoffPoint, kneedle_knee, pareto_frontier
+from .tradeoff import FALLBACK, KNEEDLE, TradeoffPoint, knee_rows, pareto_rows
 from .traces import read_anchors, read_trace, write_trace
 
 EXIT_OK = 0
@@ -190,7 +192,7 @@ def _workload_from_arg(parser: argparse.ArgumentParser, args):
         )
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit
         raise ScenarioError("<file>", f"invalid JSON in {path}: {exc}") from None
     w = _build_workload(doc, seed=args.seed)
     return w if args.jitter is None else replace(w, jitter=args.jitter)
@@ -356,55 +358,62 @@ def cmd_predict(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------- curves
 
 
+# One curves CSV row: no field can hold a delimiter or quote, so nothing is
+# quoted, as csv.writer would also leave it.
+_CURVES_CSV_ROW = ",".join(["%d"] * 3 + ["%.6g"] * 6 + ["%s"] * 2)
+
+
 def cmd_curves(parser: argparse.ArgumentParser, args) -> int:
     model = read_model_file(args.model).model
     pricing, shape = _pricing_from_args(parser, args)
-    bounds = _bounds_from_args(parser, args)
+    workers, batch = _bounds_from_args(parser, args).columns()
     # Batch-major order keeps each batch's curve, and the skip notes, together.
-    configs = sorted(bounds.valid_configs(), key=lambda c: (c.global_batch, c.workers))
-    all_points, predictions, skipped = predict_grid(model, configs, pricing, shape)
-    _note_skipped(skipped)
-    row_for = {pt.config: _prediction_row(pt.config, p) for pt, p in zip(all_points, predictions)}
-    by_batch: dict[int, list[TradeoffPoint]] = defaultdict(list)
-    for point in all_points:
-        by_batch[point.config.global_batch].append(point)
-    batches = []
-    for b, points in by_batch.items():
-        knee = kneedle_knee(TradeoffCurve.build(points))
-        batches.append(
-            {
-                "global_batch": b,
-                "points": [row_for[p.config] for p in points],
-                "knee": {**_point_doc(knee.point), "method": knee.method},
-            }
-        )
-    if not batches:
+    order = np.lexsort((workers, batch))
+    grid = predict_columns(model, workers[order], batch[order], pricing, shape)
+    _note_skipped(grid.skipped)
+    points = grid.points
+    if not len(points):
         raise EmptyInputError("no configuration in bounds was predictable")
-    frontier = pareto_frontier(all_points)
-    frontier_keys = {(p.config.workers, p.config.global_batch) for p in frontier}
-    knee_keys = {
-        (c["knee"]["workers"], c["knee"]["global_batch"]) for c in batches
-    }
-    doc = {
-        "batches": batches,
-        "pareto": [row_for[p.config] for p in frontier],
-    }
+    knees, kneedle = knee_rows(points, points.global_batch)
+    frontier = pareto_rows(points)
+    columns = (
+        points.workers,
+        points.global_batch,
+        points.global_batch // points.workers,
+        grid.normalized_noise,
+        grid.epochs,
+        grid.iterations,
+        grid.iteration_time_s,
+        points.time_s,
+        points.cost_usd,
+    )
     if args.format == "json":
+        rows = [dict(zip(_ROW_FIELDS, row)) for row in zip(*(c.tolist() for c in columns))]
+        starts = np.flatnonzero(np.diff(points.global_batch, prepend=0)).tolist()
+        batches = [
+            {
+                "global_batch": rows[start]["global_batch"],
+                "points": rows[start:end],
+                "knee": {
+                    **{f: rows[knee][f] for f in ("workers", "global_batch", "time_s", "cost_usd")},
+                    "method": KNEEDLE if by_kneedle else FALLBACK,
+                },
+            }
+            for start, end, knee, by_kneedle in zip(
+                starts, starts[1:] + [len(rows)], knees.tolist(), kneedle.tolist()
+            )
+        ]
+        doc = {"batches": batches, "pareto": [rows[i] for i in frontier.tolist()]}
         _write_output(_dump_json(doc), args.out)
     else:
-        header = list(_ROW_FIELDS) + ["on_pareto", "is_knee"]
-        table = []
-        for curve in batches:
-            for row in curve["points"]:
-                key = (row["workers"], row["global_batch"])
-                table.append(
-                    [
-                        _fmt6(row[f]) if isinstance(row[f], float) else str(row[f])
-                        for f in _ROW_FIELDS
-                    ]
-                    + [str(key in frontier_keys).lower(), str(key in knee_keys).lower()]
-                )
-        _write_output(_csv_table(header, table), args.out)
+        flags = []
+        for marked in (frontier, knees):
+            mask = np.zeros(len(points), dtype=bool)
+            mask[marked] = True
+            flags.append(np.where(mask, "true", "false").tolist())
+        header = ",".join((*_ROW_FIELDS, "on_pareto", "is_knee"))
+        rows = map(_CURVES_CSV_ROW.__mod__, zip(*(c.tolist() for c in columns), *flags))
+        _write_output("\n".join((header, *rows)) + "\n", args.out)
     return EXIT_OK
 
 
@@ -481,13 +490,13 @@ def _recommendation_doc(rec: Recommendation) -> dict:
 def cmd_recommend(parser: argparse.ArgumentParser, args) -> int:
     model = read_model_file(args.model).model
     pricing, shape = _pricing_from_args(parser, args)
-    bounds = _bounds_from_args(parser, args)
+    workers, batch = _bounds_from_args(parser, args).columns()
     objective, constraints = _objective_from_args(parser, args)
-    points, _, skipped = predict_grid(model, bounds.valid_configs(), pricing, shape)
-    _note_skipped(skipped)
-    if not points:
+    grid = predict_columns(model, workers, batch, pricing, shape)
+    _note_skipped(grid.skipped)
+    if not len(grid.points):
         raise EmptyInputError("no configuration in bounds was predictable")
-    rec = select(points, objective, constraints)
+    rec = select_rows(grid.points, objective, constraints).recommendation(grid.points.point)
     doc = {
         "objective": {
             "kind": objective.kind,

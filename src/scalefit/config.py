@@ -10,9 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 PRICING_MODES = ("flat_per_vm", "per_resource")
+# Largest accepted bound or batch candidate: grids are enumerated in int64,
+# and sums such as ``b_min + k - 1`` must not wrap.
+MAX_GRID_VALUE = 2**62
 
 
 @dataclass(frozen=True)
@@ -87,18 +92,21 @@ class PricingModel:
         )
 
 
+def vm_hourly_price(pricing: PricingModel, shape: VMShape) -> float:
+    """Hourly price of one VM of ``shape``."""
+    if pricing.mode == "flat_per_vm":
+        return pricing.flat_hourly_usd
+    return (
+        shape.vcpus * pricing.per_vcpu_hourly_usd
+        + shape.memory_gb * pricing.per_gb_hourly_usd
+    )
+
+
 def hourly_cluster_price(pricing: PricingModel, shape: VMShape, workers: int) -> float:
     """Hourly price of a cluster of ``workers`` identical VMs."""
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if pricing.mode == "flat_per_vm":
-        per_vm = pricing.flat_hourly_usd
-    else:
-        per_vm = (
-            shape.vcpus * pricing.per_vcpu_hourly_usd
-            + shape.memory_gb * pricing.per_gb_hourly_usd
-        )
-    return workers * per_vm
+    return workers * vm_hourly_price(pricing, shape)
 
 
 def run_cost_usd(
@@ -115,6 +123,7 @@ class SearchBounds:
     ``b_candidates`` replaces the batch range enumeration when given; worker
     counts always step from ``k_min`` by ``k_step``.  Candidate pairs that
     violate the JobConfig divisibility invariant are skipped, not rounded.
+    Every bound and candidate is at most ``MAX_GRID_VALUE``.
     """
 
     k_min: int
@@ -125,6 +134,9 @@ class SearchBounds:
     b_candidates: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("k_min", "k_max", "b_min", "b_max", "k_step"):
+            if getattr(self, name) > MAX_GRID_VALUE:
+                raise ConfigurationError(f"{name} must be <= 2**62, got {getattr(self, name)}")
         if self.k_min < 1:
             raise ConfigurationError(f"k_min must be >= 1, got {self.k_min}")
         if self.k_max < self.k_min:
@@ -144,6 +156,8 @@ class SearchBounds:
                 raise ConfigurationError("b_candidates must not be empty")
             if any(b < 1 for b in self.b_candidates):
                 raise ConfigurationError("b_candidates must all be >= 1")
+            if any(b > MAX_GRID_VALUE for b in self.b_candidates):
+                raise ConfigurationError("b_candidates must all be <= 2**62")
             object.__setattr__(
                 self, "b_candidates", tuple(sorted(set(self.b_candidates)))
             )
@@ -160,21 +174,30 @@ class SearchBounds:
         """All (workers, global_batch) pairs of the grid, valid or not."""
         return [(k, b) for k in self.k_values() for b in self.b_values()]
 
-    def valid_configs(self) -> list[JobConfig]:
-        """Grid pairs that satisfy the JobConfig invariants, in grid order.
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(workers, global_batch) int64 columns of the valid pairs, in grid order.
 
         Batch ranges step through each worker count's multiples directly
-        instead of filtering the full product.
+        instead of filtering the full product.  Worker counts above the
+        largest batch divide none of them and are never enumerated.
         """
+        b_hi = self.b_candidates[-1] if self.b_candidates is not None else self.b_max
+        ks = np.arange(self.k_min, min(self.k_max, b_hi) + 1, self.k_step, dtype=np.int64)
         if self.b_candidates is not None:
-            return [
-                JobConfig(k, b)
-                for k in self.k_values()
-                for b in self.b_candidates
-                if b % k == 0
-            ]
-        return [
-            JobConfig(k, b)
-            for k in self.k_values()
-            for b in range(-(-self.b_min // k) * k, self.b_max + 1, k)
-        ]
+            bs = np.array(self.b_candidates, dtype=np.int64)
+            workers = np.repeat(ks, len(bs))
+            batch = np.tile(bs, len(ks))
+            keep = batch % workers == 0
+            return workers[keep], batch[keep]
+        first = -(-self.b_min // ks) * ks
+        counts = np.maximum((self.b_max - first) // ks + 1, 0)
+        workers = np.repeat(ks, counts)
+        step = np.arange(len(workers), dtype=np.int64) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        return workers, np.repeat(first, counts) + step * workers
+
+    def valid_configs(self) -> list[JobConfig]:
+        """Grid pairs that satisfy the JobConfig invariants, in grid order."""
+        workers, batch = self.columns()
+        return [JobConfig(k, b) for k, b in zip(workers.tolist(), batch.tolist())]

@@ -26,9 +26,10 @@ from .config import (
     VMShape,
     mini_batch,
     run_cost_usd,
+    vm_hourly_price,
 )
 from .errors import DegenerateFitError, ModelOutOfDomainError
-from .tradeoff import TradeoffPoint
+from .tradeoff import PointColumns, TradeoffPoint
 
 PROVENANCES = ("full_search", "partial_search", "reused", "universal", "ground_truth")
 
@@ -315,28 +316,104 @@ def predict(
     )
 
 
+@dataclass(frozen=True)
+class GridPrediction:
+    """:func:`predict` over many configurations, as columns.
+
+    ``rows`` holds the input positions of the in-domain configurations; every
+    other column is aligned with it.  ``skipped`` lists (config, reason) for
+    the rest, in input order, with :func:`predict`'s message.
+    """
+
+    rows: np.ndarray
+    points: PointColumns
+    normalized_noise: np.ndarray
+    epochs: np.ndarray
+    iterations: np.ndarray
+    iteration_time_s: np.ndarray
+    skipped: list[tuple[JobConfig, str]]
+
+
+def predict_columns(
+    model: PerfModel,
+    workers: np.ndarray,
+    global_batch: np.ndarray,
+    pricing: PricingModel,
+    shape: VMShape,
+) -> GridPrediction:
+    """Run :func:`predict` on int64 (workers, global_batch) columns.
+
+    Bit for bit the scalar chain: ``B**-0.5`` is taken in Python once per
+    distinct batch (``np.power`` rounds differently), and every other step
+    is the same IEEE operation in the same order.  The domain mask applies
+    the scalar tests; out-of-domain rows get their reason from :func:`predict`.
+    """
+    stat, par = model.stat, model.parallel
+    distinct, inverse = np.unique(global_batch, return_inverse=True)
+    x = np.array([b**-0.5 for b in distinct.tolist()], dtype=float)[inverse]
+    with np.errstate(all="ignore"):
+        noise = stat.noise_slope * x + stat.noise_intercept
+        epochs = stat.epochs_base + stat.epochs_slope * noise
+        iterations = epochs * float(model.dataset_size) / global_batch
+        tau = (par.base_s + par.per_sample_s * (global_batch // workers)) + (
+            par.per_worker_s * workers
+        )
+        total = iterations * tau
+        cost = total / 3600.0 * (workers * vm_hourly_price(pricing, shape))
+        # NaN passes the ``<= 0`` tests, as in predict, and fails at the total.
+        bad = (noise <= 0) | (epochs <= 0) | (tau <= 0)
+        bad |= ~(np.isfinite(total) & (total > 0)) | ~np.isfinite(cost)
+    skipped = []
+    for i in np.flatnonzero(bad).tolist():
+        config = JobConfig(int(workers[i]), int(global_batch[i]))
+        try:
+            predict(model, config, pricing, shape)
+        except ModelOutOfDomainError as exc:
+            skipped.append((config, str(exc)))
+    ok = ~bad
+    return GridPrediction(
+        rows=np.flatnonzero(ok),
+        points=PointColumns(workers[ok], global_batch[ok], total[ok], cost[ok]),
+        normalized_noise=noise[ok],
+        epochs=epochs[ok],
+        iterations=iterations[ok],
+        iteration_time_s=tau[ok],
+        skipped=skipped,
+    )
+
+
 def predict_grid(
     model: PerfModel,
     configs: Sequence[JobConfig],
     pricing: PricingModel,
     shape: VMShape,
 ) -> tuple[list[TradeoffPoint], list[Prediction], list[tuple[JobConfig, str]]]:
-    """Predict every configuration through :func:`predict`.
+    """:func:`predict_columns` over a list of configurations.
 
     Returns:
         (points, predictions, skipped): the in-domain configurations'
         tradeoff points and predictions, both in input order, and
         (config, reason) for each configuration outside the model's domain.
     """
+    grid = predict_columns(
+        model,
+        np.array([c.workers for c in configs], dtype=np.int64),
+        np.array([c.global_batch for c in configs], dtype=np.int64),
+        pricing,
+        shape,
+    )
+    columns = zip(
+        grid.rows.tolist(),
+        grid.normalized_noise.tolist(),
+        grid.epochs.tolist(),
+        grid.iterations.tolist(),
+        grid.iteration_time_s.tolist(),
+        grid.points.time_s.tolist(),
+        grid.points.cost_usd.tolist(),
+    )
     points: list[TradeoffPoint] = []
     predictions: list[Prediction] = []
-    skipped: list[tuple[JobConfig, str]] = []
-    for config in configs:
-        try:
-            p = predict(model, config, pricing, shape)
-        except ModelOutOfDomainError as exc:
-            skipped.append((config, str(exc)))
-            continue
-        points.append(TradeoffPoint(config, p.total_time_s, p.cost_usd))
-        predictions.append(p)
-    return points, predictions, skipped
+    for row, noise, epochs, iterations, tau, total, cost in columns:
+        points.append(TradeoffPoint(configs[row], total, cost))
+        predictions.append(Prediction(noise, epochs, iterations, tau, total, cost))
+    return points, predictions, grid.skipped

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import ConfigurationError, EmptyInputError
-from .tradeoff import TradeoffCurve, TradeoffPoint, kneedle_knee, pareto_frontier
+from .tradeoff import PointColumns, TradeoffPoint, knee_rows, pareto_rows
 
 OBJECTIVE_KINDS = ("deadline", "budget", "knee_point", "min_cost_time")
 
@@ -78,13 +81,81 @@ class Recommendation:
     nearest_miss: TradeoffPoint | None
 
 
-def _violation(p: TradeoffPoint, t_cap: float | None, c_cap: float | None) -> float:
-    v = 0.0
-    if t_cap is not None and p.time_s > t_cap:
-        v += p.time_s - t_cap
-    if c_cap is not None and p.cost_usd > c_cap:
-        v += p.cost_usd - c_cap
-    return v
+class RowPick(NamedTuple):
+    """:func:`select_rows`' answer as rows of the columns it was given."""
+
+    chosen: int | None
+    feasible_count: int
+    nearest_miss: int | None
+
+    def recommendation(self, point_at: Callable[[int], TradeoffPoint]) -> Recommendation:
+        return Recommendation(
+            chosen=None if self.chosen is None else point_at(self.chosen),
+            feasible=self.chosen is not None,
+            feasible_count=self.feasible_count,
+            nearest_miss=None if self.nearest_miss is None else point_at(self.nearest_miss),
+        )
+
+
+def _tightest(*caps: float | None) -> float | None:
+    """The smallest given cap as a float; an integer past the float range caps nothing."""
+    given = [cap for cap in caps if cap is not None]
+    if not given:
+        return None
+    try:
+        return float(min(given))
+    except OverflowError:
+        return math.inf
+
+
+def select_rows(
+    cols: PointColumns,
+    objective: Objective,
+    constraints: Constraints | None = None,
+) -> RowPick:
+    """Pick the best row for the objective among feasible ones; see :func:`select`.
+
+    Each choice is the first row of a stable ``np.lexsort`` on the
+    objective's keys and tie-breaks.
+    """
+    if not len(cols):
+        raise EmptyInputError("cannot select from zero points")
+    constraints = constraints if constraints is not None else Constraints()
+    t_cap = _tightest(objective.deadline_s, constraints.deadline_s)
+    c_cap = _tightest(objective.budget_usd, constraints.budget_usd)
+
+    t, c = cols.time_s, cols.cost_usd
+    feasible = np.ones(len(cols), dtype=bool)
+    if t_cap is not None:
+        feasible &= t <= t_cap
+    if c_cap is not None:
+        feasible &= c <= c_cap
+    rows = np.flatnonzero(feasible)
+    if not len(rows):
+        # Total violation: the time excess, then the cost excess, added to 0.0.
+        violation = np.zeros(len(cols))
+        if t_cap is not None:
+            violation = violation + np.where(t > t_cap, t - t_cap, 0.0)
+        if c_cap is not None:
+            violation = violation + np.where(c > c_cap, c - c_cap, 0.0)
+        nearest = np.lexsort(cols.sort_keys(violation, c))[0]
+        return RowPick(chosen=None, feasible_count=0, nearest_miss=int(nearest))
+
+    sub = cols.take(rows)
+    t, c = sub.time_s, sub.cost_usd
+    if objective.kind == "knee_point":
+        frontier = pareto_rows(sub)
+        knee, _ = knee_rows(sub.take(frontier), np.zeros(len(frontier), dtype=np.int64))
+        best = frontier[knee[0]]
+    else:
+        with np.errstate(over="ignore"):
+            leading = {
+                "deadline": (c,),
+                "budget": (t,),
+                "min_cost_time": (t * c, c),
+            }[objective.kind]
+        best = np.lexsort(sub.sort_keys(*leading))[0]
+    return RowPick(chosen=int(rows[best]), feasible_count=len(rows), nearest_miss=None)
 
 
 def select(
@@ -94,71 +165,13 @@ def select(
 ) -> Recommendation:
     """Pick the best point for the objective among feasible ones.
 
-    Residual ties break toward smaller cost, then time, then workers, then
-    batch, for every objective kind.  When no point is feasible the
-    recommendation is marked infeasible and carries the point with the
-    smallest total constraint violation.
+    ``deadline`` ranks feasible points by cost, ``budget`` by time,
+    ``min_cost_time`` by the cost-time product and ``knee_point`` takes the
+    kneedle knee of their pareto frontier.  Residual ties break toward
+    smaller cost, then time, then workers, then batch, for every objective
+    kind.  When no point is feasible the recommendation is marked
+    infeasible and carries the point with the smallest total constraint
+    violation.  Wraps :func:`select_rows`.
     """
-    if not points:
-        raise EmptyInputError("cannot select from zero points")
-    constraints = constraints if constraints is not None else Constraints()
-
-    t_caps = [v for v in (objective.deadline_s, constraints.deadline_s) if v is not None]
-    c_caps = [v for v in (objective.budget_usd, constraints.budget_usd) if v is not None]
-    t_cap = min(t_caps) if t_caps else None
-    c_cap = min(c_caps) if c_caps else None
-
-    feasible = [
-        p
-        for p in points
-        if (t_cap is None or p.time_s <= t_cap)
-        and (c_cap is None or p.cost_usd <= c_cap)
-    ]
-    if not feasible:
-        nearest = min(
-            points,
-            key=lambda p: (
-                _violation(p, t_cap, c_cap),
-                p.cost_usd,
-                p.time_s,
-                p.config.workers,
-                p.config.global_batch,
-            ),
-        )
-        return Recommendation(
-            chosen=None,
-            feasible=False,
-            feasible_count=0,
-            nearest_miss=nearest,
-        )
-
-    if objective.kind == "deadline":
-        chosen = min(
-            feasible,
-            key=lambda p: (p.cost_usd, p.time_s, p.config.workers, p.config.global_batch),
-        )
-    elif objective.kind == "budget":
-        chosen = min(
-            feasible,
-            key=lambda p: (p.time_s, p.cost_usd, p.config.workers, p.config.global_batch),
-        )
-    elif objective.kind == "min_cost_time":
-        chosen = min(
-            feasible,
-            key=lambda p: (
-                p.time_s * p.cost_usd,
-                p.cost_usd,
-                p.time_s,
-                p.config.workers,
-                p.config.global_batch,
-            ),
-        )
-    else:
-        frontier = pareto_frontier(feasible)
-        chosen = kneedle_knee(TradeoffCurve.build(frontier)).point
-    return Recommendation(
-        chosen=chosen,
-        feasible=True,
-        feasible_count=len(feasible),
-        nearest_miss=None,
-    )
+    pick = select_rows(PointColumns.of(points), objective, constraints)
+    return pick.recommendation(points.__getitem__)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import threading
@@ -48,11 +49,14 @@ def _parse_num(doc_path: str, field: str, value) -> float:
     if not isinstance(value, str):
         raise CorruptDocumentError(f"{doc_path}: field {field!r} must be a decimal string")
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise CorruptDocumentError(
             f"{doc_path}: field {field!r} is not a parseable number: {value!r}"
         ) from None
+    if not math.isfinite(number):
+        raise CorruptDocumentError(f"{doc_path}: field {field!r} must be finite, got {value!r}")
+    return number
 
 
 def model_to_document(model: PerfModel, created_at: str | None = None) -> dict:
@@ -139,7 +143,7 @@ def read_model_file(path: str | Path) -> StoredModel:
         raise ModelNotFoundError(f"no model document at {path}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the digit limit
         raise CorruptDocumentError(f"{path}: invalid JSON: {exc}") from None
     return model_from_document(doc, source=str(path))
 
@@ -163,7 +167,7 @@ class ModelStore:
             return {}
         try:
             index = json.loads(self._index_path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past the digit limit
             raise CorruptDocumentError(
                 f"{self._index_path}: invalid JSON: {exc}"
             ) from None

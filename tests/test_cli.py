@@ -144,6 +144,28 @@ class TestPredict:
         code, _, err = run_cli("predict", "--model", str(path), "8x512")
         assert code == 5
 
+    @pytest.mark.parametrize("field,value", [("noise_slope", "nan"), ("base_s", "-inf")])
+    def test_non_finite_coefficient_exits_5_naming_the_field(
+        self, run_cli, model_file, field, value
+    ):
+        doc = json.loads(model_file.read_text())
+        section = "stat" if field in doc["stat"] else "parallel"
+        doc[section][field] = value
+        model_file.write_text(json.dumps(doc))
+        code, out, err = run_cli("recommend", "--model", str(model_file), *GRID_FLAGS,
+                                 "--objective", "knee")
+        assert (code, out) == (5, "")
+        assert err == f"error: {model_file}: field {field!r} must be finite, got {value!r}\n"
+
+    def test_integer_past_the_digit_limit_exits_5(self, run_cli, model_file):
+        text = model_file.read_text().replace('"dataset_size": 50000',
+                                              '"dataset_size": ' + "9" * 5000)
+        model_file.write_text(text)
+        code, out, err = run_cli("recommend", "--model", str(model_file), *GRID_FLAGS,
+                                 "--objective", "knee")
+        assert (code, out) == (5, "")
+        assert f"{model_file}: invalid JSON" in err and "Exceeds the limit" in err
+
     def test_out_file(self, run_cli, model_file, tmp_path):
         dest = tmp_path / "rows.json"
         code, out, _ = run_cli(
@@ -231,6 +253,14 @@ class TestSimulate:
         assert cfg == JobConfig(4, 64)
         # tau = 0.2 + 0.001*16 + 0.05*4 = 0.416 at zero jitter
         assert samples[0].iteration_time_s == pytest.approx(0.416, rel=1e-12)
+
+    def test_integer_past_the_digit_limit_exits_5(self, run_cli, tmp_path):
+        wl = tmp_path / "workload.json"
+        wl.write_text('{"name": "toy", "dataset_size": ' + "9" * 5000 + "}")
+        code, out, err = run_cli("simulate", "--workload", str(wl), "--config", "4x64",
+                                 "--out", str(tmp_path / "t"))
+        assert (code, out) == (5, "")
+        assert "<file>: invalid JSON in" in err and "Exceeds the limit" in err
 
     def test_unknown_preset_exits_2(self, run_cli, tmp_path):
         code, _, err = run_cli(
@@ -455,6 +485,19 @@ class TestCurves:
         for line in lines[1:]:
             assert line.split(",")[-1] in ("true", "false")
             assert line.split(",")[-2] in ("true", "false")
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--b-candidates", "99999999999999999998,4"], "b_candidates"),
+        (["--b-max", str(2**62 + 1)], "b_max"),
+        (["--k-max", str(2**62 + 1)], "k_max"),
+    ])
+    def test_bounds_past_int64_range_exit_2_naming_the_field(self, run_cli, model_file,
+                                                             flags, field):
+        for command in (["curves"], ["recommend", "--objective", "knee"]):
+            code, out, err = run_cli(*command, "--model", str(model_file),
+                                     *GRID_FLAGS, *flags)
+            assert (code, out) == (2, "")
+            assert f"error: {field} must" in err and "<= 2**62" in err
 
     def test_unpredictable_bounds_exit_5(self, run_cli, model_file):
         code, _, err = run_cli(
@@ -708,6 +751,12 @@ class TestSearch:
         assert code == 5
         assert out == ""
         assert err == f"error: {field}: is too large to be a float\n"
+
+    def test_bounds_past_int64_range_exit_5(self, run_cli, scenario_file):
+        bounds = {**scenario_doc()["bounds"], "b_candidates": [384, 2**62 + 2]}
+        code, out, err = run_cli("search", "--scenario", str(scenario_file(bounds=bounds)))
+        assert (code, out) == (5, "")
+        assert err == "error: bounds: b_candidates must all be <= 2**62\n"
 
     def test_integer_past_the_digit_limit_exits_5(self, run_cli, tmp_path):
         path = tmp_path / "scenario.json"

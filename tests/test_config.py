@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -133,8 +134,12 @@ class TestSearchBounds:
             k_min=k_min, k_max=k_min + k_span, b_min=b_min, b_max=b_min + b_span,
             k_step=k_step, b_candidates=None if b_candidates is None else tuple(b_candidates),
         )
-        assert bounds.valid_configs() == [
-            JobConfig(k, b) for k, b in bounds.grid() if b % k == 0
+        want = [JobConfig(k, b) for k, b in bounds.grid() if b % k == 0]
+        assert bounds.valid_configs() == want
+        workers, batch = bounds.columns()
+        assert workers.dtype == batch.dtype == np.int64
+        assert list(zip(workers.tolist(), batch.tolist())) == [
+            (c.workers, c.global_batch) for c in want
         ]
 
     def test_b_candidates_sorted_and_deduplicated(self):
@@ -156,3 +161,19 @@ class TestSearchBounds:
             SearchBounds(k_min=1, k_max=2, b_min=1, b_max=2, b_candidates=())
         with pytest.raises(ConfigurationError):
             SearchBounds(k_min=1, k_max=2, b_min=1, b_max=2, b_candidates=(0,))
+
+    @pytest.mark.parametrize("field", ["k_min", "k_max", "b_min", "b_max", "k_step"])
+    def test_bounds_past_int64_range_name_the_field(self, field):
+        args = dict(k_min=1, k_max=2, b_min=1, b_max=2**62)
+        args[field] = 2**62 + 1
+        with pytest.raises(ConfigurationError, match=f"^{field} must be <= 2\\*\\*62"):
+            SearchBounds(**args)
+        with pytest.raises(ConfigurationError, match="b_candidates must all be <= 2"):
+            SearchBounds(k_min=1, k_max=2, b_min=1, b_max=2, b_candidates=(4, 2**62 + 1))
+
+    def test_largest_bounds_enumerate_without_wrapping(self):
+        top = 2**62
+        bounds = SearchBounds(k_min=top - 2, k_max=top, b_min=top - 1, b_max=top)
+        workers, batch = bounds.columns()
+        assert list(zip(workers.tolist(), batch.tolist())) == [(top - 1, top - 1), (top, top)]
+        assert bounds.valid_configs() == [JobConfig(top - 1, top - 1), JobConfig(top, top)]

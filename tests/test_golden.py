@@ -41,6 +41,9 @@ RESNET_GRID_FLAGS = [
     "--k-min", "8", "--k-max", "20", "--k-step", "4",
     "--b-min", "1", "--b-max", "2048", "--b-candidates", "384,512,768,1024",
 ]
+# A dense batch range with b_min not a multiple of most worker counts, so the
+# range enumeration (not --b-candidates) produces the grid.
+DENSE_GRID_FLAGS = ["--k-min", "1", "--k-max", "6", "--b-min", "3", "--b-max", "96"]
 TRACE_CONFIGS = [(8, 384), (8, 1024), (16, 384), (16, 1024), (12, 768)]
 TRACES = [f"traces/trace_K{k}_B{b}.jsonl" for k, b in TRACE_CONFIGS]
 # Copies of TRACES[0] and TRACES[3] with zero-aggregate rows and blank lines.
@@ -199,6 +202,21 @@ CASES: list[tuple[str, list[str]]] = [
                                 "--objective", "deadline", "--deadline", "100"]),
     ("recommend-partial", ["recommend", "--model", "partly.json", *GRID_FLAGS,
                            "--objective", "knee"]),
+    ("curves-dense-csv", ["curves", "--model", "resnet.json", *DENSE_GRID_FLAGS,
+                          "--format", "csv"]),
+    ("curves-dense-json", ["curves", "--model", "resnet.json", *DENSE_GRID_FLAGS]),
+    # All three skip reasons: iteration time at K=6, epochs at B 944-1023,
+    # noise from B=1024 on.
+    ("curves-dense-partial", ["curves", "--model", "partly.json", *DENSE_GRID_FLAGS[:-1],
+                              "1100", "--format", "csv"]),
+    ("recommend-dense-knee", ["recommend", "--model", "resnet.json", *DENSE_GRID_FLAGS,
+                              "--objective", "knee"]),
+    ("recommend-dense-min-cost-time", ["recommend", "--model", "resnet.json",
+                                       *DENSE_GRID_FLAGS, "--objective", "min-cost-time",
+                                       "--price-vcpu", "0.03", "--price-gb", "0.004"]),
+    ("recommend-dense-nearest-miss", ["recommend", "--model", "resnet.json",
+                                      *DENSE_GRID_FLAGS, "--budget", "1", "--deadline",
+                                      "50000", "--objective", "budget"]),
     ("search-full", ["search", "--scenario", "scenario_full.json"]),
     ("search-partial", ["search", "--scenario", "scenario_partial.json"]),
     ("search-partial-csv", ["search", "--scenario", "scenario_partial.json",
@@ -352,6 +370,42 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
         0,
         "70e6cc0c0c8afb3a82641aeec0cbffe78584a3b46f64afb3ba4da54d0ff27b9a",
         "c9e98ee79af083b900adcb989c22e69407222fdb84c7d7ea625cd4b0a8cf0942",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "curves-dense-csv": (
+        0,
+        "15980a227c948f690497b85e95dd2c9e0c915a9e9ed34d152423a558c59eec48",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "curves-dense-json": (
+        0,
+        "c5ce67ac5401146de0b5c28dba2c9e2af3c5c19954eb2cd80d18e32b9552db27",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "curves-dense-partial": (
+        0,
+        "c8a4bb02e1807b47c8787db18232bfc5555987d76921b9712b6d93eb42805f25",
+        "56d3efb4b743cc33c04efe315a535b1470f0f5afad8344e381cb36a78ec66e01",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "recommend-dense-knee": (
+        0,
+        "53ed102df7ddd49dd4441a909648581332ee25bff83eed0f8f5d4243423474a0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "recommend-dense-min-cost-time": (
+        0,
+        "950bb30e6167776ebf2528cc61ed07d3d0e04ecd1674f674d0c3c69fd932120a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "recommend-dense-nearest-miss": (
+        3,
+        "60121a0960e7aaa502f24467ad879eaf041fe9f518661782dbb4988415fada82",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-full": (

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape
@@ -21,6 +21,7 @@ from scalefit.perfmodel import (
     fit_noise_curve,
     fit_noise_vs_batch,
     predict,
+    predict_columns,
     predict_grid,
 )
 
@@ -244,6 +245,24 @@ pricings = st.one_of(
 )
 
 
+# Coefficients up to +-1e300 overflow products to +-inf, and opposite
+# infinities in the iteration time make NaN rows; moderate positive ones
+# keep part of each grid in domain.
+extreme = st.floats(-1e300, 1e300) | st.floats(1e-3, 1e3)
+extreme_models = st.builds(
+    PerfModel,
+    stat=st.builds(StatFit, extreme, extreme, extreme, extreme),
+    parallel=st.builds(ParallelFit, extreme, extreme, extreme),
+    dataset_size=st.integers(1, 10**15),
+    fingerprint=st.just("hyp"),
+    provenance=st.just("full_search"),
+)
+extreme_pricings = st.one_of(
+    st.builds(PricingModel.flat, st.floats(0.0, 1e300)),
+    st.builds(PricingModel.per_resource, st.floats(0.0, 1e300), st.floats(0.0, 1e300)),
+)
+
+
 class TestPredictGrid:
     @settings(max_examples=200)
     @given(
@@ -271,6 +290,49 @@ class TestPredictGrid:
             (p.total_time_s.hex(), p.cost_usd.hex()) for p in want_predictions
         ]
         assert skipped == want_skipped
+
+    @settings(max_examples=300)
+    @given(
+        model=extreme_models,
+        pricing=extreme_pricings,
+        shape=st.builds(VMShape, st.integers(1, 64), st.floats(0.5, 1e300)),
+        pairs=st.lists(
+            st.tuples(st.integers(1, 2**20), st.integers(1, 2**28)), min_size=1, max_size=30
+        ),
+    )
+    # per_sample_s * mini_batch overflows to +inf and per_worker_s * K to -inf,
+    # so the iteration time is inf - inf = NaN.
+    @example(
+        model=PerfModel(StatFit(0.0, 1.0, 1.0, 0.0), ParallelFit(0.0, 1e300, -1e300),
+                        1, "hyp", "full_search"),
+        pricing=PricingModel.flat(1.0),
+        shape=VMShape(4, 16.0),
+        pairs=[(2**20, 2**28), (1, 1)],
+    )
+    def test_columns_match_scalar_predict_at_extreme_coefficients(
+        self, model, pricing, shape, pairs
+    ):
+        workers = np.array([k for k, _ in pairs], dtype=np.int64)
+        batch = np.array([k * m for k, m in pairs], dtype=np.int64)
+        grid = predict_columns(model, workers, batch, pricing, shape)
+        rows, want, want_skipped = [], [], []
+        for i, (k, m) in enumerate(pairs):
+            config = JobConfig(k, k * m)
+            try:
+                want.append(predict(model, config, pricing, shape))
+                rows.append(i)
+            except ModelOutOfDomainError as exc:
+                want_skipped.append((config, str(exc)))
+        assert grid.rows.tolist() == rows
+        assert grid.skipped == want_skipped
+        got = zip(
+            grid.normalized_noise.tolist(), grid.epochs.tolist(), grid.iterations.tolist(),
+            grid.iteration_time_s.tolist(), grid.points.time_s.tolist(),
+            grid.points.cost_usd.tolist(),
+        )
+        assert [tuple(v.hex() for v in row) for row in got] == [_bits(p) for p in want]
+        assert grid.points.workers.tolist() == [pairs[i][0] for i in rows]
+        assert grid.points.global_batch.tolist() == [batch[i] for i in rows]
 
     def test_fully_in_domain_model_skips_nothing(self, make_model):
         configs = GRID.valid_configs()

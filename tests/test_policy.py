@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import all_pairs_frontier, batched_points, scalar_kneedle
 from scalefit.errors import ConfigurationError, EmptyInputError
-from scalefit.policy import Constraints, Objective, Recommendation, select
+from scalefit.policy import OBJECTIVE_KINDS, Constraints, Objective, Recommendation, select
 from scalefit.tradeoff import TradeoffCurve, kneedle_knee, min_cost_time, pareto_frontier
 
 
@@ -91,6 +94,12 @@ class TestConstraints:
         with pytest.raises(ConfigurationError, match="budget_usd must be finite and > 0"):
             Constraints(budget_usd=-1.0)
         assert Constraints(deadline_s=1e300, budget_usd=10**400).budget_usd == 10**400
+
+    def test_cap_past_the_float_range_caps_nothing(self, point):
+        pts = [point(100, 10), point(200, 5)]
+        rec = select(pts, Objective.knee_point(), Constraints(budget_usd=10**400))
+        assert rec == select(pts, Objective.knee_point())
+        assert rec.feasible_count == 2
 
     def test_caps_combine_to_tightest(self, point):
         pts = [point(100, 10), point(200, 5), point(400, 4)]
@@ -182,3 +191,65 @@ class TestBruteForceEquivalence:
                 else:
                     assert rec.feasible
                     assert rec.chosen == expected
+
+
+def reference_select(points, objective, constraints):
+    """(chosen, feasible count, nearest miss) by filtering and ranking every point."""
+    t_caps = [v for v in (objective.deadline_s, constraints.deadline_s) if v is not None]
+    c_caps = [v for v in (objective.budget_usd, constraints.budget_usd) if v is not None]
+    t_cap = min(t_caps) if t_caps else None
+    c_cap = min(c_caps) if c_caps else None
+    feasible = [
+        p for p in points
+        if (t_cap is None or p.time_s <= t_cap) and (c_cap is None or p.cost_usd <= c_cap)
+    ]
+    tail = lambda p: (p.config.workers, p.config.global_batch)
+    if not feasible:
+        def violation(p):
+            v = 0.0
+            if t_cap is not None and p.time_s > t_cap:
+                v += p.time_s - t_cap
+            if c_cap is not None and p.cost_usd > c_cap:
+                v += p.cost_usd - c_cap
+            return v
+
+        nearest = min(points, key=lambda p: (violation(p), p.cost_usd, p.time_s, *tail(p)))
+        return None, 0, nearest
+    if objective.kind == "knee_point":
+        chosen, _ = scalar_kneedle(TradeoffCurve.build(all_pairs_frontier(feasible)))
+    else:
+        key = {
+            "deadline": lambda p: (p.cost_usd, p.time_s, *tail(p)),
+            "budget": lambda p: (p.time_s, p.cost_usd, *tail(p)),
+            "min_cost_time": lambda p: (p.time_s * p.cost_usd, p.cost_usd, p.time_s, *tail(p)),
+        }[objective.kind]
+        chosen = min(feasible, key=key)
+    return chosen, len(feasible), None
+
+
+# Caps on the points' own fixed values make ties with a cap common; caps
+# below every point make equal total violations common.
+caps = st.none() | st.sampled_from([0.25, 1.0, 2.0, 3.0]) | st.floats(0.5, 120.0)
+
+
+class TestSelectMatchesBruteForce:
+    @given(
+        pts=batched_points,
+        kind=st.sampled_from(OBJECTIVE_KINDS),
+        objective_caps=st.tuples(caps, caps),
+        constraint_caps=st.tuples(caps, caps),
+    )
+    def test_every_objective_and_the_nearest_miss(self, pts, kind, objective_caps,
+                                                  constraint_caps):
+        deadline, budget = objective_caps
+        if kind == "deadline" and deadline is None:
+            deadline = 2.0
+        if kind == "budget" and budget is None:
+            budget = 2.0
+        objective = Objective(kind, deadline_s=deadline, budget_usd=budget)
+        constraints = Constraints(*constraint_caps)
+        rec = select(pts, objective, constraints)
+        chosen, count, nearest = reference_select(pts, objective, constraints)
+        assert rec.chosen is chosen
+        assert rec.nearest_miss is nearest
+        assert (rec.feasible, rec.feasible_count) == (chosen is not None, count)

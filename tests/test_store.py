@@ -148,6 +148,19 @@ class TestValidation:
         store.save(make_model(fingerprint="fine"))
         assert store.load("fine").model.fingerprint == "fine"
 
+
+    def test_integer_past_the_digit_limit(self, tmp_path, make_model):
+        store = ModelStore(tmp_path)
+        path = store.save(make_model(fingerprint="huge"))
+        path.write_text(path.read_text().replace('"dataset_size": 50000',
+                                                 '"dataset_size": ' + "9" * 5000))
+        with pytest.raises(CorruptDocumentError, match="invalid JSON.*Exceeds the limit"):
+            store.load("huge")
+        index = store.root / "index.json"
+        index.write_text('{"huge": ' + "9" * 5000 + "}")
+        with pytest.raises(CorruptDocumentError, match="index.json: invalid JSON"):
+            store.fingerprints()
+
     def test_schema_and_field_errors(self, make_model):
         good = model_to_document(make_model(), created_at="t")
         bad = dict(good, schema_version=99)
@@ -163,6 +176,10 @@ class TestValidation:
         unparseable = dict(good, stat=dict(good["stat"], noise_slope="forty-eight"))
         with pytest.raises(CorruptDocumentError, match="not a parseable number"):
             model_from_document(unparseable)
+        for value in ("nan", "inf", "-Infinity"):
+            non_finite = dict(good, parallel=dict(good["parallel"], per_worker_s=value))
+            with pytest.raises(CorruptDocumentError, match="'per_worker_s' must be finite"):
+                model_from_document(non_finite)
         bad_prov = dict(good, provenance="hearsay")
         with pytest.raises(CorruptDocumentError, match="provenance"):
             model_from_document(bad_prov)

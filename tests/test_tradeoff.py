@@ -4,18 +4,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import all_pairs_frontier, batched_points, scalar_kneedle
 from scalefit.config import JobConfig
 from scalefit.errors import ConfigurationError, EmptyInputError
 from scalefit.policy import Objective, select
 from scalefit.tradeoff import (
+    FALLBACK,
+    KNEEDLE,
+    PointColumns,
     TradeoffCurve,
     TradeoffPoint,
+    knee_rows,
     kneedle_knee,
     min_cost_time,
     pareto_frontier,
+    pareto_rows,
 )
 
 
@@ -91,24 +97,6 @@ class TestPareto:
             pareto_frontier([])
 
 
-def all_pairs_frontier(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
-    """Reference frontier: test every point against every other point."""
-    frontier = [
-        p
-        for p in points
-        if not any(
-            q.time_s <= p.time_s
-            and q.cost_usd <= p.cost_usd
-            and (q.time_s < p.time_s or q.cost_usd < p.cost_usd)
-            for q in points
-        )
-    ]
-    return sorted(
-        frontier,
-        key=lambda p: (p.time_s, p.cost_usd, p.config.workers, p.config.global_batch),
-    )
-
-
 # A few small values per axis, so equal times, equal costs and exact
 # duplicate points are common.
 tied_points = st.lists(
@@ -125,11 +113,11 @@ tied_points = st.lists(
 
 
 class TestParetoMatchesAllPairs:
-    @given(tied_points)
+    @given(tied_points | batched_points)
     def test_same_points_in_same_order(self, pts):
-        assert [id(p) for p in pareto_frontier(pts)] == [
-            id(p) for p in all_pairs_frontier(pts)
-        ]
+        want = [id(p) for p in all_pairs_frontier(pts)]
+        assert [id(p) for p in pareto_frontier(pts)] == want
+        assert [id(pts[i]) for i in pareto_rows(PointColumns.of(pts)).tolist()] == want
 
     @given(tied_points)
     def test_knee_select_picks_the_knee_of_the_reference_frontier(self, pts):
@@ -150,6 +138,26 @@ class TestMinCostTime:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             min_cost_time([])
+
+
+class TestColumnKnees:
+    @given(batched_points)
+    # Equal cost-time products on a two-point curve: the fallback takes the faster.
+    @example([TradeoffPoint(JobConfig(1, 12), 1.0, 2.0), TradeoffPoint(JobConfig(2, 12), 2.0, 1.0)])
+    def test_per_batch_knees_match_the_scalar_reference(self, pts):
+        cols = PointColumns.of(pts)
+        rows, kneedle = knee_rows(cols, cols.global_batch)
+        got = [(id(pts[r]), KNEEDLE if k else FALLBACK)
+               for r, k in zip(rows.tolist(), kneedle.tolist())]
+        want = []
+        for b in sorted({p.config.global_batch for p in pts}):
+            curve = TradeoffCurve.build([p for p in pts if p.config.global_batch == b])
+            point, method = scalar_kneedle(curve)
+            result = kneedle_knee(curve)
+            assert (result.point, result.method) == (point, method)
+            assert result.point is point
+            want.append((id(point), method))
+        assert got == want
 
 
 def convex_decreasing_curve(rng, n, point):
@@ -179,6 +187,10 @@ class TestKneedle:
         result = kneedle_knee(TradeoffCurve.build(pts))
         assert result.method == "fallback_min_cost_time"
         assert result.point.time_s == 2
+
+    def test_empty_curve_rejected(self):
+        with pytest.raises(EmptyInputError):
+            kneedle_knee(TradeoffCurve(points=()))
 
     def test_flat_cost_falls_back(self, point):
         pts = [point(1, 4), point(2, 4), point(3, 4)]
