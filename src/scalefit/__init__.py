@@ -12,7 +12,7 @@ imports from its module, e.g. ``from scalefit.search import partial_search``.
 
 from .config import JobConfig, PricingModel, SearchBounds, VMShape
 from .errors import ScalefitError
-from .perfmodel import predict, predict_grid
+from .perfmodel import predict
 from .policy import Objective, select
 from .store import read_model_file
 from .tradeoff import TradeoffPoint
@@ -28,7 +28,6 @@ __all__ = [
     "TradeoffPoint",
     "VMShape",
     "predict",
-    "predict_grid",
     "read_model_file",
     "select",
 ]

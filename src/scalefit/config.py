@@ -56,8 +56,8 @@ class VMShape:
     def __post_init__(self) -> None:
         if self.vcpus < 1:
             raise ConfigurationError(f"vcpus must be >= 1, got {self.vcpus}")
-        if self.memory_gb <= 0:
-            raise ConfigurationError(f"memory_gb must be > 0, got {self.memory_gb}")
+        if not 0 < self.memory_gb < math.inf:
+            raise ConfigurationError(f"memory_gb must be finite and > 0, got {self.memory_gb}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ exactly and three non-collinear points reproduce a plane exactly.
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -29,7 +30,7 @@ from .config import (
     vm_hourly_price,
 )
 from .errors import DegenerateFitError, ModelOutOfDomainError
-from .tradeoff import PointColumns, TradeoffPoint
+from .tradeoff import PointColumns
 
 PROVENANCES = ("full_search", "partial_search", "reused", "universal", "ground_truth")
 
@@ -89,20 +90,17 @@ class PerfModel:
             raise ModelOutOfDomainError(
                 f"dataset_size must be >= 1, got {self.dataset_size}"
             )
+        if self.dataset_size > sys.float_info.max:
+            raise ModelOutOfDomainError("dataset_size is too large to be a float")
         if self.provenance not in PROVENANCES:
             raise ModelOutOfDomainError(
                 f"provenance must be one of {PROVENANCES}, got {self.provenance!r}"
             )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Prediction:
-    """Full prediction chain output for one configuration.
-
-    Slotted: grid prediction keeps one per configuration alive, and a
-    per-instance dict would spread the tradeoff points it builds beside
-    them across memory, slowing the all-pairs Pareto scan over them.
-    """
+    """Full prediction chain output for one configuration."""
 
     normalized_noise: float
     epochs: float
@@ -320,18 +318,55 @@ def predict(
 class GridPrediction:
     """:func:`predict` over many configurations, as columns.
 
-    ``rows`` holds the input positions of the in-domain configurations; every
-    other column is aligned with it.  ``skipped`` lists (config, reason) for
-    the rest, in input order, with :func:`predict`'s message.
+    Every column holds the in-domain configurations, in input order.
+    ``skipped`` lists (config, reason) for the rest, in input order, with
+    :func:`predict`'s message.
     """
 
-    rows: np.ndarray
     points: PointColumns
     normalized_noise: np.ndarray
     epochs: np.ndarray
     iterations: np.ndarray
     iteration_time_s: np.ndarray
     skipped: list[tuple[JobConfig, str]]
+
+
+def chain_columns(
+    model: PerfModel,
+    workers: Sequence[int] | np.ndarray,
+    global_batch: Sequence[int] | np.ndarray,
+    noise: Sequence[float] | np.ndarray,
+    tau: Sequence[float] | np.ndarray,
+    pricing: PricingModel,
+    shape: VMShape,
+) -> tuple[GridPrediction, np.ndarray]:
+    """The chain from given noise and iteration-time columns: epochs -> iterations -> time -> cost.
+
+    The one copy of :func:`predict`'s arithmetic past noise and tau, in its
+    order of IEEE operations, on columns taken as int64 and float64 arrays.
+    Returns the in-domain rows, with no ``skipped`` entries, and the mask of
+    the rows outside :func:`predict`'s domain.
+    """
+    workers, global_batch = np.asarray(workers, np.int64), np.asarray(global_batch, np.int64)
+    noise, tau = np.asarray(noise, float), np.asarray(tau, float)
+    stat = model.stat
+    with np.errstate(all="ignore"):
+        epochs = stat.epochs_base + stat.epochs_slope * noise
+        iterations = epochs * float(model.dataset_size) / global_batch
+        total = iterations * tau
+        cost = total / 3600.0 * (workers * vm_hourly_price(pricing, shape))
+        # NaN passes the ``<= 0`` tests, as in predict, and fails at the total.
+        bad = (noise <= 0) | (epochs <= 0) | (tau <= 0)
+        bad |= ~(np.isfinite(total) & (total > 0)) | ~np.isfinite(cost)
+    ok = ~bad
+    return GridPrediction(
+        points=PointColumns(workers[ok], global_batch[ok], total[ok], cost[ok]),
+        normalized_noise=noise[ok],
+        epochs=epochs[ok],
+        iterations=iterations[ok],
+        iteration_time_s=tau[ok],
+        skipped=[],
+    ), bad
 
 
 def predict_columns(
@@ -353,67 +388,14 @@ def predict_columns(
     x = np.array([b**-0.5 for b in distinct.tolist()], dtype=float)[inverse]
     with np.errstate(all="ignore"):
         noise = stat.noise_slope * x + stat.noise_intercept
-        epochs = stat.epochs_base + stat.epochs_slope * noise
-        iterations = epochs * float(model.dataset_size) / global_batch
         tau = (par.base_s + par.per_sample_s * (global_batch // workers)) + (
             par.per_worker_s * workers
         )
-        total = iterations * tau
-        cost = total / 3600.0 * (workers * vm_hourly_price(pricing, shape))
-        # NaN passes the ``<= 0`` tests, as in predict, and fails at the total.
-        bad = (noise <= 0) | (epochs <= 0) | (tau <= 0)
-        bad |= ~(np.isfinite(total) & (total > 0)) | ~np.isfinite(cost)
-    skipped = []
+    grid, bad = chain_columns(model, workers, global_batch, noise, tau, pricing, shape)
     for i in np.flatnonzero(bad).tolist():
         config = JobConfig(int(workers[i]), int(global_batch[i]))
         try:
             predict(model, config, pricing, shape)
         except ModelOutOfDomainError as exc:
-            skipped.append((config, str(exc)))
-    ok = ~bad
-    return GridPrediction(
-        rows=np.flatnonzero(ok),
-        points=PointColumns(workers[ok], global_batch[ok], total[ok], cost[ok]),
-        normalized_noise=noise[ok],
-        epochs=epochs[ok],
-        iterations=iterations[ok],
-        iteration_time_s=tau[ok],
-        skipped=skipped,
-    )
-
-
-def predict_grid(
-    model: PerfModel,
-    configs: Sequence[JobConfig],
-    pricing: PricingModel,
-    shape: VMShape,
-) -> tuple[list[TradeoffPoint], list[Prediction], list[tuple[JobConfig, str]]]:
-    """:func:`predict_columns` over a list of configurations.
-
-    Returns:
-        (points, predictions, skipped): the in-domain configurations'
-        tradeoff points and predictions, both in input order, and
-        (config, reason) for each configuration outside the model's domain.
-    """
-    grid = predict_columns(
-        model,
-        np.array([c.workers for c in configs], dtype=np.int64),
-        np.array([c.global_batch for c in configs], dtype=np.int64),
-        pricing,
-        shape,
-    )
-    columns = zip(
-        grid.rows.tolist(),
-        grid.normalized_noise.tolist(),
-        grid.epochs.tolist(),
-        grid.iterations.tolist(),
-        grid.iteration_time_s.tolist(),
-        grid.points.time_s.tolist(),
-        grid.points.cost_usd.tolist(),
-    )
-    points: list[TradeoffPoint] = []
-    predictions: list[Prediction] = []
-    for row, noise, epochs, iterations, tau, total, cost in columns:
-        points.append(TradeoffPoint(configs[row], total, cost))
-        predictions.append(Prediction(noise, epochs, iterations, tau, total, cost))
-    return points, predictions, grid.skipped
+            grid.skipped.append((config, str(exc)))
+    return grid

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -50,16 +51,17 @@ from .noise import EwmaConfig, NoiseTracker, normalized_noises
 from .perfmodel import (
     PerfModel,
     StatFit,
+    chain_columns,
     fit_epochs_vs_noise,
     fit_iteration_time_best_effort,
     fit_noise_curve,
     fit_noise_vs_batch,
-    predict_grid,
+    predict_columns,
 )
-from .policy import Constraints, Objective, Recommendation, select
+from .policy import Constraints, Objective, Recommendation, select_rows
 from .simulator import SimEnvironment, SimWorkload
 from .store import ModelStore
-from .tradeoff import TradeoffCurve, TradeoffPoint, kneedle_knee, min_cost_time
+from .tradeoff import PointColumns, TradeoffCurve, TradeoffPoint, kneedle_knee, min_cost_time
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -258,40 +260,21 @@ def _epoch_anchor_fit(
     return fit_epochs_vs_noise([(gamma_lo, e_lo), (gamma_hi, e_hi)])
 
 
-def _measured_point(
-    stat: StatFit,
-    dataset_size: int,
-    config: JobConfig,
-    noise: float,
-    tau: float,
-    pricing: PricingModel,
-    shape: VMShape,
-) -> TradeoffPoint | None:
-    """The prediction chain on a given noise and a measured iteration time.
-
-    ``None`` when the noise, the epochs it implies, or ``tau`` is not positive.
-    """
-    epochs = stat.predicted_epochs(noise)
-    if noise <= 0 or epochs <= 0 or tau <= 0:
-        return None
-    total = epochs * dataset_size / config.global_batch * tau
-    return TradeoffPoint(config, total, run_cost_usd(pricing, shape, config.workers, total))
-
-
 def _selected_outcome(
     mode: str,
     model: PerfModel,
     explored: list[Exploration],
-    points: list[TradeoffPoint],
+    cols: PointColumns,
     objective: Objective,
     constraints: Constraints | None,
     pricing: PricingModel,
     shape: VMShape,
 ) -> SearchOutcome:
     """Select from the predicted points and account the exploration ledger."""
-    if not points:
+    if not len(cols):
         raise SearchFailedError("no configuration produced a usable prediction")
-    rec = select(points, objective, constraints)
+    points = cols.points()
+    rec = select_rows(cols, objective, constraints).recommendation(points.__getitem__)
     overhead_t, overhead_c = _overheads(explored, pricing, shape)
     return SearchOutcome(
         mode=mode,
@@ -342,25 +325,18 @@ def full_search(
         explored.append(record)
         measured[(k, b)] = (mean_noise, mean_tau)
 
-    stat = _stat_from_measurements(env.workload, measured)
-    parallel = fit_iteration_time_best_effort(
-        [((k, b / k), tau) for (k, b), (_, tau) in sorted(measured.items())]
-    )
+    rows = [(k, b, noise, tau) for (k, b), (noise, tau) in sorted(measured.items())]
     model = PerfModel(
-        stat=stat,
-        parallel=parallel,
+        stat=_stat_from_measurements(env.workload, measured),
+        parallel=fit_iteration_time_best_effort([((k, b / k), tau) for k, b, _, tau in rows]),
         dataset_size=env.workload.dataset_size,
         fingerprint=env.workload.name,
         provenance="full_search",
     )
-
-    chained = (
-        _measured_point(stat, model.dataset_size, JobConfig(k, b), noise, tau, pricing, shape)
-        for (k, b), (noise, tau) in sorted(measured.items())
-    )
-    points = [p for p in chained if p is not None]
+    # Measured noise and iteration time; rows outside the model's domain drop.
+    grid, _ = chain_columns(model, *zip(*rows), pricing, shape)
     return _selected_outcome(
-        "full", model, explored, points, objective, constraints, pricing, shape
+        "full", model, explored, grid.points, objective, constraints, pricing, shape
     )
 
 
@@ -399,10 +375,10 @@ def partial_search(
     """
     pricing = pricing if pricing is not None else env.cluster.pricing
     shape = shape if shape is not None else env.cluster.shape
-    candidates = bounds.valid_configs()
-    if not candidates:
+    workers, batch = bounds.columns()
+    valid = list(zip(workers.tolist(), batch.tolist()))
+    if not valid:
         raise SearchFailedError("bounds contain no valid (workers, batch) pair")
-    valid = [(c.workers, c.global_batch) for c in candidates]
     if len({b for _, b in valid}) < 2:
         raise SearchFailedError("partial search needs at least 2 distinct batch sizes")
     if len({k for k, _ in valid}) < 2:
@@ -423,9 +399,9 @@ def partial_search(
         fingerprint=env.workload.name,
         provenance="partial_search",
     )
-    points, _, _ = predict_grid(model, candidates, pricing, shape)
+    grid = predict_columns(model, workers, batch, pricing, shape)
     return _selected_outcome(
-        "partial", model, explored, points, objective, constraints, pricing, shape
+        "partial", model, explored, grid.points, objective, constraints, pricing, shape
     )
 
 
@@ -467,46 +443,41 @@ def online_scaling_search(
     """
     pricing = pricing if pricing is not None else env.cluster.pricing
     shape = shape if shape is not None else env.cluster.shape
-    candidates = bounds.valid_configs()
-    if not candidates:
+    workers, batch = bounds.columns()
+    valid = list(zip(workers.tolist(), batch.tolist()))
+    if not valid:
         raise SearchFailedError("bounds contain no valid (workers, batch) pair")
-    valid = [(c.workers, c.global_batch) for c in candidates]
     if len({b for _, b in valid}) < 2:
         raise SearchFailedError("scaling search needs at least 2 distinct batch sizes")
 
     session = _Session(env, params)
     explored, stat = session.fit_anchors(valid)
-    timing = []
-    all_points: list[TradeoffPoint] = []
-    knees: list[TradeoffPoint] = []
-    dataset = env.workload.dataset_size
+    sampled = []
     for b, ks in _sampled_configs(valid, params.sampling).items():
-        batch_points = []
         for k in ks:
-            config = JobConfig(k, b)
-            record, _, mean_tau = session.run_profile(config)
+            record, _, mean_tau = session.run_profile(JobConfig(k, b))
             explored.append(record)
-            timing.append(((k, float(mini_batch(config))), mean_tau))
-            point = _measured_point(
-                stat, dataset, config, stat.predicted_noise(b), mean_tau, pricing, shape
-            )
-            if point is not None:
-                batch_points.append(point)
-        if not batch_points:
-            continue
-        all_points.extend(batch_points)
-        knees.append(kneedle_knee(TradeoffCurve.build(batch_points)).point)
-    if not knees:
-        raise SearchFailedError("every sampled batch size was skipped")
-    best = min_cost_time(knees)
+            sampled.append((k, b, stat.predicted_noise(b), mean_tau))
 
     model = PerfModel(
         stat=stat,
-        parallel=fit_iteration_time_best_effort(timing),
-        dataset_size=dataset,
+        parallel=fit_iteration_time_best_effort(
+            [((k, float(b // k)), tau) for k, b, _, tau in sampled]
+        ),
+        dataset_size=env.workload.dataset_size,
         fingerprint=env.workload.name,
         provenance="partial_search",
     )
+    # Predicted noise and measured iteration time; rows outside the model's domain drop.
+    grid, _ = chain_columns(model, *zip(*sampled), pricing, shape)
+    all_points = grid.points.points()
+    knees = [
+        kneedle_knee(TradeoffCurve.build(list(batch_points))).point
+        for _, batch_points in groupby(all_points, key=lambda p: p.config.global_batch)
+    ]
+    if not knees:
+        raise SearchFailedError("every sampled batch size was skipped")
+    best = min_cost_time(knees)
     overhead_t, overhead_c = _overheads(explored, pricing, shape)
     return SearchOutcome(
         mode="scaling",
@@ -561,9 +532,9 @@ def run_search(scenario: Scenario) -> SearchOutcome:
             dataset_size=scenario.workload.dataset_size,
             allow_universal=scenario.allow_universal,
         )
-        points, _, _ = predict_grid(model, scenario.bounds.valid_configs(), pricing, shape)
+        grid = predict_columns(model, *scenario.bounds.columns(), pricing, shape)
         return _selected_outcome(
-            "none", model, [], points, scenario.objective, scenario.constraints,
+            "none", model, [], grid.points, scenario.objective, scenario.constraints,
             pricing, shape,
         )
     env = SimEnvironment(scenario.workload, scenario.cluster)

@@ -10,6 +10,7 @@ and the per-worker squared norms carry the target mean.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,9 +24,9 @@ from .config import (
 )
 from .errors import ConfigurationError, ModelOutOfDomainError
 from .noise import SampleBatch
-from .perfmodel import ParallelFit, PerfModel, Prediction, StatFit, predict, predict_grid
-from .policy import Constraints, Objective, Recommendation, select
-from .tradeoff import TradeoffPoint
+from .perfmodel import ParallelFit, PerfModel, Prediction, StatFit, predict, predict_columns
+from .policy import Constraints, Objective, Recommendation, select_rows
+from .tradeoff import PointColumns, TradeoffPoint
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,12 @@ class SimWorkload:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dataset_size < 1:
-            raise ConfigurationError("dataset_size must be >= 1")
-        if self.ramp_iters < 1:
-            raise ConfigurationError("ramp_iters must be >= 1")
-        if self.jitter < 0:
-            raise ConfigurationError("jitter must be >= 0")
+        if not 1 <= self.dataset_size <= sys.float_info.max:
+            raise ConfigurationError("dataset_size must be >= 1 and fit in a float")
+        if not 1 <= self.ramp_iters < math.inf:
+            raise ConfigurationError(f"ramp_iters must be finite and >= 1, got {self.ramp_iters}")
+        if not 0 <= self.jitter < math.inf:
+            raise ConfigurationError(f"jitter must be finite and >= 0, got {self.jitter}")
         if self.grad_dim < 2:
             raise ConfigurationError("grad_dim must be >= 2")
 
@@ -99,8 +100,10 @@ class SimCluster:
     restore_overhead_s: float = 37.0
 
     def __post_init__(self) -> None:
-        if self.restore_overhead_s < 0:
-            raise ConfigurationError("restore_overhead_s must be >= 0")
+        if not 0 <= self.restore_overhead_s < math.inf:
+            raise ConfigurationError(
+                f"restore_overhead_s must be finite and >= 0, got {self.restore_overhead_s}"
+            )
 
 
 class SimEnvironment:
@@ -176,6 +179,17 @@ def ground_truth(
     return predict(workload.to_perf_model(), config, cluster.pricing, cluster.shape)
 
 
+def _truth_columns(
+    workload: SimWorkload, cluster: SimCluster, bounds: SearchBounds
+) -> PointColumns:
+    grid = predict_columns(
+        workload.to_perf_model(), *bounds.columns(), cluster.pricing, cluster.shape
+    )
+    if grid.skipped:
+        raise ModelOutOfDomainError(grid.skipped[0][1])
+    return grid.points
+
+
 def ground_truth_points(
     workload: SimWorkload, cluster: SimCluster, bounds: SearchBounds
 ) -> list[TradeoffPoint]:
@@ -184,12 +198,7 @@ def ground_truth_points(
     Raises ModelOutOfDomainError for the first configuration the true
     coefficients cannot evaluate.
     """
-    points, _, skipped = predict_grid(
-        workload.to_perf_model(), bounds.valid_configs(), cluster.pricing, cluster.shape
-    )
-    if skipped:
-        raise ModelOutOfDomainError(skipped[0][1])
-    return points
+    return _truth_columns(workload, cluster, bounds).points()
 
 
 def oracle_best(
@@ -200,7 +209,8 @@ def oracle_best(
     constraints: Constraints | None = None,
 ) -> Recommendation:
     """Brute-force selection over ground-truth points."""
-    return select(ground_truth_points(workload, cluster, bounds), objective, constraints)
+    cols = _truth_columns(workload, cluster, bounds)
+    return select_rows(cols, objective, constraints).recommendation(cols.point)
 
 
 @dataclass(frozen=True)

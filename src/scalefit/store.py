@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import CorruptDocumentError, ModelNotFoundError
+from .errors import CorruptDocumentError, ModelNotFoundError, ModelOutOfDomainError
 from .perfmodel import PROVENANCES, ParallelFit, PerfModel, StatFit
 
 SCHEMA_VERSION = 1
@@ -113,13 +113,16 @@ def model_from_document(doc: dict, source: str = "<document>") -> StoredModel:
     parallel = ParallelFit(
         **{f: _parse_num(source, f, par_doc[f]) for f in _PARALLEL_FIELDS}
     )
-    model = PerfModel(
-        stat=stat,
-        parallel=parallel,
-        dataset_size=doc["dataset_size"],
-        fingerprint=doc["fingerprint"],
-        provenance=doc["provenance"],
-    )
+    try:
+        model = PerfModel(
+            stat=stat,
+            parallel=parallel,
+            dataset_size=doc["dataset_size"],
+            fingerprint=doc["fingerprint"],
+            provenance=doc["provenance"],
+        )
+    except ModelOutOfDomainError as exc:
+        raise CorruptDocumentError(f"{source}: {exc}") from None
     return StoredModel(model=model, created_at=doc["created_at"])
 
 

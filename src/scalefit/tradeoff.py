@@ -70,6 +70,10 @@ class PointColumns:
         config = JobConfig(int(self.workers[row]), int(self.global_batch[row]))
         return TradeoffPoint(config, float(self.time_s[row]), float(self.cost_usd[row]))
 
+    def points(self) -> list[TradeoffPoint]:
+        """Every row as a :class:`TradeoffPoint`, in row order."""
+        return [self.point(row) for row in range(len(self))]
+
     def sort_keys(self, *leading: np.ndarray) -> tuple[np.ndarray, ...]:
         """``np.lexsort`` keys for ``leading`` then :func:`_point_order`."""
         return (self.global_batch, self.workers, self.cost_usd, self.time_s, *leading[::-1])

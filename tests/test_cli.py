@@ -1,6 +1,7 @@
 """End-to-end command-line behavior for all six subcommands."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -166,6 +167,15 @@ class TestPredict:
         assert (code, out) == (5, "")
         assert f"{model_file}: invalid JSON" in err and "Exceeds the limit" in err
 
+    def test_dataset_size_past_the_float_range_exits_5(self, run_cli, model_file):
+        text = model_file.read_text().replace('"dataset_size": 50000',
+                                              '"dataset_size": ' + "9" * 400)
+        model_file.write_text(text)
+        code, out, err = run_cli("recommend", "--model", str(model_file), *GRID_FLAGS,
+                                 "--objective", "knee")
+        assert (code, out) == (5, "")
+        assert err == f"error: {model_file}: dataset_size is too large to be a float\n"
+
     def test_out_file(self, run_cli, model_file, tmp_path):
         dest = tmp_path / "rows.json"
         code, out, _ = run_cli(
@@ -261,6 +271,27 @@ class TestSimulate:
                                  "--out", str(tmp_path / "t"))
         assert (code, out) == (5, "")
         assert "<file>: invalid JSON in" in err and "Exceeds the limit" in err
+
+    @pytest.mark.parametrize("field,value", [("dataset_size", 10**400), ("jitter", math.nan),
+                                             ("ramp_iters", math.inf)],
+                             ids=["dataset_size", "jitter", "ramp_iters"])
+    def test_out_of_range_workload_file_exits_5_naming_the_field(self, run_cli, tmp_path,
+                                                                 field, value):
+        doc = {"dataset_size": 50_000, "noise_slope": 48, "epochs_base": 10,
+               "epochs_slope": 50, "time_base_s": 0.2, "time_per_sample_s": 0.001,
+               "time_per_worker_s": 0.05, field: value}
+        wl = tmp_path / "workload.json"
+        wl.write_text(json.dumps(doc))
+        code, out, err = run_cli("simulate", "--workload", str(wl), "--config", "4x64",
+                                 "--out", str(tmp_path / "t"))
+        assert (code, out) == (5, "")
+        assert err.startswith(f"error: workload: {field} must be")
+
+    def test_non_finite_jitter_flag_exits_2(self, run_cli, tmp_path):
+        code, out, err = run_cli("simulate", "--workload", "resnet18-like", "--config", "8x512",
+                                 "--jitter", "nan", "--out", str(tmp_path / "t"))
+        assert (code, out) == (2, "")
+        assert "jitter must be finite and >= 0, got nan" in err
 
     def test_unknown_preset_exits_2(self, run_cli, tmp_path):
         code, _, err = run_cli(
@@ -597,6 +628,9 @@ class TestRecommend:
             (["--objective", "knee", "--deadline", "inf"], "deadline_s"),
             (["--objective", "knee", "--budget", "nan"], "budget_usd"),
             (["--objective", "knee", "--budget", "inf"], "budget_usd"),
+            (["--objective", "knee", "--vm-memory-gb", "nan", "--price-vcpu", "0.03",
+              "--price-gb", "0.004"], "memory_gb"),
+            (["--objective", "knee", "--vm-memory-gb", "inf"], "memory_gb"),
         ],
     )
     def test_non_finite_flags_exit_2_naming_the_field(self, run_cli, model_file, flags, field):
@@ -751,6 +785,44 @@ class TestSearch:
         assert code == 5
         assert out == ""
         assert err == f"error: {field}: is too large to be a float\n"
+
+    @pytest.mark.parametrize("overrides,path,message", [
+        ({"workload": {"preset": "resnet18-like", "dataset_size": 10**400}}, "workload",
+         "dataset_size must be >= 1 and fit in a float"),
+        ({"workload": {"dataset_size": 10**400, "noise_slope": 48, "epochs_base": 10,
+                       "epochs_slope": 50, "time_base_s": 0.2, "time_per_sample_s": 0.001,
+                       "time_per_worker_s": 0.05}}, "workload",
+         "dataset_size must be >= 1 and fit in a float"),
+        ({"workload": {"preset": "resnet18-like", "jitter": math.nan}}, "workload",
+         "jitter must be finite and >= 0, got nan"),
+        ({"workload": {"preset": "resnet18-like", "ramp_iters": math.nan}}, "workload",
+         "ramp_iters must be finite and >= 1, got nan"),
+        ({"cluster": {"pricing": {"flat_hourly_usd": 0.13402}, "restore_overhead_s": math.nan}},
+         "cluster", "restore_overhead_s must be finite and >= 0, got nan"),
+        ({"cluster": {"pricing": {"flat_hourly_usd": 0.13402},
+                      "shape": {"vcpus": 4, "memory_gb": math.inf}}},
+         "cluster.shape", "memory_gb must be finite and > 0, got inf"),
+    ], ids=["preset_dataset_size", "dataset_size", "jitter", "ramp_iters", "restore_overhead_s",
+            "memory_gb"])
+    def test_out_of_range_value_exits_5_naming_the_field(self, run_cli, scenario_file,
+                                                         overrides, path, message):
+        code, out, err = run_cli("search", "--scenario", str(scenario_file(**overrides)))
+        assert (code, out) == (5, "")
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("mode,message", [
+        ("full", "no configuration produced a usable prediction"),
+        ("partial", "no configuration produced a usable prediction"),
+        ("scaling", "every sampled batch size was skipped"),
+    ], ids=["full", "partial", "scaling"])
+    def test_overflowing_total_exits_5_in_every_profiling_mode(self, run_cli, scenario_file,
+                                                               mode, message):
+        """At 10**308 samples every total time overflows, measured or predicted."""
+        workload = {"preset": "resnet18-like", "dataset_size": 10**308}
+        path = scenario_file(workload=workload, search={"mode": mode, "profile_iters": 5})
+        code, out, err = run_cli("search", "--scenario", str(path))
+        assert (code, out) == (5, "")
+        assert err == f"error: {message}\n"
 
     def test_bounds_past_int64_range_exit_5(self, run_cli, scenario_file):
         bounds = {**scenario_doc()["bounds"], "b_candidates": [384, 2**62 + 2]}

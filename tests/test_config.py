@@ -103,6 +103,11 @@ class TestPricing:
         with pytest.raises(ConfigurationError):
             VMShape(4, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_memory_names_the_field(self, value):
+        with pytest.raises(ConfigurationError, match="memory_gb must be finite and > 0"):
+            VMShape(4, value)
+
 
 class TestSearchBounds:
     def test_grid_enumeration_order(self):

@@ -65,6 +65,22 @@ RESNET = _model((48.0, 0.1, 6.0, 16.0), (0.25, 0.012, 0.008), "resnet18-like")
 # Out of domain on part of the grid, with all three reasons: noise <= 0 at
 # B >= 1024, epochs <= 0 at B = 960, and iteration time <= 0 at large K.
 PARTIAL = _model((48.0, -1.5, -1.0, 16.0), (0.25, 0.012, -0.05), "partly")
+SMALL_BOUNDS = {"k_min": 2, "k_max": 8, "k_step": 2, "b_min": 1, "b_max": 512,
+                "b_candidates": [64, 128, 256, 512]}
+# True epochs stay positive on SMALL_BOUNDS, but barely at B = 512: jittered
+# measured noise there falls below the fitted epoch line's zero, so full
+# search drops those measured points.
+THIN_EPOCHS = {"name": "thin-epochs", "dataset_size": 200_000, "noise_slope": 3.0,
+               "noise_intercept": 0.3, "epochs_base": -5.0, "epochs_slope": 12.0,
+               "time_base_s": 0.3, "time_per_sample_s": 0.01, "time_per_worker_s": 0.01,
+               "jitter": 0.2}
+# The sync half of the iteration time is negative at K >= 6; with heavy
+# jitter a one-iteration profile can clip both halves to 0, so scaling search
+# drops points whose measured iteration time is not positive.
+CLIPPED_SYNC = {"name": "clipped-sync", "dataset_size": 200_000, "noise_slope": 30.0,
+                "noise_intercept": 0.2, "epochs_base": 5.0, "epochs_slope": 12.0,
+                "time_base_s": 2.0, "time_per_sample_s": 0.0, "time_per_worker_s": -0.2,
+                "jitter": 1.5}
 
 
 def _scenario(mode: str, **extra) -> dict:
@@ -142,6 +158,14 @@ def _build_workspace(root: Path) -> None:
         ),
         "none_empty": _scenario("none", store_dir="empty_store"),
         "none_out_of_domain": _scenario("none", store_dir="ood_store"),
+        "full_drops": _scenario("full", seed=5, workload=THIN_EPOCHS, bounds=SMALL_BOUNDS,
+                                search={"mode": "full", "profile_iters": 10}),
+        "scaling_drops": _scenario(
+            "scaling", seed=4, workload=CLIPPED_SYNC, bounds=SMALL_BOUNDS,
+            search={"mode": "scaling", "profile_iters": 1,
+                    "ewma": {"warmup_iters": 10, "stability_window": 20,
+                             "stability_rel_tol": 0.5}},
+        ),
     }
     for name, doc in scenarios.items():
         (root / f"scenario_{name}.json").write_text(json.dumps(doc))
@@ -231,6 +255,9 @@ CASES: list[tuple[str, list[str]]] = [
     ("search-none-empty", ["search", "--scenario", "scenario_none_empty.json"]),
     ("search-none-out-of-domain", ["search", "--scenario",
                                    "scenario_none_out_of_domain.json"]),
+    # Measured points outside the model's domain are dropped, not selected.
+    ("search-full-drops", ["search", "--scenario", "scenario_full_drops.json"]),
+    ("search-scaling-drops", ["search", "--scenario", "scenario_scaling_drops.json"]),
 ]
 
 GOLDEN: dict[str, tuple[int, str, str, str]] = {
@@ -472,6 +499,18 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
         5,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "b1b049bcc268725ea7a0be5c11c7fceeae34efdc6303c1ed8662ac37429a52de",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "search-full-drops": (
+        0,
+        "68bca055178b28744c249b081cd155d6cdebd075fb40db457378c94b4a961879",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "search-scaling-drops": (
+        0,
+        "61711b4b85c3f349d7a7dea0eef38e091dd697203abac68deebf8377b7ccdc75",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }

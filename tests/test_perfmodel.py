@@ -8,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape
+from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape, run_cost_usd
 from scalefit.errors import DegenerateFitError, ModelOutOfDomainError
 from scalefit.perfmodel import (
     ParallelFit,
     PerfModel,
+    Prediction,
     StatFit,
     average_over_workers,
+    chain_columns,
     fit_epochs_vs_noise,
     fit_iteration_time,
     fit_iteration_time_best_effort,
@@ -22,7 +24,6 @@ from scalefit.perfmodel import (
     fit_noise_vs_batch,
     predict,
     predict_columns,
-    predict_grid,
 )
 
 
@@ -263,6 +264,17 @@ extreme_pricings = st.one_of(
 )
 
 
+def _columns(configs: list[JobConfig]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([c.workers for c in configs], dtype=np.int64),
+            np.array([c.global_batch for c in configs], dtype=np.int64))
+
+
+def _predictions(grid) -> list[Prediction]:
+    columns = (grid.normalized_noise, grid.epochs, grid.iterations, grid.iteration_time_s,
+               grid.points.time_s, grid.points.cost_usd)
+    return [Prediction(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
 class TestPredictGrid:
     @settings(max_examples=200)
     @given(
@@ -274,7 +286,8 @@ class TestPredictGrid:
         valid = GRID.valid_configs()
         configs = [valid[i] for i in picks]
         shape = VMShape(4, 16.0)
-        points, predictions, skipped = predict_grid(model, configs, pricing, shape)
+        grid = predict_columns(model, *_columns(configs), pricing, shape)
+        points, predictions, skipped = grid.points.points(), _predictions(grid), grid.skipped
         want_points, want_predictions, want_skipped = [], [], []
         for config in configs:
             try:
@@ -323,7 +336,6 @@ class TestPredictGrid:
                 rows.append(i)
             except ModelOutOfDomainError as exc:
                 want_skipped.append((config, str(exc)))
-        assert grid.rows.tolist() == rows
         assert grid.skipped == want_skipped
         got = zip(
             grid.normalized_noise.tolist(), grid.epochs.tolist(), grid.iterations.tolist(),
@@ -334,24 +346,55 @@ class TestPredictGrid:
         assert grid.points.workers.tolist() == [pairs[i][0] for i in rows]
         assert grid.points.global_batch.tolist() == [batch[i] for i in rows]
 
+    @settings(max_examples=200)
+    @given(
+        model=extreme_models,
+        pricing=extreme_pricings,
+        rows=st.lists(
+            st.tuples(st.integers(1, 64), st.integers(1, 2**20),
+                      extreme | st.sampled_from([0.0, math.nan]), extreme | st.just(0.0)),
+            min_size=1, max_size=30,
+        ),
+    )
+    def test_chain_on_given_noise_and_tau_matches_scalar_chain(self, model, pricing, rows):
+        """Measured search points: the scalar recipe they used is the reference.
+
+        The columns go in as tuples, as the search drivers pass them.
+        """
+        shape = VMShape(4, 16.0)
+        columns = zip(*[(k, k * m, n, t) for k, m, n, t in rows])
+        grid, bad = chain_columns(model, *columns, pricing, shape)
+        want = []
+        for k, m, n, t in rows:
+            epochs = model.stat.predicted_epochs(n)
+            total = epochs * model.dataset_size / (k * m) * t
+            cost = run_cost_usd(pricing, shape, k, total)
+            if n > 0 and epochs > 0 and t > 0 and 0 < total < math.inf and math.isfinite(cost):
+                want.append((k, k * m, epochs.hex(), total.hex(), cost.hex()))
+        got = zip(grid.points.workers.tolist(), grid.points.global_batch.tolist(),
+                  grid.epochs.tolist(), grid.points.time_s.tolist(),
+                  grid.points.cost_usd.tolist())
+        assert [(k, b, e.hex(), t.hex(), c.hex()) for k, b, e, t, c in got] == want
+        assert grid.skipped == [] and int(bad.sum()) == len(rows) - len(want)
+
     def test_fully_in_domain_model_skips_nothing(self, make_model):
         configs = GRID.valid_configs()
-        points, predictions, skipped = predict_grid(
-            make_model(), configs, PricingModel.flat(0.13402), VMShape(4, 16.0)
+        grid = predict_columns(
+            make_model(), *GRID.columns(), PricingModel.flat(0.13402), VMShape(4, 16.0)
         )
-        assert skipped == []
-        assert [p.config for p in points] == configs
-        assert len(predictions) == len(configs)
+        assert grid.skipped == []
+        assert [p.config for p in grid.points.points()] == configs
+        assert len(grid.epochs) == len(configs)
 
     def test_partly_out_of_domain_model_reports_each_reason(self, make_model):
         model = make_model(noise_intercept=-2.0, epochs_base=-10.0, per_worker_s=-0.05)
         configs = GRID.valid_configs()
-        points, _, skipped = predict_grid(
-            model, configs, PricingModel.flat(0.13402), VMShape(4, 16.0)
+        grid = predict_columns(
+            model, *GRID.columns(), PricingModel.flat(0.13402), VMShape(4, 16.0)
         )
-        assert points and skipped
-        assert len(points) + len(skipped) == len(configs)
-        reasons = " ".join(reason for _, reason in skipped)
+        assert len(grid.points) and grid.skipped
+        assert len(grid.points) + len(grid.skipped) == len(configs)
+        reasons = " ".join(reason for _, reason in grid.skipped)
         for word in ("predicted noise", "predicted epochs", "predicted iteration time"):
             assert word in reasons
 
@@ -466,10 +509,8 @@ class TestPredict:
             predict(make_model(epochs_base=1e305), JobConfig(1, 1), PricingModel.flat(0.1), shape)
         with pytest.raises(ModelOutOfDomainError, match="cost inf USD"):
             predict(make_model(), JobConfig(8, 512), PricingModel.flat(1e308), shape)
-        points, _, skipped = predict_grid(
-            tiny, [JobConfig(1, 1)], PricingModel.flat(0.1), shape
-        )
-        assert points == [] and [c for c, _ in skipped] == [JobConfig(1, 1)]
+        grid = predict_columns(tiny, *_columns([JobConfig(1, 1)]), PricingModel.flat(0.1), shape)
+        assert len(grid.points) == 0 and [c for c, _ in grid.skipped] == [JobConfig(1, 1)]
 
 
 class TestValidation:
@@ -478,5 +519,7 @@ class TestValidation:
         par = ParallelFit(0.2, 0.001, 0.05)
         with pytest.raises(ModelOutOfDomainError, match="dataset_size"):
             PerfModel(stat, par, 0, "x", "full_search")
+        with pytest.raises(ModelOutOfDomainError, match="dataset_size is too large to be a float"):
+            PerfModel(stat, par, 10**400, "x", "full_search")
         with pytest.raises(ModelOutOfDomainError, match="provenance"):
             PerfModel(stat, par, 50000, "x", "guesswork")

@@ -75,6 +75,20 @@ class TestWorkload:
         with pytest.raises(ConfigurationError):
             SimCluster(VMShape(4, 16.0), PricingModel.flat(0.1), restore_overhead_s=-1)
 
+    def test_dataset_size_past_the_float_range_rejected(self):
+        small_workload(dataset_size=10**308)
+        with pytest.raises(ConfigurationError, match="dataset_size must be >= 1 and fit in a float"):
+            small_workload(dataset_size=10**400)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_name_the_field(self, value):
+        with pytest.raises(ConfigurationError, match="ramp_iters must be finite and >= 1"):
+            small_workload(ramp_iters=value)
+        with pytest.raises(ConfigurationError, match="jitter must be finite and >= 0"):
+            small_workload(jitter=value)
+        with pytest.raises(ConfigurationError, match="restore_overhead_s must be finite and >= 0"):
+            SimCluster(VMShape(4, 16.0), PricingModel.flat(0.1), restore_overhead_s=value)
+
 
 class TestProfile:
     def test_saturated_noise_ratio_is_exact(self):
