@@ -88,6 +88,19 @@ def _config_arg(text: str) -> tuple[int, int]:
     )
 
 
+def _dataset_size_arg(text: str) -> int:
+    """An integer >= 1 that fits in a float, as ``PerfModel`` requires."""
+    try:
+        value = int(text)
+    except ValueError:  # also an integer past the digit limit
+        value = 0
+    if not 1 <= value <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1 that fits in a float, got {text!r}"
+        )
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part)
@@ -529,7 +542,7 @@ def _outcome_doc(outcome: SearchOutcome, scenario: Scenario) -> dict:
             "workers": outcome.chosen.workers,
             "global_batch": outcome.chosen.global_batch,
         }
-    doc = {
+    return {
         "mode": outcome.mode,
         "seed": scenario.seed,
         "workload": scenario.workload.name,
@@ -549,10 +562,8 @@ def _outcome_doc(outcome: SearchOutcome, scenario: Scenario) -> dict:
         "overhead_time_s": outcome.overhead_time_s,
         "overhead_cost_usd": outcome.overhead_cost_usd,
         "tradeoff_points": [_point_doc(p) for p in outcome.tradeoff_points],
+        "recommendation": _recommendation_doc(outcome.recommendation),
     }
-    if outcome.recommendation is not None:
-        doc["recommendation"] = _recommendation_doc(outcome.recommendation)
-    return doc
 
 
 def cmd_search(parser: argparse.ArgumentParser, args) -> int:
@@ -597,10 +608,7 @@ def cmd_search(parser: argparse.ArgumentParser, args) -> int:
             for p in outcome.tradeoff_points
         ]
         _write_output(_csv_table(header, table), args.out)
-    infeasible = (
-        outcome.recommendation is not None and not outcome.recommendation.feasible
-    )
-    return EXIT_INFEASIBLE if infeasible else EXIT_OK
+    return EXIT_OK if outcome.recommendation.feasible else EXIT_INFEASIBLE
 
 
 # ---------------------------------------------------------------- main
@@ -632,7 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a model from trace files")
     p.add_argument("--traces", nargs="+", required=True, help="trace JSONL files")
     p.add_argument("--anchors", default=None, help="epochs-to-target anchors JSON file")
-    p.add_argument("--dataset-size", type=int, required=True, help="samples per epoch")
+    p.add_argument("--dataset-size", type=_dataset_size_arg, required=True,
+                   help="samples per epoch")
     p.add_argument("--fingerprint", default="unnamed", help="workload identity string")
     p.add_argument("--out", required=True, help="output model document path")
     p.set_defaults(func=cmd_fit)

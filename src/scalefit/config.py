@@ -102,18 +102,13 @@ def vm_hourly_price(pricing: PricingModel, shape: VMShape) -> float:
     )
 
 
-def hourly_cluster_price(pricing: PricingModel, shape: VMShape, workers: int) -> float:
-    """Hourly price of a cluster of ``workers`` identical VMs."""
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    return workers * vm_hourly_price(pricing, shape)
-
-
 def run_cost_usd(
     pricing: PricingModel, shape: VMShape, workers: int, duration_s: float
 ) -> float:
-    """Cost of running the cluster for ``duration_s`` seconds."""
-    return duration_s / 3600.0 * hourly_cluster_price(pricing, shape, workers)
+    """Cost of running a cluster of ``workers`` identical VMs for ``duration_s`` seconds."""
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    return duration_s / 3600.0 * (workers * vm_hourly_price(pricing, shape))
 
 
 @dataclass(frozen=True)

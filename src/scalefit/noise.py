@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -216,29 +216,6 @@ class NoiseEstimate:
     recent_window: tuple[float, ...]
 
 
-def window_relative_spread(window: tuple[float, ...] | list[float]) -> float:
-    """(max - min) / max over a window of smoothed values; 0 for a flat window."""
-    if not window:
-        return 0.0
-    hi = max(window)
-    lo = min(window)
-    if hi == 0:
-        return 0.0
-    return (hi - lo) / hi
-
-
-def is_stabilized(estimate: NoiseEstimate, cfg: EwmaConfig) -> bool:
-    """Whether the smoothed series has settled.
-
-    Requires the warm-up sample count and a relative spread of the recent
-    smoothed values no larger than the tolerance.  Loosening the tolerance
-    never turns a stabilized estimate back into an unstabilized one.
-    """
-    if estimate.samples_seen < cfg.warmup_iters:
-        return False
-    return window_relative_spread(estimate.recent_window) <= cfg.stability_rel_tol
-
-
 class NoiseTracker:
     """Accumulates per-iteration samples for one configuration.
 
@@ -321,15 +298,21 @@ class NoiseTracker:
 
     @property
     def estimate(self) -> NoiseEstimate:
+        """Snapshot of the tracker.
+
+        Stabilized once the warm-up count is reached and the window's relative
+        spread ``(max - min) / max`` (0 if empty or its max is 0) is within tolerance.
+        """
         smoothed = self._smoothed if self._smoothed is not None else 0.0
-        est = NoiseEstimate(
+        window = tuple(self._window)
+        hi = max(window, default=0.0)
+        spread = 0.0 if hi == 0 else (hi - min(window)) / hi
+        cfg = self.cfg
+        return NoiseEstimate(
             smoothed=smoothed,
             normalized=smoothed / self.workers,
             samples_seen=self._seen,
             skipped_samples=self._skipped,
-            stabilized=False,
-            recent_window=tuple(self._window),
+            stabilized=self._seen >= cfg.warmup_iters and spread <= cfg.stability_rel_tol,
+            recent_window=window,
         )
-        if is_stabilized(est, self.cfg):
-            est = replace(est, stabilized=True)
-        return est

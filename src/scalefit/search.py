@@ -7,14 +7,17 @@ Three exploration strategies share the same machinery:
 * ``partial_search`` stabilizes the noise estimate on two extreme-batch
   anchor runs, profiles iteration time on the four grid corners only, and
   predicts everything else from the fitted model.
-* ``online_scaling_search`` samples batch sizes and worker counts, measures
-  iteration time per sampled pair, predicts the statistical side from the
-  anchors, takes the knee of each per-batch worker sweep, and keeps the
-  knee with the smallest cost-time product.
+* ``online_scaling_search`` stabilizes noise on the same two anchors,
+  samples batch sizes and worker counts, and predicts each sampled pair
+  from its measured iteration time and the anchors' statistical fit.
 
 ``no_search`` skips profiling entirely and reuses a stored model.
 ``run_search`` runs a scenario's mode, any of the four, against its
-simulated environment.
+simulated environment.  Every mode then selects the same way: the
+scenario's objective and constraints pick among the predicted points with
+:func:`~scalefit.policy.select_rows`, and when nothing is feasible the
+outcome has no chosen configuration and its recommendation names the
+nearest miss.
 
 The profiling drivers run against a :class:`SimEnvironment` and read its
 workload and cluster directly.
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -61,7 +63,7 @@ from .perfmodel import (
 from .policy import Constraints, Objective, Recommendation, select_rows
 from .simulator import SimEnvironment, SimWorkload
 from .store import ModelStore
-from .tradeoff import PointColumns, TradeoffCurve, TradeoffPoint, kneedle_knee, min_cost_time
+from .tradeoff import PointColumns, TradeoffPoint
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -130,7 +132,7 @@ class SearchOutcome:
     overhead_time_s: float
     overhead_cost_usd: float
     tradeoff_points: tuple[TradeoffPoint, ...]
-    recommendation: Recommendation | None
+    recommendation: Recommendation
 
 
 def _extreme_batches(
@@ -237,20 +239,6 @@ class _Session:
         return [rec_lo, rec_hi], StatFit(a_n, c_n, e_base, e_slope)
 
 
-def _overheads(
-    explored: list[Exploration], pricing: PricingModel, shape: VMShape
-) -> tuple[float, float]:
-    total_t = 0.0
-    total_c = 0.0
-    for e in explored:
-        if e.kind == "skipped":
-            continue
-        dt = e.elapsed_s()
-        total_t += dt
-        total_c += run_cost_usd(pricing, shape, e.workers, dt)
-    return total_t, total_c
-
-
 def _epoch_anchor_fit(
     gamma_lo: float, e_lo: float, gamma_hi: float, e_hi: float
 ) -> tuple[float, float]:
@@ -275,7 +263,12 @@ def _selected_outcome(
         raise SearchFailedError("no configuration produced a usable prediction")
     points = cols.points()
     rec = select_rows(cols, objective, constraints).recommendation(points.__getitem__)
-    overhead_t, overhead_c = _overheads(explored, pricing, shape)
+    overhead_t = overhead_c = 0.0
+    for e in explored:
+        if e.kind != "skipped":
+            dt = e.elapsed_s()
+            overhead_t += dt
+            overhead_c += run_cost_usd(pricing, shape, e.workers, dt)
     return SearchOutcome(
         mode=mode,
         chosen=rec.chosen.config if rec.chosen is not None else None,
@@ -429,17 +422,19 @@ def online_scaling_search(
     env: SimEnvironment,
     bounds: SearchBounds,
     params: SearchParams,
+    objective: Objective,
     *,
     pricing: PricingModel | None = None,
     shape: VMShape | None = None,
+    constraints: Constraints | None = None,
 ) -> SearchOutcome:
-    """Knee-of-each-batch search with measured iteration times.
+    """Anchor search with a measured iteration time for every sampled pair.
 
     After the two anchor runs fix the statistical fits, every sampled
     (batch, workers) pair gets a short timing profile; its run time is the
-    measured iteration time times the predicted iteration count.  Each
-    batch size contributes the knee of its worker sweep, and the knee with
-    the smallest cost-time product wins.
+    measured iteration time times the predicted iteration count.  The
+    objective and constraints then select among the sampled pairs, as in
+    every other mode.
     """
     pricing = pricing if pricing is not None else env.cluster.pricing
     shape = shape if shape is not None else env.cluster.shape
@@ -470,24 +465,8 @@ def online_scaling_search(
     )
     # Predicted noise and measured iteration time; rows outside the model's domain drop.
     grid, _ = chain_columns(model, *zip(*sampled), pricing, shape)
-    all_points = grid.points.points()
-    knees = [
-        kneedle_knee(TradeoffCurve.build(list(batch_points))).point
-        for _, batch_points in groupby(all_points, key=lambda p: p.config.global_batch)
-    ]
-    if not knees:
-        raise SearchFailedError("every sampled batch size was skipped")
-    best = min_cost_time(knees)
-    overhead_t, overhead_c = _overheads(explored, pricing, shape)
-    return SearchOutcome(
-        mode="scaling",
-        chosen=best.config,
-        model=model,
-        explored=tuple(explored),
-        overhead_time_s=overhead_t,
-        overhead_cost_usd=overhead_c,
-        tradeoff_points=tuple(all_points),
-        recommendation=None,
+    return _selected_outcome(
+        "scaling", model, explored, grid.points, objective, constraints, pricing, shape
     )
 
 
@@ -537,14 +516,9 @@ def run_search(scenario: Scenario) -> SearchOutcome:
             "none", model, [], grid.points, scenario.objective, scenario.constraints,
             pricing, shape,
         )
-    env = SimEnvironment(scenario.workload, scenario.cluster)
-    if mode == "scaling":
-        return online_scaling_search(
-            env, scenario.bounds, scenario.params, pricing=pricing, shape=shape
-        )
-    driver = full_search if mode == "full" else partial_search
-    return driver(
-        env,
+    driver = {"full": full_search, "partial": partial_search, "scaling": online_scaling_search}
+    return driver[mode](
+        SimEnvironment(scenario.workload, scenario.cluster),
         scenario.bounds,
         scenario.params,
         scenario.objective,

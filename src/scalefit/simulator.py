@@ -65,13 +65,6 @@ class SimWorkload:
             global_batch
         )
 
-    def true_iteration_time(self, workers: int, mini_batch: float) -> float:
-        return (
-            self.time_base_s
-            + self.time_per_sample_s * mini_batch
-            + self.time_per_worker_s * workers
-        )
-
     def to_perf_model(self) -> PerfModel:
         return PerfModel(
             stat=StatFit(

@@ -14,6 +14,7 @@ The anchors side file is a single JSON object: ``{"anchors": [{"K": 8,
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .config import JobConfig
@@ -136,9 +137,11 @@ def read_anchors(path: str | Path) -> list[tuple[JobConfig, float]]:
         try:
             cfg = JobConfig(int(entry["K"]), int(entry["B"]))
             epochs = float(entry["epochs"])
-        except (ConfigurationError, TypeError, ValueError) as exc:
+        except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
             raise TraceParseError(str(path), 0, f"{where}: {exc}") from None
-        if epochs <= 0:
-            raise TraceParseError(str(path), 0, f"{where}: epochs must be > 0")
+        if not 0 < epochs < math.inf:  # False for NaN too
+            raise TraceParseError(
+                str(path), 0, f"{where}.epochs must be > 0 and finite, got {epochs}"
+            )
         out.append((cfg, epochs))
     return out

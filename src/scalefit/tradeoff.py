@@ -138,17 +138,6 @@ def pareto_frontier(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
     return [points[i] for i in pareto_rows(PointColumns.of(points)).tolist()]
 
 
-def min_cost_time(points: list[TradeoffPoint]) -> TradeoffPoint:
-    """Point with the smallest cost-time product.
-
-    Exact product ties break toward smaller time, then cost, then workers,
-    then batch.
-    """
-    if not points:
-        raise EmptyInputError("cannot select from zero points")
-    return min(points, key=lambda p: (p.time_s * p.cost_usd, *_point_order(p)))
-
-
 @dataclass(frozen=True)
 class KneeResult:
     """Knee selection and the method that made it."""
@@ -212,7 +201,7 @@ def _curve_knees(curve: PointColumns, starts: np.ndarray) -> tuple[np.ndarray, n
         picks = np.minimum.reduceat(np.where(at_top, np.arange(len(d)), len(d)), starts)
         if not kneedle.all():
             # Fallback: smallest cost-time product, ties toward time, cost,
-            # workers, batch (the order of min_cost_time).
+            # workers, batch.
             fallback = np.lexsort(curve.sort_keys(seg, t * c))[starts]
             picks = np.where(kneedle, picks, fallback)
     return picks, kneedle

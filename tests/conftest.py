@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from scalefit.cli import main as cli_main
 from scalefit.config import JobConfig
+from scalefit.noise import EwmaConfig, NoiseEstimate
 from scalefit.perfmodel import ParallelFit, PerfModel, StatFit
+from scalefit.simulator import SimWorkload
 from scalefit.tradeoff import TradeoffCurve, TradeoffPoint
 
 # Same examples on every run, and no per-example time limit: wall-clock
@@ -117,6 +119,26 @@ def scalar_kneedle(curve: TradeoffCurve) -> tuple[TradeoffPoint, str]:
         if d[i] > d[best]:
             best = i
     return pts[best], "kneedle"
+
+
+def is_stabilized(estimate: NoiseEstimate, cfg: EwmaConfig) -> bool:
+    """Reference stability test: warm-up reached and the window's relative spread
+    ``(max - min) / max`` within tolerance; an empty window or a max of 0 has spread 0."""
+    if estimate.samples_seen < cfg.warmup_iters:
+        return False
+    window = estimate.recent_window
+    if not window or max(window) == 0:
+        return True
+    return (max(window) - min(window)) / max(window) <= cfg.stability_rel_tol
+
+
+def true_iteration_time(workload: SimWorkload, workers: int, mini_batch: float) -> float:
+    """Reference iteration time of the workload's timing plane."""
+    return (
+        workload.time_base_s
+        + workload.time_per_sample_s * mini_batch
+        + workload.time_per_worker_s * workers
+    )
 
 
 # Points on a few batch sizes with many worker counts each.  Times and costs

@@ -414,6 +414,34 @@ class TestFit:
         assert code == 6
         assert "at least 2 epoch anchors" in err
 
+    @pytest.mark.parametrize("epochs", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_anchor_epochs_exits_5(self, run_cli, tmp_path, corner_traces, epochs):
+        paths, _ = corner_traces
+        anchors = tmp_path / "bad_anchors.json"
+        anchors.write_text(
+            '{"anchors": [{"K": 8, "B": 384, "epochs": 35.0}, '
+            '{"K": 8, "B": 1024, "epochs": ' + epochs + "}]}"
+        )
+        code, out, err = run_cli(
+            "fit", "--traces", *paths, "--anchors", str(anchors),
+            "--dataset-size", "1000000", "--out", str(tmp_path / "m.json"),
+        )
+        assert (code, out) == (5, "")
+        assert f"anchors[1].epochs must be > 0 and finite, got {float(epochs)}" in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("size", ["0", "9" * 400], ids=["zero", "400_digits"])
+    def test_bad_dataset_size_exits_2_naming_the_flag(self, run_cli, tmp_path, corner_traces,
+                                                      size):
+        paths, anchors = corner_traces
+        code, out, err = run_cli(
+            "fit", "--traces", *paths, "--anchors", str(anchors),
+            "--dataset-size", size, "--out", str(tmp_path / "m.json"),
+        )
+        assert (code, out) == (2, "")
+        assert "argument --dataset-size: must be an integer >= 1 that fits in a float" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_malformed_trace_line_exits_5(self, run_cli, tmp_path, corner_traces):
         paths, anchors = corner_traces
         victim = paths[0]
@@ -766,6 +794,18 @@ class TestSearch:
         assert doc["recommendation"]["feasible"] is False
         assert doc["recommendation"]["nearest_miss"] is not None
 
+    @pytest.mark.parametrize("mode", ["full", "partial", "scaling"])
+    def test_unreachable_deadline_exits_3_with_a_nearest_miss(self, run_cli, scenario_file,
+                                                                mode):
+        path = scenario_file(search={"mode": mode, "profile_iters": 5},
+                             objective={"kind": "deadline", "deadline_s": 1000})
+        code, out, _ = run_cli("search", "--scenario", str(path))
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["chosen"] is None
+        assert doc["recommendation"]["feasible"] is False
+        assert doc["recommendation"]["nearest_miss"] is not None
+
     def test_non_finite_constraint_exits_5(self, run_cli, scenario_file):
         path = scenario_file(constraints={"deadline_s": float("nan")})
         code, out, err = run_cli("search", "--scenario", str(path))
@@ -813,7 +853,7 @@ class TestSearch:
     @pytest.mark.parametrize("mode,message", [
         ("full", "no configuration produced a usable prediction"),
         ("partial", "no configuration produced a usable prediction"),
-        ("scaling", "every sampled batch size was skipped"),
+        ("scaling", "no configuration produced a usable prediction"),
     ], ids=["full", "partial", "scaling"])
     def test_overflowing_total_exits_5_in_every_profiling_mode(self, run_cli, scenario_file,
                                                                mode, message):

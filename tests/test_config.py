@@ -12,7 +12,6 @@ from scalefit.config import (
     PricingModel,
     SearchBounds,
     VMShape,
-    hourly_cluster_price,
     mini_batch,
     run_cost_usd,
 )
@@ -44,35 +43,37 @@ class TestJobConfig:
 
 
 class TestPricing:
+    """An hour of running costs the cluster's hourly price."""
+
     def test_flat_price_eight_workers(self):
-        price = hourly_cluster_price(PricingModel.flat(0.13402), VMShape(4, 16.0), 8)
+        price = run_cost_usd(PricingModel.flat(0.13402), VMShape(4, 16.0), 8, 3600.0)
         assert price == pytest.approx(1.07216, rel=1e-12)
 
     def test_zero_rates_price_zero(self):
-        assert hourly_cluster_price(PricingModel.flat(0.0), VMShape(4, 16.0), 5) == 0.0
+        assert run_cost_usd(PricingModel.flat(0.0), VMShape(4, 16.0), 5, 3600.0) == 0.0
         assert (
-            hourly_cluster_price(PricingModel.per_resource(0.0, 0.0), VMShape(4, 16.0), 5)
+            run_cost_usd(PricingModel.per_resource(0.0, 0.0), VMShape(4, 16.0), 5, 3600.0)
             == 0.0
         )
 
     def test_per_resource_price(self):
-        price = hourly_cluster_price(
-            PricingModel.per_resource(0.02, 0.003), VMShape(4, 16.0), 10
+        price = run_cost_usd(
+            PricingModel.per_resource(0.02, 0.003), VMShape(4, 16.0), 10, 3600.0
         )
         assert price == pytest.approx(1.28, rel=1e-12)
 
     def test_price_linear_in_workers_and_rates(self):
         shape = VMShape(8, 32.0)
-        base = hourly_cluster_price(PricingModel.flat(0.25), shape, 3)
-        assert hourly_cluster_price(PricingModel.flat(0.25), shape, 6) == pytest.approx(
+        base = run_cost_usd(PricingModel.flat(0.25), shape, 3, 3600.0)
+        assert run_cost_usd(PricingModel.flat(0.25), shape, 6, 3600.0) == pytest.approx(
             2 * base
         )
-        assert hourly_cluster_price(PricingModel.flat(0.75), shape, 3) == pytest.approx(
+        assert run_cost_usd(PricingModel.flat(0.75), shape, 3, 3600.0) == pytest.approx(
             3 * base
         )
-        pr = hourly_cluster_price(PricingModel.per_resource(0.01, 0.002), shape, 4)
-        assert hourly_cluster_price(
-            PricingModel.per_resource(0.02, 0.004), shape, 4
+        pr = run_cost_usd(PricingModel.per_resource(0.01, 0.002), shape, 4, 3600.0)
+        assert run_cost_usd(
+            PricingModel.per_resource(0.02, 0.004), shape, 4, 3600.0
         ) == pytest.approx(2 * pr)
 
     def test_run_cost_converts_hours_once(self):
@@ -87,8 +88,8 @@ class TestPricing:
             PricingModel(mode="spot")
         with pytest.raises(ConfigurationError):
             PricingModel.flat(-0.1)
-        with pytest.raises(ConfigurationError):
-            hourly_cluster_price(PricingModel.flat(1.0), VMShape(4, 16.0), 0)
+        with pytest.raises(ConfigurationError, match="workers must be >= 1, got 0"):
+            run_cost_usd(PricingModel.flat(1.0), VMShape(4, 16.0), 0, 3600.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_prices_name_the_field(self, value):

@@ -459,15 +459,18 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    # The three search-scaling* digests were re-recorded when scaling mode began
+    # to select through the shared policy: each output gains a "recommendation"
+    # block, and its pick and every other byte are unchanged.
     "search-scaling": (
         0,
-        "bd4b622683ae1488c05171821ef419e6e873e6a4df7dde462319b132e9ed4cb0",
+        "8e41a91a983f9649eb42072453d0d2a23cb541149ae3c7d40453034d35cbc9c7",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-scaling-random": (
         0,
-        "34363613ce7ee6a9c7791723041373e341dde37882edd2de77eb4b8d2cf79e2f",
+        "619ec7c39f6ea4ccf3d2518fde556bd8590b3b79a511fc1eaf7d5726229a9059",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
@@ -509,7 +512,7 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
     ),
     "search-scaling-drops": (
         0,
-        "61711b4b85c3f349d7a7dea0eef38e091dd697203abac68deebf8377b7ccdc75",
+        "a311eb79af14aa43528dc15d1ccae2ca90b58c6ff8d28149c2a3f07064090d35",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),

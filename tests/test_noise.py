@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_stabilized
 from scalefit.errors import ConfigurationError, DegenerateGradientError, InvalidSampleError
 from scalefit.noise import (
     EwmaConfig,
@@ -15,9 +16,7 @@ from scalefit.noise import (
     NoiseTracker,
     SampleBatch,
     compute_raw_noise,
-    is_stabilized,
     normalized_noises,
-    window_relative_spread,
 )
 from scalefit.simulator import SimCluster, SimEnvironment, preset_cluster, preset_workload
 
@@ -352,51 +351,44 @@ class TestBatchTracker:
         assert tracker.estimate.samples_seen == 3
 
 
+def fed_tracker(window, cfg):
+    """A one-worker tracker with ``alpha`` 1 fed ``window``, so its window holds those values."""
+    tracker = NoiseTracker(1, EwmaConfig(1.0, cfg.warmup_iters, cfg.stability_window,
+                                         cfg.stability_rel_tol))
+    for value in window:
+        tracker.update(sample([value], 1.0))
+    return tracker
+
+
 class TestStabilization:
     def test_window_relative_spread_values(self):
-        assert window_relative_spread(()) == 0.0
-        assert window_relative_spread((3.0, 3.0, 3.0)) == 0.0
-        assert window_relative_spread((1.0, 2.0)) == pytest.approx(0.5)
-        assert window_relative_spread((0.0, 0.0)) == 0.0
+        cfg = EwmaConfig(warmup_iters=1, stability_window=3, stability_rel_tol=0.5)
+        assert fed_tracker((3.0, 3.0, 3.0), cfg).estimate.stabilized
+        assert fed_tracker((0.0, 0.0), cfg).estimate.stabilized
+        assert fed_tracker((1.0, 2.0), cfg).estimate.stabilized
+        cfg = EwmaConfig(warmup_iters=1, stability_window=3, stability_rel_tol=0.499)
+        assert not fed_tracker((1.0, 2.0), cfg).estimate.stabilized
+        est = NoiseTracker(1, cfg).estimate
+        assert (est.recent_window, est.stabilized) == ((), False)
 
     def test_warmup_gate(self):
         cfg = EwmaConfig(warmup_iters=100, stability_window=5)
-        est = NoiseEstimate(
-            smoothed=1.0,
-            normalized=1.0,
-            samples_seen=99,
-            skipped_samples=0,
-            stabilized=False,
-            recent_window=(1.0,) * 5,
-        )
-        assert not is_stabilized(est, cfg)
-        est_after = NoiseEstimate(
-            smoothed=1.0,
-            normalized=1.0,
-            samples_seen=100,
-            skipped_samples=0,
-            stabilized=False,
-            recent_window=(1.0,) * 5,
-        )
-        assert is_stabilized(est_after, cfg)
+        tracker = fed_tracker((1.0,) * 99, cfg)
+        assert not tracker.estimate.stabilized
+        assert tracker.update(sample([1.0], 1.0)).stabilized
 
     def test_tolerance_monotonicity(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            window = tuple(rng.uniform(0.5, 2.0, size=20))
-            est = NoiseEstimate(
-                smoothed=window[-1],
-                normalized=window[-1],
-                samples_seen=1000,
-                skipped_samples=0,
-                stabilized=False,
-                recent_window=window,
-            )
-            tight, loose = sorted(rng.uniform(0.001, 1.0, size=2))
-            cfg_tight = EwmaConfig(stability_rel_tol=float(tight))
-            cfg_loose = EwmaConfig(stability_rel_tol=float(loose))
-            if is_stabilized(est, cfg_tight):
-                assert is_stabilized(est, cfg_loose)
+            window = rng.uniform(0.5, 2.0, size=20).tolist()
+            tight, loose = sorted(rng.uniform(0.001, 1.0, size=2).tolist())
+            cfg_tight = EwmaConfig(warmup_iters=20, stability_window=20, stability_rel_tol=tight)
+            cfg_loose = EwmaConfig(warmup_iters=20, stability_window=20, stability_rel_tol=loose)
+            est = fed_tracker(window, cfg_tight).estimate
+            assert est.recent_window == tuple(window)
+            assert est.stabilized == is_stabilized(est, cfg_tight)
+            if est.stabilized:
+                assert fed_tracker(window, cfg_loose).estimate.stabilized
 
     def test_simulator_ramp_stabilizes_in_declared_interval(self):
         # Exponential noise ramp with a 500-iteration horizon, warmup 1000,

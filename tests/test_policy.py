@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import all_pairs_frontier, batched_points, scalar_kneedle
 from scalefit.errors import ConfigurationError, EmptyInputError
 from scalefit.policy import OBJECTIVE_KINDS, Constraints, Objective, Recommendation, select
-from scalefit.tradeoff import TradeoffCurve, kneedle_knee, min_cost_time, pareto_frontier
+from scalefit.tradeoff import TradeoffCurve, kneedle_knee, pareto_frontier
 
 
 class TestObjective:
@@ -68,12 +68,12 @@ class TestSelectExamples:
         assert rec.chosen.cost_usd == 4
 
     def test_min_cost_time_tie_prefers_lower_cost(self, point):
-        # Equal products: the selector resolves toward cheaper, the curve
-        # utility toward faster. Both are pinned deliberately.
+        # Equal products: the selector resolves toward cheaper, the knee's
+        # min-cost-time fallback toward faster. Both are pinned deliberately.
         pts = [point(2, 3), point(3, 2)]
         rec = select(pts, Objective.min_cost_time())
         assert (rec.chosen.time_s, rec.chosen.cost_usd) == (3, 2)
-        curve_best = min_cost_time(pts)
+        curve_best = kneedle_knee(TradeoffCurve.build(pts)).point
         assert (curve_best.time_s, curve_best.cost_usd) == (2, 3)
 
     def test_knee_objective_matches_detector(self, point):

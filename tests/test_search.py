@@ -23,6 +23,7 @@ from scalefit.search import (
 from scalefit.scenario import scenario_from_document
 from scalefit.simulator import (
     SimEnvironment,
+    compose_end_to_end,
     ground_truth_points,
     oracle_best,
     preset_cluster,
@@ -216,10 +217,15 @@ class TestPartialSearch:
 class TestScalingSearch:
     def test_grid_sampling_matches_oracle_when_noiseless(self):
         env = make_env()
-        outcome = online_scaling_search(env, GRID, SearchParams(mode="scaling"))
+        outcome = online_scaling_search(
+            env, GRID, SearchParams(mode="scaling"), Objective.min_cost_time()
+        )
         assert outcome.mode == "scaling"
         assert outcome.chosen == JobConfig(16, 1024)
-        assert outcome.recommendation is None
+        oracle = oracle_best(env.workload, env.cluster, GRID, Objective.min_cost_time())
+        assert outcome.chosen == oracle.chosen.config
+        assert outcome.recommendation.feasible
+        assert outcome.recommendation.chosen.config == outcome.chosen
         assert outcome.model.provenance == "partial_search"
         # Two anchors plus one timing profile per valid pair.
         kinds = [e.kind for e in outcome.explored]
@@ -234,19 +240,23 @@ class TestScalingSearch:
         bounds = SearchBounds(
             k_min=8, k_max=8, b_min=1, b_max=2048, b_candidates=(384, 512, 1024)
         )
-        outcome = online_scaling_search(env, bounds, SearchParams(mode="scaling"))
+        outcome = online_scaling_search(
+            env, bounds, SearchParams(mode="scaling"), Objective.min_cost_time()
+        )
         assert outcome.chosen.workers == 8
 
     def test_single_batch_rejected(self):
         env = make_env()
         bounds = SearchBounds(k_min=8, k_max=16, b_min=512, b_max=512, k_step=8)
         with pytest.raises(SearchFailedError, match="2 distinct batch sizes"):
-            online_scaling_search(env, bounds, SearchParams(mode="scaling"))
+            online_scaling_search(
+                env, bounds, SearchParams(mode="scaling"), Objective.min_cost_time()
+            )
 
     def test_random_sampling_deterministic_and_in_bounds(self):
         params = SearchParams(mode="scaling", sampling=RandomSampling(seed=3))
-        r1 = online_scaling_search(make_env(), GRID, params)
-        r2 = online_scaling_search(make_env(), GRID, params)
+        r1 = online_scaling_search(make_env(), GRID, params, Objective.min_cost_time())
+        r2 = online_scaling_search(make_env(), GRID, params, Objective.min_cost_time())
         assert r1 == r2
         valid = {(c.workers, c.global_batch) for c in GRID.valid_configs()}
         for e in r1.explored:
@@ -257,9 +267,27 @@ class TestScalingSearch:
         outcomes = set()
         for seed in range(6):
             params = SearchParams(mode="scaling", sampling=RandomSampling(seed=seed))
-            out = online_scaling_search(make_env(), GRID, params)
+            out = online_scaling_search(make_env(), GRID, params, Objective.min_cost_time())
             outcomes.add(tuple((e.workers, e.global_batch) for e in out.explored))
         assert len(outcomes) > 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_search_anchor_scenario_picks_the_oracle(self, seed):
+        """Transformer-like, jitter 0.05, 127 s restores: the benchmark's search scenario."""
+        s = scenario_from_document({
+            "seed": seed,
+            "workload": {"preset": "transformer-like", "jitter": 0.05},
+            "cluster": {"pricing": {"flat_hourly_usd": 0.13402}, "restore_overhead_s": 127.0},
+            "bounds": {"k_min": 16, "k_max": 64, "k_step": 16, "b_min": 1024, "b_max": 8192,
+                       "b_candidates": [1024, 2048, 4096, 8192]},
+            "search": {"mode": "scaling", "profile_iters": 20},
+            "objective": {"kind": "min_cost_time"},
+        })
+        outcome = run_search(s)
+        oracle = oracle_best(s.workload, s.cluster, s.bounds, s.objective)
+        assert outcome.chosen == oracle.chosen.config == JobConfig(64, 8192)
+        totals = compose_end_to_end(outcome, s.workload, s.cluster)
+        assert totals.total_time_s / oracle.chosen.time_s - 1.0 <= 0.5
 
 
 class TestNoSearch:
@@ -334,6 +362,15 @@ class TestRunSearch:
         assert outcome.explored == ()
         assert (outcome.overhead_time_s, outcome.overhead_cost_usd) == (0.0, 0.0)
         assert outcome.chosen == JobConfig(16, 1024)
+
+    @pytest.mark.parametrize("mode", ["full", "partial", "scaling", "none"])
+    def test_every_mode_chooses_its_recommendation(self, tmp_path, mode):
+        ModelStore(tmp_path).save(preset_workload("resnet18-like").to_perf_model())
+        s = self.scenario(search={"mode": mode, "profile_iters": 5}, store_dir=str(tmp_path))
+        outcome = run_search(s)
+        assert outcome.mode == mode
+        assert outcome.recommendation.feasible
+        assert outcome.chosen == outcome.recommendation.chosen.config
 
     def test_mode_none_out_of_domain_everywhere_fails(self, tmp_path, make_model):
         ModelStore(tmp_path).save(make_model(noise_intercept=-5.0, fingerprint="resnet18-like"))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import true_iteration_time
 from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape
 from scalefit.errors import ConfigurationError
 from scalefit.noise import compute_raw_noise
@@ -54,7 +55,7 @@ class TestWorkload:
         w = small_workload()
         assert w.true_normalized_noise(576) == pytest.approx(2.0)
         assert w.true_epochs(576) == pytest.approx(110.0)
-        assert w.true_iteration_time(8, 64) == pytest.approx(0.664)
+        assert true_iteration_time(w, 8, 64) == pytest.approx(0.664)
 
     def test_to_perf_model_is_ground_truth(self):
         model = small_workload().to_perf_model()
@@ -105,7 +106,7 @@ class TestProfile:
         env = SimEnvironment(w, flat_cluster())
         for s in env.profile(8, 512, 5):
             assert s.iteration_time_s == pytest.approx(
-                w.true_iteration_time(8, 64), rel=1e-12
+                true_iteration_time(w, 8, 64), rel=1e-12
             )
 
     def test_first_iteration_has_zero_ramp(self):

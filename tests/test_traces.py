@@ -219,6 +219,12 @@ class TestAnchors:
         with pytest.raises(TraceParseError, match=r"anchors\[0\]"):
             read_anchors(path)
 
+    def test_epochs_past_the_float_range(self, tmp_path):
+        path = tmp_path / "anchors.json"
+        path.write_text('{"anchors": [{"K": 8, "B": 384, "epochs": 1' + "0" * 400 + "}]}")
+        with pytest.raises(TraceParseError, match=r"anchors\[0\]: int too large"):
+            read_anchors(path)
+
     def test_nonpositive_epochs(self, tmp_path):
         path = tmp_path / "anchors.json"
         path.write_text('{"anchors": [{"K": 8, "B": 384, "epochs": 0}]}')

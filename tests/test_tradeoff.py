@@ -19,7 +19,6 @@ from scalefit.tradeoff import (
     TradeoffPoint,
     knee_rows,
     kneedle_knee,
-    min_cost_time,
     pareto_frontier,
     pareto_rows,
 )
@@ -126,18 +125,20 @@ class TestParetoMatchesAllPairs:
 
 
 class TestMinCostTime:
+    """The knee's fallback for curves kneedle cannot shape: smallest cost-time product."""
+
     def test_prefers_smaller_product(self, point):
         pts = [point(2, 3), point(3, 2.1)]
-        assert min_cost_time(pts).time_s == 2
+        assert kneedle_knee(TradeoffCurve.build(pts)).point.time_s == 2
 
     def test_tie_breaks_on_time_first(self, point):
         pts = [point(3, 2), point(2, 3)]
-        best = min_cost_time(pts)
+        best = kneedle_knee(TradeoffCurve.build(pts)).point
         assert (best.time_s, best.cost_usd) == (2, 3)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            min_cost_time([])
+            kneedle_knee(TradeoffCurve(points=()))
 
 
 class TestColumnKnees:
