@@ -7,33 +7,25 @@ once, in :func:`run_cost_usd`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import MAX_GRID_VALUE, ConfigurationError, check
 
 PRICING_MODES = ("flat_per_vm", "per_resource")
-# Largest accepted bound or batch candidate: grids are enumerated in int64,
-# and sums such as ``b_min + k - 1`` must not wrap.
-MAX_GRID_VALUE = 2**62
 
 
 @dataclass(frozen=True)
 class JobConfig:
-    """One (worker count, global batch size) training configuration."""
+    """One (worker count, global batch size) training configuration, each in [1, 2**62]."""
 
     workers: int
     global_batch: int
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
-        if self.global_batch < 1:
-            raise ConfigurationError(
-                f"global_batch must be >= 1, got {self.global_batch}"
-            )
+        check("workers", self.workers, 1, MAX_GRID_VALUE)
+        check("global_batch", self.global_batch, 1, MAX_GRID_VALUE)
         if self.global_batch % self.workers != 0:
             raise ConfigurationError(
                 f"global_batch {self.global_batch} is not divisible by "
@@ -54,10 +46,8 @@ class VMShape:
     memory_gb: float
 
     def __post_init__(self) -> None:
-        if self.vcpus < 1:
-            raise ConfigurationError(f"vcpus must be >= 1, got {self.vcpus}")
-        if not 0 < self.memory_gb < math.inf:
-            raise ConfigurationError(f"memory_gb must be finite and > 0, got {self.memory_gb}")
+        check("vcpus", self.vcpus, 1, MAX_GRID_VALUE)
+        check("memory_gb", self.memory_gb, 0, lo_open=True, finite=True)
 
 
 @dataclass(frozen=True)
@@ -75,9 +65,7 @@ class PricingModel:
                 f"pricing mode must be one of {PRICING_MODES}, got {self.mode!r}"
             )
         for name in ("flat_hourly_usd", "per_vcpu_hourly_usd", "per_gb_hourly_usd"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+            check(name, getattr(self, name), 0, finite=True)
 
     @classmethod
     def flat(cls, hourly_usd: float) -> "PricingModel":
@@ -106,8 +94,7 @@ def run_cost_usd(
     pricing: PricingModel, shape: VMShape, workers: int, duration_s: float
 ) -> float:
     """Cost of running a cluster of ``workers`` identical VMs for ``duration_s`` seconds."""
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    check("workers", workers, 1)
     return duration_s / 3600.0 * (workers * vm_hourly_price(pricing, shape))
 
 
@@ -129,23 +116,9 @@ class SearchBounds:
     b_candidates: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("k_min", "k_max", "b_min", "b_max", "k_step"):
-            if getattr(self, name) > MAX_GRID_VALUE:
-                raise ConfigurationError(f"{name} must be <= 2**62, got {getattr(self, name)}")
-        if self.k_min < 1:
-            raise ConfigurationError(f"k_min must be >= 1, got {self.k_min}")
-        if self.k_max < self.k_min:
-            raise ConfigurationError(
-                f"k_max {self.k_max} must be >= k_min {self.k_min}"
-            )
-        if self.b_min < 1:
-            raise ConfigurationError(f"b_min must be >= 1, got {self.b_min}")
-        if self.b_max < self.b_min:
-            raise ConfigurationError(
-                f"b_max {self.b_max} must be >= b_min {self.b_min}"
-            )
-        if self.k_step < 1:
-            raise ConfigurationError(f"k_step must be >= 1, got {self.k_step}")
+        for name, lo in (("k_min", 1), ("k_max", self.k_min), ("b_min", 1),
+                         ("b_max", self.b_min), ("k_step", 1)):
+            check(name, getattr(self, name), lo, MAX_GRID_VALUE)
         if self.b_candidates is not None:
             if len(self.b_candidates) == 0:
                 raise ConfigurationError("b_candidates must not be empty")

@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one range check."""
+
+from __future__ import annotations
+
+import math
+
+# Largest accepted configuration or count integer: grids are enumerated in
+# int64, and sums such as ``b_min + k - 1`` must not wrap.
+MAX_GRID_VALUE = 2**62
 
 
 class ScalefitError(Exception):
@@ -74,3 +82,24 @@ class ScenarioError(ScalefitError):
         super().__init__(f"{field_path}: {reason}")
         self.field_path = field_path
         self.reason = reason
+
+
+def check(name: str, value, lo: float, hi: float = math.inf, *, lo_open: bool = False,
+          finite: bool = False, error: type[ScalefitError] = ConfigurationError):
+    """``value`` if ``lo <= value <= hi`` (``lo < value`` with ``lo_open``), else raise ``error``.
+
+    ``finite`` also rejects ±inf, and NaN fails every range.  The message
+    names the side that failed: ``"<name> must be <= <hi>, got <value>"``
+    above the range, else ``"<name> must be [finite and ]>= <lo>, got
+    <value>"`` (``> <lo>`` with ``lo_open``), with ``MAX_GRID_VALUE`` as ``2**62``.
+    """
+    if value > hi:
+        rule = "<= 2**62" if hi == MAX_GRID_VALUE else f"<= {hi}"
+    elif (lo < value if lo_open else lo <= value) and not (finite and abs(value) == math.inf):
+        return value
+    else:
+        parts = ["finite"] if finite else []
+        if lo > -math.inf:
+            parts.append(f"{'>' if lo_open else '>='} {lo}")
+        rule = " and ".join(parts)
+    raise error(f"{name} must be {rule}, got {value}")

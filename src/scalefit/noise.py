@@ -12,7 +12,6 @@ trace file, validated once; an :class:`IterationSample` is one of its rows.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -20,7 +19,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateGradientError, InvalidSampleError
+from .errors import (
+    MAX_GRID_VALUE, ConfigurationError, DegenerateGradientError, InvalidSampleError, check
+)
 
 
 @dataclass(frozen=True)
@@ -34,16 +35,13 @@ class IterationSample:
     sync_time_s: float
 
     def __post_init__(self) -> None:
-        if self.iteration < 0:
-            raise ConfigurationError(f"iteration must be >= 0, got {self.iteration}")
+        check("iteration", self.iteration, 0)
         if len(self.per_worker_grad_sqnorms) < 1:
             raise ConfigurationError("per_worker_grad_sqnorms must not be empty")
-        values = [("per_worker_grad_sqnorms", v) for v in self.per_worker_grad_sqnorms]
+        for value in self.per_worker_grad_sqnorms:
+            check("per_worker_grad_sqnorms", value, 0, finite=True)
         for name in ("aggregated_grad_sqnorm", "compute_time_s", "sync_time_s"):
-            values.append((name, getattr(self, name)))
-        for name, value in values:
-            if not 0 <= value < math.inf:
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+            check(name, getattr(self, name), 0, finite=True)
 
     @property
     def iteration_time_s(self) -> float:
@@ -188,20 +186,10 @@ class EwmaConfig:
     stability_rel_tol: float = 0.02
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha <= 1:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.warmup_iters < 1:
-            raise ConfigurationError(
-                f"warmup_iters must be >= 1, got {self.warmup_iters}"
-            )
-        if self.stability_window < 2:
-            raise ConfigurationError(
-                f"stability_window must be >= 2, got {self.stability_window}"
-            )
-        if not 0 < self.stability_rel_tol < math.inf:
-            raise ConfigurationError(
-                f"stability_rel_tol must be finite and > 0, got {self.stability_rel_tol}"
-            )
+        check("alpha", self.alpha, 0, 1, lo_open=True)
+        check("warmup_iters", self.warmup_iters, 1, MAX_GRID_VALUE)
+        check("stability_window", self.stability_window, 2, MAX_GRID_VALUE)
+        check("stability_rel_tol", self.stability_rel_tol, 0, lo_open=True, finite=True)
 
 
 @dataclass(frozen=True)
@@ -229,9 +217,7 @@ class NoiseTracker:
     """
 
     def __init__(self, workers: int, cfg: EwmaConfig | None = None) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        self.workers = check("workers", workers, 1)
         self.cfg = cfg if cfg is not None else EwmaConfig()
         self._smoothed: float | None = None
         self._seen = 0

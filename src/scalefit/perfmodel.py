@@ -29,20 +29,28 @@ from .config import (
     run_cost_usd,
     vm_hourly_price,
 )
-from .errors import DegenerateFitError, ModelOutOfDomainError
+from .errors import DegenerateFitError, ModelOutOfDomainError, check
 from .tradeoff import PointColumns
 
 PROVENANCES = ("full_search", "partial_search", "reused", "universal", "ground_truth")
 
 
+def _check_finite(coefficients) -> None:
+    for name, value in vars(coefficients).items():
+        check(name, value, -math.inf, finite=True, error=ModelOutOfDomainError)
+
+
 @dataclass(frozen=True)
 class StatFit:
-    """Coefficients of the two statistical-efficiency regressions."""
+    """Coefficients of the two statistical-efficiency regressions, all finite."""
 
     noise_slope: float
     noise_intercept: float
     epochs_base: float
     epochs_slope: float
+
+    def __post_init__(self) -> None:
+        _check_finite(self)
 
     @property
     def flags(self) -> tuple[str, ...]:
@@ -65,11 +73,14 @@ class StatFit:
 
 @dataclass(frozen=True)
 class ParallelFit:
-    """Coefficients of the iteration-time plane."""
+    """Coefficients of the iteration-time plane, all finite."""
 
     base_s: float
     per_sample_s: float
     per_worker_s: float
+
+    def __post_init__(self) -> None:
+        _check_finite(self)
 
     def predicted_iteration_time(self, workers: int, mini_batch: float) -> float:
         return self.base_s + self.per_sample_s * mini_batch + self.per_worker_s * workers
@@ -86,10 +97,7 @@ class PerfModel:
     provenance: str
 
     def __post_init__(self) -> None:
-        if self.dataset_size < 1:
-            raise ModelOutOfDomainError(
-                f"dataset_size must be >= 1, got {self.dataset_size}"
-            )
+        check("dataset_size", self.dataset_size, 1, error=ModelOutOfDomainError)
         if self.dataset_size > sys.float_info.max:
             raise ModelOutOfDomainError("dataset_size is too large to be a float")
         if self.provenance not in PROVENANCES:
@@ -111,16 +119,21 @@ class Prediction:
 
 
 def _ols_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Least-squares slope and intercept via the centered normal equations."""
+    """Least-squares slope and intercept via the centered normal equations.
+
+    Values past the float range give inf or NaN coefficients quietly; the
+    fit's dataclass rejects them, naming the coefficient.
+    """
     xs = np.asarray(x, dtype=float)
     ys = np.asarray(y, dtype=float)
-    xbar = xs.mean()
-    sxx = float(((xs - xbar) ** 2).sum())
-    if sxx == 0.0:
-        raise DegenerateFitError("all predictor values are identical")
-    sxy = float(((xs - xbar) * (ys - ys.mean())).sum())
-    slope = sxy / sxx
-    intercept = float(ys.mean() - slope * xbar)
+    with np.errstate(all="ignore"):
+        xbar = xs.mean()
+        sxx = float(((xs - xbar) ** 2).sum())
+        if sxx == 0.0:
+            raise DegenerateFitError("all predictor values are identical")
+        sxy = float(((xs - xbar) * (ys - ys.mean())).sum())
+        slope = sxy / sxx
+        intercept = float(ys.mean() - slope * xbar)
     return slope, intercept
 
 
@@ -186,7 +199,8 @@ def fit_iteration_time(
         raise DegenerateFitError(
             "timing points are collinear in the (mini_batch, workers) plane"
         )
-    coef = np.linalg.solve(design.T @ design, design.T @ taus)
+    with np.errstate(all="ignore"):  # as in _ols_line
+        coef = np.linalg.solve(design.T @ design, design.T @ taus)
     return ParallelFit(
         base_s=float(coef[0]), per_sample_s=float(coef[1]), per_worker_s=float(coef[2])
     )

@@ -8,7 +8,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyInputError
+from .errors import ConfigurationError, EmptyInputError, check
 from .tradeoff import PointColumns, TradeoffPoint, knee_rows, pareto_rows
 
 OBJECTIVE_KINDS = ("deadline", "budget", "knee_point", "min_cost_time")
@@ -17,8 +17,8 @@ OBJECTIVE_KINDS = ("deadline", "budget", "knee_point", "min_cost_time")
 def _check_caps(caps: Objective | Constraints) -> None:
     for name in ("deadline_s", "budget_usd"):
         value = getattr(caps, name)
-        if value is not None and not 0 < value < math.inf:
-            raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+        if value is not None:
+            check(name, value, 0, lo_open=True, finite=True)
 
 
 @dataclass(frozen=True)

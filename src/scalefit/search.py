@@ -45,9 +45,7 @@ from .config import (
     run_cost_usd,
 )
 from .errors import (
-    ConfigurationError,
-    ModelNotFoundError,
-    SearchFailedError,
+    MAX_GRID_VALUE, ConfigurationError, ModelNotFoundError, SearchFailedError, check
 )
 from .noise import EwmaConfig, NoiseTracker, normalized_noises
 from .perfmodel import (
@@ -85,8 +83,9 @@ class RandomSampling:
     kspace: int = 4
 
     def __post_init__(self) -> None:
-        if self.bspace < 1 or self.kspace < 1:
-            raise ConfigurationError("bspace and kspace must be >= 1")
+        check("seed", self.seed, 0)
+        check("bspace", self.bspace, 1, MAX_GRID_VALUE)
+        check("kspace", self.kspace, 1, MAX_GRID_VALUE)
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,8 @@ class SearchParams:
             raise ConfigurationError(
                 f"mode must be one of {SEARCH_MODES}, got {self.mode!r}"
             )
-        if self.profile_iters < 1:
-            raise ConfigurationError("profile_iters must be >= 1")
-        if self.max_stabilize_iters < 1:
-            raise ConfigurationError("max_stabilize_iters must be >= 1")
+        check("profile_iters", self.profile_iters, 1, MAX_GRID_VALUE)
+        check("max_stabilize_iters", self.max_stabilize_iters, 1, MAX_GRID_VALUE)
 
 
 @dataclass(frozen=True)
@@ -269,6 +266,8 @@ def _selected_outcome(
             dt = e.elapsed_s()
             overhead_t += dt
             overhead_c += run_cost_usd(pricing, shape, e.workers, dt)
+    check("overhead_time_s", overhead_t, 0, finite=True, error=SearchFailedError)
+    check("overhead_cost_usd", overhead_c, 0, finite=True, error=SearchFailedError)
     return SearchOutcome(
         mode=mode,
         chosen=rec.chosen.config if rec.chosen is not None else None,

@@ -22,16 +22,21 @@ from .config import (
     VMShape,
     mini_batch,
 )
-from .errors import ConfigurationError, ModelOutOfDomainError
+from .errors import (
+    MAX_GRID_VALUE, ConfigurationError, ModelOutOfDomainError, SearchFailedError, check
+)
 from .noise import SampleBatch
 from .perfmodel import ParallelFit, PerfModel, Prediction, StatFit, predict, predict_columns
 from .policy import Constraints, Objective, Recommendation, select_rows
 from .tradeoff import PointColumns, TradeoffPoint
 
+_LAW_FIELDS = ("noise_slope", "noise_intercept", "epochs_base", "epochs_slope",
+               "time_base_s", "time_per_sample_s", "time_per_worker_s")
+
 
 @dataclass(frozen=True)
 class SimWorkload:
-    """Ground-truth coefficients and trace-synthesis knobs for one workload."""
+    """Ground-truth coefficients (all finite) and trace-synthesis knobs for one workload."""
 
     name: str
     dataset_size: int
@@ -50,12 +55,12 @@ class SimWorkload:
     def __post_init__(self) -> None:
         if not 1 <= self.dataset_size <= sys.float_info.max:
             raise ConfigurationError("dataset_size must be >= 1 and fit in a float")
-        if not 1 <= self.ramp_iters < math.inf:
-            raise ConfigurationError(f"ramp_iters must be finite and >= 1, got {self.ramp_iters}")
-        if not 0 <= self.jitter < math.inf:
-            raise ConfigurationError(f"jitter must be finite and >= 0, got {self.jitter}")
-        if self.grad_dim < 2:
-            raise ConfigurationError("grad_dim must be >= 2")
+        for name in _LAW_FIELDS:
+            check(name, getattr(self, name), -math.inf, finite=True)
+        check("ramp_iters", self.ramp_iters, 1, finite=True)
+        check("jitter", self.jitter, 0, finite=True)
+        check("grad_dim", self.grad_dim, 2, MAX_GRID_VALUE)
+        check("seed", self.seed, 0)
 
     def true_normalized_noise(self, global_batch: int) -> float:
         return self.noise_slope * global_batch**-0.5 + self.noise_intercept
@@ -93,10 +98,7 @@ class SimCluster:
     restore_overhead_s: float = 37.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.restore_overhead_s < math.inf:
-            raise ConfigurationError(
-                f"restore_overhead_s must be finite and >= 0, got {self.restore_overhead_s}"
-            )
+        check("restore_overhead_s", self.restore_overhead_s, 0, finite=True)
 
 
 class SimEnvironment:
@@ -112,6 +114,9 @@ class SimEnvironment:
         self.cluster = cluster
         self._rng = np.random.default_rng(workload.seed)
 
+    # Coefficients whose products pass the float range give inf or NaN samples
+    # quietly; SampleBatch then rejects them, naming the column.
+    @np.errstate(all="ignore")
     def profile(
         self,
         workers: int,
@@ -126,12 +131,9 @@ class SimEnvironment:
         the plane with half the base each and jitter independently.
         """
         config = JobConfig(workers, global_batch)
-        if iters < 1:
-            raise ConfigurationError(f"iters must be >= 1, got {iters}")
-        if not 0 <= start_iteration <= 2**62:  # iterations are stored as int64
-            raise ConfigurationError(
-                f"start_iteration must be in [0, 2**62], got {start_iteration}"
-            )
+        check("iters", iters, 1, MAX_GRID_VALUE)
+        # Iterations are stored as int64, so the last one stays below 2**63.
+        check("start_iteration", start_iteration, 0, MAX_GRID_VALUE)
         w = self.workload
         b = mini_batch(config)
         t_idx = start_iteration + np.arange(iters, dtype=float)
@@ -229,12 +231,15 @@ def compose_end_to_end(outcome, workload: SimWorkload, cluster: SimCluster) -> E
     if outcome.chosen is None:
         raise ConfigurationError("search outcome has no chosen configuration")
     run = ground_truth(workload, cluster, outcome.chosen)
-    return EndToEnd(
+    totals = EndToEnd(
         overhead_time_s=outcome.overhead_time_s,
         overhead_cost_usd=outcome.overhead_cost_usd,
         run_time_s=run.total_time_s,
         run_cost_usd=run.cost_usd,
     )
+    check("total_time_s", totals.total_time_s, 0, finite=True, error=SearchFailedError)
+    check("total_cost_usd", totals.total_cost_usd, 0, finite=True, error=SearchFailedError)
+    return totals
 
 
 # Preset workloads.  Ramp horizons are tuned so the noise ramp reaches 98%

@@ -5,10 +5,10 @@ A trace file is JSON Lines, one record per iteration::
     {"t": 0, "K": 8, "B": 512, "worker_sqnorms": [...], "agg_sqnorm": 1.0,
      "compute_s": 0.33, "sync_s": 0.33}
 
-All records in one file must share the same (K, B), and every number must
-be finite and >= 0: ``NaN`` and ``Infinity`` are rejected at their line.
-The anchors side file is a single JSON object: ``{"anchors": [{"K": 8,
-"B": 384, "epochs": 35.2}, ...]}``.
+All records in one file must share the same (K, B); ``t``, ``K`` and ``B``
+must be JSON integers, and every number must be finite and >= 0: ``NaN``
+and ``Infinity`` are rejected at their line.  The anchors side file is a
+single JSON object: ``{"anchors": [{"K": 8, "B": 384, "epochs": 35.2}, ...]}``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,13 @@ from .errors import ConfigurationError, InvalidSampleError, TraceParseError
 from .noise import SampleBatch
 
 _KEYS = ("t", "K", "B", "worker_sqnorms", "agg_sqnorm", "compute_s", "sync_s")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` if it is a JSON integer; anything else, a bool too, is a ConfigurationError."""
+    if type(value) is not int:
+        raise ConfigurationError(f"{name} must be an integer, got {type(value).__name__}")
+    return value
 
 
 def write_trace(path: str | Path, config: JobConfig, samples: SampleBatch) -> None:
@@ -69,8 +76,8 @@ def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
             kb = (record["K"], record["B"])
             if kb != first_kb:
                 try:
-                    line_config = JobConfig(int(kb[0]), int(kb[1]))
-                except (ConfigurationError, TypeError, ValueError) as exc:
+                    line_config = JobConfig(_integer("K", kb[0]), _integer("B", kb[1]))
+                except ConfigurationError as exc:
                     raise TraceParseError(str(path), lineno, str(exc)) from None
                 if config is None:
                     config, first_kb = line_config, kb
@@ -90,13 +97,13 @@ def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
                 )
             try:
                 rows.append((
-                    int(record["t"]),
+                    _integer("t", record["t"]),
                     list(map(float, norms)),
                     float(record["agg_sqnorm"]),
                     float(record["compute_s"]),
                     float(record["sync_s"]),
                 ))
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
                 raise TraceParseError(str(path), lineno, str(exc)) from None
             linenos.append(lineno)
     if config is None:
@@ -135,7 +142,7 @@ def read_anchors(path: str | Path) -> list[tuple[JobConfig, float]]:
         if not isinstance(entry, dict) or not {"K", "B", "epochs"} <= set(entry):
             raise TraceParseError(str(path), 0, f"{where} needs K, B, and epochs")
         try:
-            cfg = JobConfig(int(entry["K"]), int(entry["B"]))
+            cfg = JobConfig(_integer("K", entry["K"]), _integer("B", entry["B"]))
             epochs = float(entry["epochs"])
         except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
             raise TraceParseError(str(path), 0, f"{where}: {exc}") from None

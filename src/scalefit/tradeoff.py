@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import JobConfig
-from .errors import ConfigurationError, EmptyInputError
+from .errors import EmptyInputError, check
 
 KNEEDLE = "kneedle"
 FALLBACK = "fallback_min_cost_time"
@@ -28,12 +28,8 @@ class TradeoffPoint:
     cost_usd: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.time_s) or self.time_s <= 0:
-            raise ConfigurationError(f"time_s must be finite and > 0, got {self.time_s}")
-        if not math.isfinite(self.cost_usd) or self.cost_usd < 0:
-            raise ConfigurationError(
-                f"cost_usd must be finite and >= 0, got {self.cost_usd}"
-            )
+        check("time_s", self.time_s, 0, lo_open=True, finite=True)
+        check("cost_usd", self.cost_usd, 0, finite=True)
 
 
 def _point_order(p: TradeoffPoint) -> tuple[float, float, int, int]:

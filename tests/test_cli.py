@@ -1,5 +1,8 @@
 """End-to-end command-line behavior for all six subcommands."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -8,20 +11,24 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scalefit
+from scalefit.cli import main as cli_main
 from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape
 from scalefit.perfmodel import predict
 from scalefit.policy import Objective
 from scalefit.simulator import (
+    SimEnvironment,
     ground_truth,
     oracle_best,
     preset_cluster,
     preset_workload,
 )
-from scalefit.store import ModelStore, read_model_file, write_model_file
+from scalefit.store import ModelStore, model_from_document, read_model_file, write_model_file
 from scalefit.tradeoff import TradeoffCurve, TradeoffPoint, kneedle_knee, pareto_frontier
-from scalefit.traces import read_trace, write_anchors
+from scalefit.traces import read_trace, write_anchors, write_trace
 
 GRID_FLAGS = [
     "--k-min", "8", "--k-max", "20", "--k-step", "4",
@@ -102,6 +109,15 @@ class TestPredict:
         rows = json.loads(out)
         assert "not divisible" in rows[0]["error"]
         assert rows[0]["workers"] == 7
+        assert "error" not in rows[1]
+
+    def test_configuration_past_the_grid_cap_is_an_error_row(self, run_cli, model_file):
+        code, out, err = run_cli("predict", "--model", str(model_file), "8x512",
+                                 f"1x{10**400}")
+        assert (code, err) == (5, "")
+        rows = json.loads(out)
+        assert rows[0] == {"workers": 1, "global_batch": 10**400,
+                           "error": f"global_batch must be <= 2**62, got {10**400}"}
         assert "error" not in rows[1]
 
     def test_zero_price(self, run_cli, model_file):
@@ -273,8 +289,8 @@ class TestSimulate:
         assert "<file>: invalid JSON in" in err and "Exceeds the limit" in err
 
     @pytest.mark.parametrize("field,value", [("dataset_size", 10**400), ("jitter", math.nan),
-                                             ("ramp_iters", math.inf)],
-                             ids=["dataset_size", "jitter", "ramp_iters"])
+                                             ("ramp_iters", math.inf), ("time_base_s", math.inf)],
+                             ids=["dataset_size", "jitter", "ramp_iters", "time_base_s"])
     def test_out_of_range_workload_file_exits_5_naming_the_field(self, run_cli, tmp_path,
                                                                  field, value):
         doc = {"dataset_size": 50_000, "noise_slope": 48, "epochs_base": 10,
@@ -286,6 +302,13 @@ class TestSimulate:
                                  "--out", str(tmp_path / "t"))
         assert (code, out) == (5, "")
         assert err.startswith(f"error: workload: {field} must be")
+
+    def test_negative_seed_exits_2(self, run_cli, tmp_path):
+        code, out, err = run_cli("simulate", "--workload", "resnet18-like", "--config", "8x512",
+                                 "--seed", "-1", "--out", str(tmp_path / "t"))
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "t").exists()
 
     def test_non_finite_jitter_flag_exits_2(self, run_cli, tmp_path):
         code, out, err = run_cli("simulate", "--workload", "resnet18-like", "--config", "8x512",
@@ -440,6 +463,41 @@ class TestFit:
         )
         assert (code, out) == (2, "")
         assert "argument --dataset-size: must be an integer >= 1 that fits in a float" in err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("target", ["anchors", "trace"])
+    def test_batch_past_the_grid_cap_exits_5(self, run_cli, tmp_path, corner_traces, target):
+        paths, anchors = corner_traces
+        victim = anchors if target == "anchors" else Path(paths[1])
+        victim.write_text(victim.read_text().replace('"B": 1024', f'"B": {10**400}'))
+        code, out, err = run_cli(
+            "fit", "--traces", *paths, "--anchors", str(anchors),
+            "--dataset-size", "1000000", "--out", str(tmp_path / "m.json"),
+        )
+        assert (code, out) == (5, "")
+        where = f"{anchors}:0: anchors[1]:" if target == "anchors" else f"{victim}:1:"
+        assert err == f"error: {where} global_batch must be <= 2**62, got {10**400}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("field,coefficient", [("worker_sqnorms", "noise_slope"),
+                                                   ("compute_s", "base_s")])
+    def test_overflowing_trace_values_exit_5_naming_the_coefficient(
+        self, run_cli, tmp_path, corner_traces, field, coefficient
+    ):
+        """Finite values whose means overflow leave NaN coefficients, which fit rejects."""
+        paths, anchors = corner_traces
+        with open(paths[1]) as fh:
+            records = [json.loads(line) for line in fh]
+        for record in records:
+            record[field] = [1e308] * 8 if field == "worker_sqnorms" else 1e308
+        with open(paths[1], "w") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
+        code, out, err = run_cli(
+            "fit", "--traces", *paths, "--anchors", str(anchors),
+            "--dataset-size", "1000000", "--out", str(tmp_path / "m.json"),
+        )
+        assert (code, out) == (5, "")
+        assert err == f"error: {coefficient} must be finite, got nan\n"
         assert not (tmp_path / "m.json").exists()
 
     def test_malformed_trace_line_exits_5(self, run_cli, tmp_path, corner_traces):
@@ -668,6 +726,11 @@ class TestRecommend:
         assert f"{field} must be finite" in err
 
 
+CUSTOM_WORKLOAD = {"dataset_size": 50_000, "noise_slope": 48, "epochs_base": 10,
+                   "epochs_slope": 50, "time_base_s": 0.2, "time_per_sample_s": 0.001,
+                   "time_per_worker_s": 0.05}
+
+
 def scenario_doc(**overrides):
     doc = {
         "workload": {"preset": "resnet18-like"},
@@ -842,8 +905,29 @@ class TestSearch:
         ({"cluster": {"pricing": {"flat_hourly_usd": 0.13402},
                       "shape": {"vcpus": 4, "memory_gb": math.inf}}},
          "cluster.shape", "memory_gb must be finite and > 0, got inf"),
+        ({"workload": {**CUSTOM_WORKLOAD, "noise_slope": math.nan}}, "workload",
+         "noise_slope must be finite, got nan"),
+        ({"workload": {**CUSTOM_WORKLOAD, "epochs_base": math.nan}}, "workload",
+         "epochs_base must be finite, got nan"),
+        ({"seed": -1}, "workload", "seed must be >= 0, got -1"),
+        ({"search": {"mode": "scaling", "sampling": {"kind": "random", "seed": -1}}},
+         "search", "seed must be >= 0, got -1"),
+        ({"workload": {"preset": "resnet18-like", "grad_dim": 10**400}}, "workload",
+         f"grad_dim must be <= 2**62, got {10**400}"),
+        ({"cluster": {"pricing": {"flat_hourly_usd": 0.13402},
+                      "shape": {"vcpus": 10**400, "memory_gb": 16}}},
+         "cluster.shape", f"vcpus must be <= 2**62, got {10**400}"),
+        ({"search": {"mode": "scaling",
+                     "sampling": {"kind": "random", "seed": 1, "bspace": 10**30}}},
+         "search", f"bspace must be <= 2**62, got {10**30}"),
+        ({"search": {"mode": "scaling",
+                     "sampling": {"kind": "random", "seed": 1, "kspace": 10**30}}},
+         "search", f"kspace must be <= 2**62, got {10**30}"),
+        ({"search": {"mode": "partial", "profile_iters": 10**400}}, "search",
+         f"profile_iters must be <= 2**62, got {10**400}"),
     ], ids=["preset_dataset_size", "dataset_size", "jitter", "ramp_iters", "restore_overhead_s",
-            "memory_gb"])
+            "memory_gb", "noise_slope", "epochs_base", "seed", "sampling_seed", "grad_dim",
+            "vcpus", "bspace", "kspace", "profile_iters"])
     def test_out_of_range_value_exits_5_naming_the_field(self, run_cli, scenario_file,
                                                          overrides, path, message):
         code, out, err = run_cli("search", "--scenario", str(scenario_file(**overrides)))
@@ -863,6 +947,16 @@ class TestSearch:
         code, out, err = run_cli("search", "--scenario", str(path))
         assert (code, out) == (5, "")
         assert err == f"error: {message}\n"
+
+    def test_overflowing_overhead_exits_5(self, run_cli, scenario_file, tmp_path):
+        """A finite restore time whose sum overflows would print Infinity, not JSON."""
+        cluster = {"pricing": {"flat_hourly_usd": 0.13402}, "restore_overhead_s": 1e308}
+        out_path = tmp_path / "outcome.json"
+        code, out, err = run_cli("search", "--scenario", str(scenario_file(cluster=cluster)),
+                                 "--out", str(out_path))
+        assert (code, out) == (5, "")
+        assert err == "error: overhead_time_s must be finite and >= 0, got inf\n"
+        assert not out_path.exists()
 
     def test_bounds_past_int64_range_exit_5(self, run_cli, scenario_file):
         bounds = {**scenario_doc()["bounds"], "b_candidates": [384, 2**62 + 2]}
@@ -914,3 +1008,159 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "scalefit" in proc.stdout
+
+
+# ---------------------------------------------------------------- fuzz
+
+# A scaling search whose anchors stabilize within a few dozen iterations, so
+# one search takes milliseconds; it sets every field a profiling search reads.
+FUZZ_SCENARIO = {
+    "seed": 2,
+    "workload": {"name": "fuzz", "dataset_size": 200_000, "noise_slope": 30.0,
+                 "noise_intercept": 0.2, "epochs_base": 5.0, "epochs_slope": 12.0,
+                 "time_base_s": 0.3, "time_per_sample_s": 0.01, "time_per_worker_s": 0.01,
+                 "ramp_iters": 5.0, "jitter": 0.05, "grad_dim": 1000},
+    "cluster": {"shape": {"vcpus": 4, "memory_gb": 16},
+                "pricing": {"mode": "flat_per_vm", "flat_hourly_usd": 0.13402},
+                "restore_overhead_s": 37.0},
+    "bounds": {"k_min": 2, "k_max": 8, "k_step": 2, "b_min": 1, "b_max": 512,
+               "b_candidates": [64, 128, 512]},
+    "search": {"mode": "scaling", "profile_iters": 3, "max_stabilize_iters": 400,
+               "sampling": {"kind": "random", "seed": 7, "bspace": 2, "kspace": 2},
+               "ewma": {"alpha": 0.5, "warmup_iters": 5, "stability_window": 5,
+                        "stability_rel_tol": 0.5}},
+    "objective": {"kind": "deadline", "deadline_s": 1e9},
+    "constraints": {"budget_usd": 1e6},
+}
+MUTATIONS = ("drop", "wrong_type", "bool", "nan_string", "inf_string", "nan", "inf",
+             "negative", "huge_int", "huge_float", "truncate")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """(directory, trace records by file name, documents by file name) of valid inputs."""
+    root = tmp_path_factory.mktemp("fuzz")
+    env = SimEnvironment(preset_workload("resnet18-like"), preset_cluster("resnet18-like"))
+    traces = {}
+    for i, (k, b) in enumerate([(8, 384), (8, 1024), (16, 384), (16, 1024)]):
+        path = root / f"trace_K{k}_B{b}.jsonl"
+        write_trace(path, JobConfig(k, b), env.profile(k, b, 4, 12_500 + 4 * i))
+        traces[path.name] = [json.loads(line) for line in path.read_text().splitlines()]
+    w = preset_workload("resnet18-like")
+    write_anchors(root / "anchors.json", [(JobConfig(8, 384), w.true_epochs(384)),
+                                          (JobConfig(8, 1024), w.true_epochs(1024))])
+    write_model_file(root / "model.json", w.to_perf_model())
+    (root / "scenario.json").write_text(json.dumps(FUZZ_SCENARIO))
+    docs = {name: json.loads((root / name).read_text())
+            for name in ("anchors.json", "model.json", "scenario.json")}
+    return root, traces, docs
+
+
+def _paths(doc, prefix=()):
+    """Paths to every value nested in a JSON document, containers included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [prefix]
+    out = [prefix] if prefix else []
+    for key, value in items:
+        out += _paths(value, prefix + (key,))
+    return out
+
+
+def _mutated(doc, path, mutation):
+    """``doc`` with the value at ``path`` dropped or replaced, as JSON text."""
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    if mutation == "drop":
+        del parent[path[-1]]
+    elif mutation != "truncate":
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        parent[path[-1]] = {
+            "wrong_type": str(value) if number else 1,
+            "bool": True,
+            "nan_string": "nan",
+            "inf_string": "inf",
+            "nan": math.nan,
+            "inf": math.inf,
+            "negative": -abs(value) if number and value else -1,
+            "huge_int": 10**400,
+            "huge_float": 1e308,
+        }[mutation]
+    return json.dumps(doc)
+
+
+@st.composite
+def fuzzed_input(draw, fuzz_inputs):
+    """(file name, its mutated text) for one trace line, anchors file, model or scenario."""
+    _, traces, docs = fuzz_inputs
+    name = draw(st.sampled_from(["trace", *sorted(docs)]))
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if name == "trace":
+        name = draw(st.sampled_from(sorted(traces)))
+        lines = [json.dumps(record) for record in traces[name]]
+        row = draw(st.integers(0, len(lines) - 1))
+        doc = traces[name][row]
+    else:
+        doc = docs[name]
+    text = _mutated(doc, draw(st.sampled_from(_paths(doc))), mutation)
+    if mutation == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    if name in traces:
+        lines[row] = text
+        text = "\n".join(lines) + "\n"
+    return name, text
+
+
+def _fuzz_command(root, name):
+    """The command that reads ``name``: recommend, search, or fit for traces and anchors."""
+    if name == "model.json":
+        return ["recommend", "--model", str(root / name), "--k-min", "8", "--k-max", "16",
+                "--k-step", "8", "--b-min", "384", "--b-max", "1024",
+                "--b-candidates", "384,512,1024", "--objective", "min-cost-time"]
+    if name == "scenario.json":
+        return ["search", "--scenario", str(root / name)]
+    return ["fit", "--traces", *sorted(str(p) for p in root.glob("trace_*.jsonl")),
+            "--anchors", str(root / "anchors.json"), "--dataset-size", "1000000"]
+
+
+class TestFuzz:
+    @settings(max_examples=400)
+    @given(data=st.data())
+    def test_every_mutated_input_exits_cleanly(self, fuzz_inputs, data):
+        """A mutated input file never raises out of ``main``.
+
+        The exit code is a documented one.  Every failure prints exactly one
+        ``error:`` line and writes no output file; exit 3 (nothing feasible)
+        is a result and writes its document.  No output holds ``NaN`` or
+        ``Infinity``, and a model that ``fit`` writes reads back.
+        """
+        root, _, _ = fuzz_inputs
+        name, text = data.draw(fuzzed_input(fuzz_inputs))
+        target, out_path = root / name, root / "out.json"
+        original = target.read_text()
+        target.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main([*_fuzz_command(root, name), "--out", str(out_path)])
+            written = out_path.read_text() if out_path.exists() else None
+        finally:
+            target.write_text(original)
+            out_path.unlink(missing_ok=True)
+        assert code in (0, 2, 3, 5, 6), err.getvalue()
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        if code in (0, 3):
+            assert errors == [] and written is not None
+            doc = json.loads(written)
+            if _fuzz_command(root, name)[0] == "fit":
+                model_from_document(doc)  # a written model reads back
+        else:
+            assert len(errors) == 1 and written is None, err.getvalue()
+        for output in (out.getvalue(), written or ""):
+            assert "NaN" not in output and "Infinity" not in output

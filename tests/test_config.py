@@ -15,7 +15,7 @@ from scalefit.config import (
     mini_batch,
     run_cost_usd,
 )
-from scalefit.errors import ConfigurationError
+from scalefit.errors import ConfigurationError, ModelOutOfDomainError, check
 
 
 class TestJobConfig:
@@ -37,9 +37,52 @@ class TestJobConfig:
         with pytest.raises(ConfigurationError):
             JobConfig(2, 0)
 
+    @pytest.mark.parametrize("field", ["workers", "global_batch"])
+    def test_fields_capped_at_2_62(self, field):
+        JobConfig(2**62, 2**62)
+        args = {"workers": 1, "global_batch": 1, field: 10**400}
+        with pytest.raises(ConfigurationError, match=f"^{field} must be <= 2\\*\\*62, got 1"):
+            JobConfig(**args)
+
     def test_equality_and_hash(self):
         assert JobConfig(4, 64) == JobConfig(4, 64)
         assert len({JobConfig(4, 64), JobConfig(4, 64), JobConfig(8, 64)}) == 2
+
+
+class TestCheck:
+    """The one range check every constructor runs."""
+
+    @pytest.mark.parametrize("value,lo,hi,options", [
+        (1, 1, math.inf, {}),
+        (2**62, 1, 2**62, {}),
+        (0.5, 0, 1, {"lo_open": True}),
+        (0.0, 0, math.inf, {"finite": True}),
+        (-1e308, -math.inf, math.inf, {"finite": True}),
+        (10**400, 1, math.inf, {}),
+    ])
+    def test_in_range_returns_the_value(self, value, lo, hi, options):
+        assert check("x", value, lo, hi, **options) is value
+
+    @pytest.mark.parametrize("value,lo,hi,options,message", [
+        (0, 1, math.inf, {}, "x must be >= 1, got 0"),
+        (0, 0, math.inf, {"lo_open": True}, "x must be > 0, got 0"),
+        (2**62 + 1, 1, 2**62, {}, f"x must be <= 2**62, got {2**62 + 1}"),
+        (1.5, 0, 1, {"lo_open": True}, "x must be <= 1, got 1.5"),
+        (math.inf, 0, math.inf, {"finite": True}, "x must be finite and >= 0, got inf"),
+        (-1.0, 0, math.inf, {"finite": True, "lo_open": True},
+         "x must be finite and > 0, got -1.0"),
+        (-math.inf, -math.inf, math.inf, {"finite": True}, "x must be finite, got -inf"),
+        (math.nan, 0, 1, {}, "x must be >= 0, got nan"),
+        (math.nan, -math.inf, math.inf, {"finite": True}, "x must be finite, got nan"),
+    ])
+    def test_out_of_range_raises_naming_the_rule(self, value, lo, hi, options, message):
+        with pytest.raises(ConfigurationError) as exc_info:
+            check("x", value, lo, hi, **options)
+        assert str(exc_info.value) == message
+
+    def test_error_type_is_the_callers(self):
+        with pytest.raises(ModelOutOfDomainError, match="^x must be finite, got inf$"):
+            check("x", math.inf, -math.inf, finite=True, error=ModelOutOfDomainError)
 
 
 class TestPricing:
@@ -97,6 +140,11 @@ class TestPricing:
             PricingModel.flat(value)
         with pytest.raises(ConfigurationError, match="per_gb_hourly_usd must be finite"):
             PricingModel.per_resource(0.02, value)
+
+    def test_vcpus_capped_at_2_62(self):
+        VMShape(2**62, 16.0)
+        with pytest.raises(ConfigurationError, match="^vcpus must be <= 2\\*\\*62, got 1"):
+            VMShape(10**400, 16.0)
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -228,6 +228,11 @@ class TestTrackerEdgeCases:
         with pytest.raises(ConfigurationError):
             EwmaConfig(stability_rel_tol=0.0)
 
+    @pytest.mark.parametrize("field", ["warmup_iters", "stability_window"])
+    def test_counts_capped_at_2_62(self, field):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be <= 2\\*\\*62, got 1"):
+            EwmaConfig(**{field: 10**400})
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_tolerance_names_the_field(self, tol):
         with pytest.raises(ConfigurationError, match="stability_rel_tol must be finite and > 0"):

@@ -514,6 +514,24 @@ class TestPredict:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls,field", [(StatFit, f.name) for f in fields(StatFit)]
+                             + [(ParallelFit, f.name) for f in fields(ParallelFit)])
+    def test_non_finite_coefficient_names_the_field(self, cls, field, value):
+        args = {f.name: 1.0 for f in fields(cls)}
+        with pytest.raises(ModelOutOfDomainError) as exc_info:
+            cls(**{**args, field: value})
+        assert str(exc_info.value) == f"{field} must be finite, got {value}"
+
+    def test_fits_past_the_float_range_are_rejected_quietly(self):
+        # inf in the data turns the OLS arithmetic to NaN without a warning,
+        # and the fit's dataclass names the coefficient.
+        slope, intercept = fit_noise_vs_batch([(64, math.inf), (256, 1.0)])
+        assert math.isnan(slope) and math.isnan(intercept)
+        points = [((1, 1.0), 1e308), ((2, 1.0), 1e308), ((1, 2.0), math.inf)]
+        with pytest.raises(ModelOutOfDomainError, match="^base_s must be finite, got nan$"):
+            fit_iteration_time(points)
+
     def test_model_field_checks(self):
         stat = StatFit(48.0, 0.0, 10.0, 50.0)
         par = ParallelFit(0.2, 0.001, 0.05)

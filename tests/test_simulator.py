@@ -1,13 +1,14 @@
 """Synthetic profiling environment: exactness, determinism, presets."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import true_iteration_time
 from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape
-from scalefit.errors import ConfigurationError
+from scalefit.errors import ConfigurationError, SearchFailedError
 from scalefit.noise import compute_raw_noise
 from scalefit.perfmodel import predict
 from scalefit.policy import Objective
@@ -89,6 +90,25 @@ class TestWorkload:
             small_workload(jitter=value)
         with pytest.raises(ConfigurationError, match="restore_overhead_s must be finite and >= 0"):
             SimCluster(VMShape(4, 16.0), PricingModel.flat(0.1), restore_overhead_s=value)
+
+    @pytest.mark.parametrize("field", ["noise_slope", "noise_intercept", "epochs_base",
+                                       "epochs_slope", "time_base_s", "time_per_sample_s",
+                                       "time_per_worker_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_names_the_field(self, field, value):
+        with pytest.raises(ConfigurationError) as exc_info:
+            small_workload(**{field: value})
+        assert str(exc_info.value) == f"{field} must be finite, got {value}"
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("grad_dim", 1, "grad_dim must be >= 2, got 1"),
+        ("grad_dim", 10**400, f"grad_dim must be <= 2**62, got {10**400}"),
+    ], ids=["negative_seed", "grad_dim_1", "grad_dim_400_digits"])
+    def test_integer_knobs_name_the_field(self, field, value, message):
+        with pytest.raises(ConfigurationError) as exc_info:
+            small_workload(**{field: value})
+        assert str(exc_info.value) == message
 
 
 class TestProfile:
@@ -229,6 +249,19 @@ class TestRestoreAndEndToEnd:
 
         with pytest.raises(ConfigurationError, match="no chosen configuration"):
             compose_end_to_end(Outcome(), small_workload(), flat_cluster())
+
+    def test_overflowing_total_is_rejected(self):
+        class Outcome:
+            chosen = JobConfig(8, 512)
+            overhead_time_s = sys.float_info.max
+            overhead_cost_usd = 0.0
+
+        # Some 1e299 s of run time exceeds half a unit in the last place of the
+        # largest float, so the sum overflows.
+        workload = small_workload(dataset_size=10**300)
+        with pytest.raises(SearchFailedError) as exc_info:
+            compose_end_to_end(Outcome(), workload, flat_cluster())
+        assert str(exc_info.value) == "total_time_s must be finite and >= 0, got inf"
 
 
 class TestPresets:

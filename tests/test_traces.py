@@ -129,6 +129,26 @@ class TestTraceErrors:
         with pytest.raises(TraceParseError, match=":2: could not convert string to float"):
             read_trace(path)
 
+    @pytest.mark.parametrize("field", ["t", "K", "B"])
+    @pytest.mark.parametrize("value,kind", [(8.5, "float"), (8.0, "float"), ("8", "str"),
+                                            (True, "bool"), (None, "NoneType")])
+    def test_integer_field_must_be_a_json_integer(self, tmp_path, field, value, kind):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, JobConfig(8, 512), make_samples(8, 3))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        records[0][field] = value
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        with pytest.raises(TraceParseError) as exc_info:
+            read_trace(path)
+        assert str(exc_info.value) == f"{path}:1: {field} must be an integer, got {kind}"
+
+    def test_configuration_past_the_grid_cap_cites_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, JobConfig(8, 512), make_samples(8, 2))
+        path.write_text(path.read_text().replace('"B": 512', f'"B": {10**400}'))
+        with pytest.raises(TraceParseError, match=f":1: global_batch must be <= 2\\*\\*62, got 1"):
+            read_trace(path)
+
     def test_mid_file_config_change_cites_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         rec1 = {
@@ -224,6 +244,18 @@ class TestAnchors:
         path.write_text('{"anchors": [{"K": 8, "B": 384, "epochs": 1' + "0" * 400 + "}]}")
         with pytest.raises(TraceParseError, match=r"anchors\[0\]: int too large"):
             read_anchors(path)
+
+    @pytest.mark.parametrize("field", ["K", "B"])
+    @pytest.mark.parametrize("value,kind", [(8.5, "float"), ("8", "str"), (True, "bool")])
+    def test_integer_field_must_be_a_json_integer(self, tmp_path, field, value, kind):
+        path = tmp_path / "anchors.json"
+        entry = {"K": 8, "B": 384, "epochs": 35.0, field: value}
+        path.write_text(json.dumps({"anchors": [entry]}))
+        with pytest.raises(TraceParseError) as exc_info:
+            read_anchors(path)
+        assert str(exc_info.value) == (
+            f"{path}:0: anchors[0]: {field} must be an integer, got {kind}"
+        )
 
     def test_nonpositive_epochs(self, tmp_path):
         path = tmp_path / "anchors.json"
