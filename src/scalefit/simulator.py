@@ -23,7 +23,8 @@ from .config import (
     mini_batch,
 )
 from .errors import (
-    MAX_GRID_VALUE, ConfigurationError, ModelOutOfDomainError, SearchFailedError, check
+    MAX_GRID_VALUE, ConfigurationError, InvalidSampleError, ModelOutOfDomainError,
+    SearchFailedError, check,
 )
 from .noise import SampleBatch
 from .perfmodel import ParallelFit, PerfModel, Prediction, StatFit, predict, predict_columns
@@ -32,6 +33,12 @@ from .tradeoff import PointColumns, TradeoffPoint
 
 _LAW_FIELDS = ("noise_slope", "noise_intercept", "epochs_base", "epochs_slope",
                "time_base_s", "time_per_sample_s", "time_per_worker_s")
+# The workload coefficients each synthesized sample column is computed from.
+_COLUMN_SOURCES = {
+    "worker_sqnorms": "noise_slope, noise_intercept and jitter",
+    "compute_s": "time_base_s, time_per_sample_s and jitter",
+    "sync_s": "time_base_s, time_per_worker_s and jitter",
+}
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,8 @@ class SimEnvironment:
         self._rng = np.random.default_rng(workload.seed)
 
     # Coefficients whose products pass the float range give inf or NaN samples
-    # quietly; SampleBatch then rejects them, naming the column.
+    # quietly; SampleBatch then rejects them, and the rejection is reported
+    # against the workload coefficients rather than a synthesized row.
     @np.errstate(all="ignore")
     def profile(
         self,
@@ -162,9 +170,16 @@ class SimEnvironment:
             None,
         )
 
-        return SampleBatch(
-            t_idx.astype(np.int64), worker_vals, np.ones(iters), compute, sync
-        )
+        try:
+            return SampleBatch(
+                t_idx.astype(np.int64), worker_vals, np.ones(iters), compute, sync
+            )
+        except InvalidSampleError as exc:
+            raise ModelOutOfDomainError(
+                f"workload {w.name!r} at K={workers}, B={global_batch}: "
+                f"{_COLUMN_SOURCES[exc.field]} overflow the synthesized {exc.field} "
+                f"({exc.reason})"
+            ) from None
 
 
 def ground_truth(

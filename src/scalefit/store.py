@@ -189,8 +189,7 @@ class ModelStore:
         _write_json_atomically(self._index_path, index)
         return self.root / filename
 
-    def load(self, fingerprint: str) -> StoredModel:
-        index = self._read_index()
+    def _load_entry(self, index: dict[str, str], fingerprint: str) -> StoredModel:
         if fingerprint not in index:
             raise ModelNotFoundError(f"no stored model for fingerprint {fingerprint!r}")
         stored = read_model_file(self.root / index[fingerprint])
@@ -201,11 +200,16 @@ class ModelStore:
             )
         return stored
 
+    def load(self, fingerprint: str) -> StoredModel:
+        return self._load_entry(self._read_index(), fingerprint)
+
     def fingerprints(self) -> list[str]:
         return sorted(self._read_index())
 
     def load_all(self) -> list[StoredModel]:
-        return [self.load(fp) for fp in self.fingerprints()]
+        """Every model in fingerprint order, from one snapshot of the index."""
+        index = self._read_index()
+        return [self._load_entry(index, fp) for fp in sorted(index)]
 
     def universal_average(
         self, dataset_size: int, fingerprint: str = "universal"

@@ -987,6 +987,33 @@ class TestSearch:
         assert "invalid JSON" in err
 
 
+class TestSynthesisOverflow:
+    """Finite coefficients whose synthesized samples overflow name the workload."""
+
+    @pytest.mark.parametrize("field,column,sources", [
+        ("time_per_sample_s", "compute_s", "time_base_s, time_per_sample_s and jitter"),
+        ("time_per_worker_s", "sync_s", "time_base_s, time_per_worker_s and jitter"),
+        ("noise_intercept", "worker_sqnorms", "noise_slope, noise_intercept and jitter"),
+        ("jitter", "worker_sqnorms", "noise_slope, noise_intercept and jitter"),
+    ], ids=["compute_s", "sync_s", "worker_sqnorms", "jitter"])
+    @pytest.mark.parametrize("command", ["simulate", "search"])
+    def test_exits_5_naming_workload_config_and_coefficients(
+            self, run_cli, scenario_file, tmp_path, command, field, column, sources):
+        workload = dict(CUSTOM_WORKLOAD, name="toy", **{field: 1e308})
+        if command == "simulate":
+            wl = tmp_path / "workload.json"
+            wl.write_text(json.dumps(workload))
+            argv = ["simulate", "--workload", str(wl), "--config", "8x384", "--iters", "100",
+                    "--out", str(tmp_path / "t")]
+        else:
+            argv = ["search", "--scenario", str(scenario_file(workload=workload))]
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (5, "")
+        assert err.startswith(f"error: workload 'toy' at K=8, B=384: {sources} overflow "
+                              f"the synthesized {column} (must be finite and >= 0, got ")
+        assert "row" not in err
+
+
 class TestTopLevel:
     def test_help_exits_0(self, run_cli):
         code, out, _ = run_cli("--help")

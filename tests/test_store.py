@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+import scalefit.store as store_module
 from scalefit.errors import CorruptDocumentError, ModelNotFoundError
 from scalefit.perfmodel import ParallelFit, PerfModel, StatFit
 from scalefit.store import (
@@ -122,6 +123,50 @@ class TestRoundTrip:
             f"worker{w}-model{i}" for w in range(4) for i in range(20)
         }
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestSnapshotReads:
+    def test_load_all_survives_an_entry_dropped_mid_read(self, tmp_path, make_model,
+                                                         monkeypatch):
+        # A racing writer's lost update can drop an index entry between the
+        # listing and the document reads; load_all keeps the listing's snapshot.
+        store = ModelStore(tmp_path)
+        for fp in ("a", "b", "c"):
+            store.save(make_model(fingerprint=fp))
+        index_path = tmp_path / "index.json"
+        real_read = store_module.read_model_file
+
+        def read_and_drop_c(path):
+            index = json.loads(index_path.read_text())
+            if "c" in index:
+                del index["c"]
+                index_path.write_text(json.dumps(index))
+            return real_read(path)
+
+        monkeypatch.setattr(store_module, "read_model_file", read_and_drop_c)
+        assert [s.model.fingerprint for s in store.load_all()] == ["a", "b", "c"]
+        with pytest.raises(ModelNotFoundError, match="'c'"):
+            store.load("c")
+
+    @pytest.mark.parametrize("call", [
+        lambda store: store.load_all(),
+        lambda store: store.universal_average(dataset_size=1000),
+        lambda store: store.load("model-123"),
+    ], ids=["load_all", "universal_average", "load"])
+    def test_each_read_parses_the_index_once(self, tmp_path, make_model, monkeypatch, call):
+        store = ModelStore(tmp_path)
+        for i in range(200):
+            store.save(make_model(fingerprint=f"model-{i}"))
+        reads = []
+        real_read_index = ModelStore._read_index
+
+        def counting_read_index(self):
+            reads.append(self.root)
+            return real_read_index(self)
+
+        monkeypatch.setattr(ModelStore, "_read_index", counting_read_index)
+        call(store)
+        assert len(reads) == 1
 
 
 class TestValidation:
