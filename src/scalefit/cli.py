@@ -40,10 +40,8 @@ from .noise import normalized_noises
 from .perfmodel import (
     PerfModel,
     Prediction,
-    StatFit,
-    fit_epochs_vs_noise,
     fit_iteration_time,
-    fit_noise_curve,
+    fit_stat,
     predict,
     predict_columns,
 )
@@ -263,16 +261,12 @@ def cmd_fit(parser: argparse.ArgumentParser, args) -> int:
     measured = _measure_traces(args.traces)
     if len({b for _, b in measured}) < 2:
         raise DegenerateFitError("no variation in global_batch across trace files")
-    a_n, c_n = fit_noise_curve(measured)
-    stat = StatFit(a_n, c_n, epochs_base=0.0, epochs_slope=1.0)
-    relative_epochs = args.anchors is None
-    if not relative_epochs:
-        anchors = read_anchors(args.anchors)
+    anchors = None
+    if args.anchors is not None:
+        anchors = [(cfg.global_batch, epochs) for cfg, epochs in read_anchors(args.anchors)]
         if len(anchors) < 2:
             raise DegenerateFitError("need at least 2 epoch anchors")
-        pairs = [(stat.predicted_noise(cfg.global_batch), epochs) for cfg, epochs in anchors]
-        e_base, e_slope = fit_epochs_vs_noise(pairs)
-        stat = replace(stat, epochs_base=e_base, epochs_slope=e_slope)
+    stat = fit_stat({key: noise for key, (noise, _) in measured.items()}, anchors)
 
     timing = [((k, b / k), tau) for (k, b), (_, tau) in sorted(measured.items())]
     parallel = fit_iteration_time(timing)
@@ -282,7 +276,7 @@ def cmd_fit(parser: argparse.ArgumentParser, args) -> int:
         parallel=parallel,
         dataset_size=args.dataset_size,
         fingerprint=args.fingerprint,
-        provenance="full_search",
+        provenance="trace_fit",
     )
     write_model_file(args.out, model)
 
@@ -295,10 +289,13 @@ def cmd_fit(parser: argparse.ArgumentParser, args) -> int:
         for (k, b), (_, tau) in measured.items()
     )
     print(f"configs: {len(measured)}")
-    print(f"noise fit: slope={_fmt6(a_n)} intercept={_fmt6(c_n)} max_resid={_fmt6(noise_resid)}")
+    print(
+        f"noise fit: slope={_fmt6(stat.noise_slope)} "
+        f"intercept={_fmt6(stat.noise_intercept)} max_resid={_fmt6(noise_resid)}"
+    )
     print(
         f"epochs fit: base={_fmt6(stat.epochs_base)} slope={_fmt6(stat.epochs_slope)}"
-        + (" (relative scale: no anchors file)" if relative_epochs else "")
+        + (" (relative scale: no anchors file)" if anchors is None else "")
     )
     print(
         f"timing fit: base={_fmt6(parallel.base_s)} per_sample={_fmt6(parallel.per_sample_s)} "

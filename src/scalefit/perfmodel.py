@@ -32,7 +32,8 @@ from .config import (
 from .errors import DegenerateFitError, ModelOutOfDomainError, check
 from .tradeoff import PointColumns
 
-PROVENANCES = ("full_search", "partial_search", "reused", "universal", "ground_truth")
+PROVENANCES = ("full_search", "partial_search", "scaling_search", "trace_fit", "reused",
+               "universal", "ground_truth")
 
 
 def _check_finite(coefficients) -> None:
@@ -252,22 +253,16 @@ def average_over_workers(
     return slope, intercept
 
 
-def fit_noise_curve(
-    measured: Mapping[tuple[int, int], tuple[float, float]],
-) -> tuple[float, float]:
-    """Noise-vs-batch (slope, intercept) from per-configuration measurements.
-
-    Args:
-        measured: (workers, global_batch) -> (mean normalized noise, mean
-            iteration time); only the noise is used.
+def fit_noise_curve(noise: Mapping[tuple[int, int], float]) -> tuple[float, float]:
+    """Noise-vs-batch (slope, intercept) from (workers, global_batch) -> mean noise.
 
     Averages the per-worker-count fits of every worker count measured at two
     or more batch sizes; without any, fits all points pooled, and with a
     single batch size returns a flat curve at the mean noise.
     """
     by_k: dict[int, list[tuple[int, float]]] = defaultdict(list)
-    for (k, b), (noise, _) in sorted(measured.items()):
-        by_k[k].append((b, noise))
+    for (k, b), gamma in sorted(noise.items()):
+        by_k[k].append((b, gamma))
     per_k = [
         (k, *fit_noise_vs_batch(pts))
         for k, pts in sorted(by_k.items())
@@ -275,10 +270,34 @@ def fit_noise_curve(
     ]
     if per_k:
         return average_over_workers(per_k)
-    pooled = [(b, noise) for (_, b), (noise, _) in sorted(measured.items())]
+    pooled = [(b, gamma) for (_, b), gamma in sorted(noise.items())]
     if len({b for b, _ in pooled}) >= 2:
         return fit_noise_vs_batch(pooled)
     return 0.0, sum(n for _, n in pooled) / len(pooled)
+
+
+def fit_stat(
+    noise: Mapping[tuple[int, int], float],
+    epoch_anchors: Sequence[tuple[int, float]] | None,
+) -> StatFit:
+    """Both statistical laws: the noise curve, then epochs on its fitted noise.
+
+    ``noise`` maps (workers, global_batch) to mean normalized noise, as
+    :func:`fit_noise_curve` takes it.  ``epoch_anchors`` are (global_batch,
+    epochs) pairs, regressed on the fitted noise at each anchor's batch; a
+    flat curve pins the epochs at their mean, and ``None`` gives relative
+    epochs (base 0, slope 1).  On a sloped curve the predicted epochs at any
+    batch then depend on the anchors alone, not on the measured noise.
+    """
+    slope, intercept = fit_noise_curve(noise)
+    curve = StatFit(slope, intercept, 0.0, 1.0)
+    if epoch_anchors is None:
+        return curve
+    epochs = [e for _, e in epoch_anchors]
+    if slope == 0.0:
+        return StatFit(slope, intercept, sum(epochs) / len(epochs), 0.0)
+    fitted = [curve.predicted_noise(b) for b, _ in epoch_anchors]
+    return StatFit(slope, intercept, *fit_epochs_vs_noise(list(zip(fitted, epochs))))
 
 
 def predict(

@@ -3,7 +3,7 @@
 Three exploration strategies share the same machinery:
 
 * ``full_search`` profiles every grid configuration briefly and predicts
-  from per-configuration measurements.
+  each from its measured iteration time and the fitted noise curve.
 * ``partial_search`` stabilizes the noise estimate on two extreme-batch
   anchor runs, profiles iteration time on the four grid corners only, and
   predicts everything else from the fitted model.
@@ -19,8 +19,10 @@ scenario's objective and constraints pick among the predicted points with
 outcome has no chosen configuration and its recommendation names the
 nearest miss.
 
-The profiling drivers run against a :class:`SimEnvironment` and read its
-workload and cluster directly.
+The profiling drivers run against a :class:`SimEnvironment` and fit both
+statistical laws with :func:`~scalefit.perfmodel.fit_stat`: the noise curve
+from the noise they measured, and the epoch line from the workload's true
+epochs at the extreme batch sizes, which are read, not measured.
 
 Every run on a configuration is recorded with its iteration count, restore
 overhead, and mean measured iteration time; the reported search overhead is
@@ -52,14 +54,12 @@ from .perfmodel import (
     PerfModel,
     StatFit,
     chain_columns,
-    fit_epochs_vs_noise,
     fit_iteration_time_best_effort,
-    fit_noise_curve,
-    fit_noise_vs_batch,
+    fit_stat,
     predict_columns,
 )
 from .policy import Constraints, Objective, Recommendation, select_rows
-from .simulator import SimEnvironment, SimWorkload
+from .simulator import SimEnvironment
 from .store import ModelStore
 from .tradeoff import PointColumns, TradeoffPoint
 
@@ -226,23 +226,12 @@ class _Session:
 
     def fit_anchors(self, valid: list[tuple[int, int]]) -> tuple[list[Exploration], StatFit]:
         """Stabilize noise on the two extreme-batch anchors and fit both statistical laws."""
-        lo, hi = _anchor_configs(valid)
-        rec_lo, gamma_lo = self.run_anchor(lo)
-        rec_hi, gamma_hi = self.run_anchor(hi)
-        e_lo = self.env.workload.true_epochs(lo.global_batch)
-        e_hi = self.env.workload.true_epochs(hi.global_batch)
-        a_n, c_n = fit_noise_vs_batch([(lo.global_batch, gamma_lo), (hi.global_batch, gamma_hi)])
-        e_base, e_slope = _epoch_anchor_fit(gamma_lo, e_lo, gamma_hi, e_hi)
-        return [rec_lo, rec_hi], StatFit(a_n, c_n, e_base, e_slope)
-
-
-def _epoch_anchor_fit(
-    gamma_lo: float, e_lo: float, gamma_hi: float, e_hi: float
-) -> tuple[float, float]:
-    if gamma_lo == gamma_hi:
-        # Flat noise curve: epochs cannot depend on it, pin the mean.
-        return (e_lo + e_hi) / 2.0, 0.0
-    return fit_epochs_vs_noise([(gamma_lo, e_lo), (gamma_hi, e_hi)])
+        explored, noise, epochs = [], {}, []
+        for c in _anchor_configs(valid):
+            record, noise[(c.workers, c.global_batch)] = self.run_anchor(c)
+            explored.append(record)
+            epochs.append((c.global_batch, self.env.workload.true_epochs(c.global_batch)))
+        return explored, fit_stat(noise, epochs)
 
 
 def _selected_outcome(
@@ -290,13 +279,14 @@ def full_search(
     shape: VMShape | None = None,
     constraints: Constraints | None = None,
 ) -> SearchOutcome:
-    """Profile every grid configuration and select from measured predictions.
+    """Profile every grid configuration and select from its measured iteration times.
 
     The job first trains on the initial (smallest-workers, smallest-batch)
     configuration until the noise estimate stabilizes; that cold-start run
     is productive training and is not charged to the exploration ledger.
     Every grid pair is then profiled for ``profile_iters`` iterations —
-    pairs that violate divisibility are recorded as skipped.
+    pairs that violate divisibility are recorded as skipped — and predicted
+    from its mean iteration time and the noise curve fitted over all pairs.
     """
     pricing = pricing if pricing is not None else env.cluster.pricing
     shape = shape if shape is not None else env.cluster.shape
@@ -308,45 +298,30 @@ def full_search(
     session.run_anchor(_anchor_configs(valid)[0])
 
     explored: list[Exploration] = []
-    measured: dict[tuple[int, int], tuple[float, float]] = {}
+    noise: dict[tuple[int, int], float] = {}
+    taus: dict[tuple[int, int], float] = {}
     for k, b in combos:
         if b % k != 0:
             explored.append(Exploration(k, b, "skipped", 0, 0.0, 0.0))
             continue
-        record, mean_noise, mean_tau = session.run_profile(JobConfig(k, b))
+        record, noise[(k, b)], taus[(k, b)] = session.run_profile(JobConfig(k, b))
         explored.append(record)
-        measured[(k, b)] = (mean_noise, mean_tau)
 
-    rows = [(k, b, noise, tau) for (k, b), (noise, tau) in sorted(measured.items())]
+    b_lo, _, b_hi, _ = _extreme_batches(valid)
+    stat = fit_stat(noise, [(b, env.workload.true_epochs(b)) for b in dict.fromkeys((b_lo, b_hi))])
+    rows = [(k, b, stat.predicted_noise(b), tau) for (k, b), tau in sorted(taus.items())]
     model = PerfModel(
-        stat=_stat_from_measurements(env.workload, measured),
+        stat=stat,
         parallel=fit_iteration_time_best_effort([((k, b / k), tau) for k, b, _, tau in rows]),
         dataset_size=env.workload.dataset_size,
         fingerprint=env.workload.name,
         provenance="full_search",
     )
-    # Measured noise and iteration time; rows outside the model's domain drop.
+    # Fitted noise and measured iteration time; rows outside the model's domain drop.
     grid, _ = chain_columns(model, *zip(*rows), pricing, shape)
     return _selected_outcome(
         "full", model, explored, grid.points, objective, constraints, pricing, shape
     )
-
-
-def _stat_from_measurements(
-    workload: SimWorkload, measured: dict[tuple[int, int], tuple[float, float]]
-) -> StatFit:
-    """Noise curve from the measured noise; epoch line from extreme-batch anchors."""
-    a_n, c_n = fit_noise_curve(measured)
-    b_lo, ks_lo, b_hi, ks_hi = _extreme_batches(measured)
-    e_lo = workload.true_epochs(b_lo)
-    gamma_lo = measured[(ks_lo[0], b_lo)][0]
-    if b_lo == b_hi:
-        e_base, e_slope = e_lo, 0.0
-    else:
-        e_hi = workload.true_epochs(b_hi)
-        gamma_hi = measured[(ks_hi[0], b_hi)][0]
-        e_base, e_slope = _epoch_anchor_fit(gamma_lo, e_lo, gamma_hi, e_hi)
-    return StatFit(a_n, c_n, e_base, e_slope)
 
 
 def partial_search(
@@ -460,7 +435,7 @@ def online_scaling_search(
         ),
         dataset_size=env.workload.dataset_size,
         fingerprint=env.workload.name,
-        provenance="partial_search",
+        provenance="scaling_search",
     )
     # Predicted noise and measured iteration time; rows outside the model's domain drop.
     grid, _ = chain_columns(model, *zip(*sampled), pricing, shape)

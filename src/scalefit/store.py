@@ -176,6 +176,12 @@ class ModelStore:
             ) from None
         if not isinstance(index, dict):
             raise CorruptDocumentError(f"{self._index_path}: index must be an object")
+        for fp, name in index.items():  # bare file names only: no path leaves the store
+            bare = isinstance(name, str) and name.endswith(".json")
+            if not bare or "/" in name or "\0" in name:
+                raise CorruptDocumentError(
+                    f"{self._index_path}: entry {fp!r} must be a .json file name, got {name!r}"
+                )
         return index
 
     def save(self, model: PerfModel, created_at: str | None = None) -> Path:

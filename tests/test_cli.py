@@ -380,7 +380,7 @@ class TestFit:
         assert f"wrote {out_model}" in out
 
         model = read_model_file(out_model).model
-        assert model.provenance == "full_search"
+        assert model.provenance == "trace_fit"
         assert model.fingerprint == "resnet18-like"
         assert model.stat.noise_slope == pytest.approx(48.0, rel=1e-6)
         assert model.stat.noise_intercept == pytest.approx(0.1, abs=1e-6)
@@ -436,6 +436,39 @@ class TestFit:
         )
         assert code == 6
         assert "at least 2 epoch anchors" in err
+
+    def test_flat_noise_pins_the_anchor_mean(self, run_cli, tmp_path, corner_traces):
+        # The same gradient norms in every row: each worker count measures
+        # one noise value at both batch sizes, so the fitted curve is flat.
+        paths, anchors = corner_traces
+        for path in paths:
+            records = [json.loads(line) for line in Path(path).read_text().splitlines()]
+            Path(path).write_text("".join(
+                json.dumps({**r, "worker_sqnorms": [2.0] * r["K"], "agg_sqnorm": 1.0}) + "\n"
+                for r in records
+            ))
+        out_model = tmp_path / "flat.json"
+        code, out, err = run_cli(
+            "fit", "--traces", *paths, "--anchors", str(anchors),
+            "--dataset-size", "1000000", "--out", str(out_model),
+        )
+        assert code == 0, err
+        stat = read_model_file(out_model).model.stat
+        w = preset_workload("resnet18-like")
+        assert (stat.noise_slope, stat.noise_intercept) == (0.0, (2.0 / 8 + 2.0 / 16) / 2)
+        assert stat.epochs_slope == 0.0
+        assert stat.epochs_base == (w.true_epochs(384) + w.true_epochs(1024)) / 2
+
+    def test_anchors_sharing_one_batch_exit_6(self, run_cli, tmp_path, corner_traces):
+        paths, _ = corner_traces
+        anchors = tmp_path / "shared.json"
+        write_anchors(anchors, [(JobConfig(8, 384), 35.0), (JobConfig(16, 384), 36.0)])
+        code, _, err = run_cli(
+            "fit", "--traces", *paths, "--anchors", str(anchors),
+            "--dataset-size", "1000000", "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 6
+        assert "no variation in noise among epoch anchors" in err
 
     @pytest.mark.parametrize("epochs", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_anchor_epochs_exits_5(self, run_cli, tmp_path, corner_traces, epochs):
@@ -847,6 +880,21 @@ class TestSearch:
         assert code == 5
         assert out == ""
         assert err == "error: no configuration produced a usable prediction\n"
+
+    @pytest.mark.parametrize("entry", [5, "../outside.json"], ids=["not-a-string", "escapes"])
+    def test_mode_none_index_entry_outside_the_store_exits_5(
+        self, run_cli, scenario_file, tmp_path, entry
+    ):
+        # A readable document for the fingerprint sits just outside the store.
+        write_model_file(tmp_path / "outside.json",
+                         preset_workload("resnet18-like").to_perf_model())
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        (store_dir / "index.json").write_text(json.dumps({"resnet18-like": entry}))
+        path = scenario_file(search={"mode": "none"}, store_dir=str(store_dir))
+        code, out, err = run_cli("search", "--scenario", str(path))
+        assert (code, out) == (5, "")
+        assert f"index.json: entry 'resnet18-like' must be a .json file name, got {entry!r}" in err
 
     def test_infeasible_objective_exits_3(self, run_cli, scenario_file):
         path = scenario_file(objective={"kind": "budget", "budget_usd": 0.01})

@@ -67,20 +67,14 @@ RESNET = _model((48.0, 0.1, 6.0, 16.0), (0.25, 0.012, 0.008), "resnet18-like")
 PARTIAL = _model((48.0, -1.5, -1.0, 16.0), (0.25, 0.012, -0.05), "partly")
 SMALL_BOUNDS = {"k_min": 2, "k_max": 8, "k_step": 2, "b_min": 1, "b_max": 512,
                 "b_candidates": [64, 128, 256, 512]}
-# True epochs stay positive on SMALL_BOUNDS, but barely at B = 512: jittered
-# measured noise there falls below the fitted epoch line's zero, so full
-# search drops those measured points.
-THIN_EPOCHS = {"name": "thin-epochs", "dataset_size": 200_000, "noise_slope": 3.0,
-               "noise_intercept": 0.3, "epochs_base": -5.0, "epochs_slope": 12.0,
-               "time_base_s": 0.3, "time_per_sample_s": 0.01, "time_per_worker_s": 0.01,
-               "jitter": 0.2}
 # The sync half of the iteration time is negative at K >= 6; with heavy
-# jitter a one-iteration profile can clip both halves to 0, so scaling search
-# drops points whose measured iteration time is not positive.
+# jitter a one-iteration profile can clip both halves to 0, so full and
+# scaling search drop points whose measured iteration time is not positive.
 CLIPPED_SYNC = {"name": "clipped-sync", "dataset_size": 200_000, "noise_slope": 30.0,
                 "noise_intercept": 0.2, "epochs_base": 5.0, "epochs_slope": 12.0,
                 "time_base_s": 2.0, "time_per_sample_s": 0.0, "time_per_worker_s": -0.2,
                 "jitter": 1.5}
+DROPS_EWMA = {"warmup_iters": 10, "stability_window": 20, "stability_rel_tol": 0.5}
 
 
 def _scenario(mode: str, **extra) -> dict:
@@ -158,13 +152,13 @@ def _build_workspace(root: Path) -> None:
         ),
         "none_empty": _scenario("none", store_dir="empty_store"),
         "none_out_of_domain": _scenario("none", store_dir="ood_store"),
-        "full_drops": _scenario("full", seed=5, workload=THIN_EPOCHS, bounds=SMALL_BOUNDS,
-                                search={"mode": "full", "profile_iters": 10}),
+        "full_drops": _scenario(
+            "full", seed=4, workload=CLIPPED_SYNC, bounds=SMALL_BOUNDS,
+            search={"mode": "full", "profile_iters": 1, "ewma": DROPS_EWMA},
+        ),
         "scaling_drops": _scenario(
             "scaling", seed=4, workload=CLIPPED_SYNC, bounds=SMALL_BOUNDS,
-            search={"mode": "scaling", "profile_iters": 1,
-                    "ewma": {"warmup_iters": 10, "stability_window": 20,
-                             "stability_rel_tol": 0.5}},
+            search={"mode": "scaling", "profile_iters": 1, "ewma": DROPS_EWMA},
         ),
     }
     for name, doc in scenarios.items():
@@ -289,25 +283,25 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
         0,
         "82fc0d640ac55abae3cc674f29807ccb6862c0e5f1d6db3d8f603b58a7a96991",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "65481b5a125dc1a5dad1211b3f265566fd8b4ff5657ba5a01237c0787eb98d23",
+        "ee59d77f7bae85b537e890df441da5fad3ff9be1a8b434b23415f91cb98eb579",
     ),
     "fit-relative": (
         0,
         "489b407bfe53c8730cbbbb45b4037d49bf9891d2fb26a979982f5e0a4667aa2a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "e1cb311f4a8afe9cd03b9ed3150b68f94988badb6768dbd03559b9e52d4ee2a1",
+        "85f22238766fbef03bf1050e01de163e9ddf0dbcb4a0f695221a4f375d59fb3f",
     ),
     "fit-pooled": (
         0,
         "d9db948098506c68e11514981390d94adc43438d5abae7c047f28a1aadcb53df",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "5a190bb008e1d9e7922e1aa1b232a1c54cba4cf5d90cfe739c7ca98e4f6afc7a",
+        "cf75997e68bf7a0f0160e986ba99b02b879f42a52f5bcceb16dad528a791f949",
     ),
     "fit-mixed": (
         0,
         "f578182d276a269867c17330bf4a32dfe855e4ed127cc2a3c5ff8336950698be",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "4a60f60a623f454e677ea59ead7fa2dfb6d94117ab94d32cea9b4026a5d107d3",
+        "c21a77e3267b13fb5faf1de5e8a9a113618b0ee5bbff0cfb4aa41151407c300d",
     ),
     "fit-single-batch": (
         6,
@@ -437,7 +431,7 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
     ),
     "search-full": (
         0,
-        "6cf3a5b615a8f1b3f82c8f5b2619619aad01863b4abef12df4e6f9d97846a7c3",
+        "380210acb73cf5a1a43cce13ed9069c3d3d50d850103bb6c2c67330cac141cdf",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
@@ -459,18 +453,15 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
-    # The three search-scaling* digests were re-recorded when scaling mode began
-    # to select through the shared policy: each output gains a "recommendation"
-    # block, and its pick and every other byte are unchanged.
     "search-scaling": (
         0,
-        "8e41a91a983f9649eb42072453d0d2a23cb541149ae3c7d40453034d35cbc9c7",
+        "ef0db3bc1c7e8cc0e5d6719b33436566d0e53252f38fc22200f93be6c2802604",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-scaling-random": (
         0,
-        "619ec7c39f6ea4ccf3d2518fde556bd8590b3b79a511fc1eaf7d5726229a9059",
+        "d907128144fdd1a8b19c30c18f82867ab3ddd8dff280d84f2bafd5910faa263f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
@@ -506,13 +497,13 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
     ),
     "search-full-drops": (
         0,
-        "68bca055178b28744c249b081cd155d6cdebd075fb40db457378c94b4a961879",
+        "b9ab99807ef6ae299fb6ee1d9a4da65b800e1b46742bf3885cc64c31093fbcb2",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-scaling-drops": (
         0,
-        "a311eb79af14aa43528dc15d1ccae2ca90b58c6ff8d28149c2a3f07064090d35",
+        "cdebfb13c7ef8109bb1a110e621c552e56a6db99d20535c00bb0eb7123d0a1fe",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),

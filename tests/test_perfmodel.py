@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape, run_cost_usd
@@ -22,6 +22,7 @@ from scalefit.perfmodel import (
     fit_iteration_time_best_effort,
     fit_noise_curve,
     fit_noise_vs_batch,
+    fit_stat,
     predict,
     predict_columns,
 )
@@ -196,18 +197,86 @@ class TestAverageOverWorkers:
 
 class TestNoiseCurve:
     def test_averages_per_worker_fits(self):
-        measured = {(4, 256): (3.0, 0.1), (4, 1024): (1.5, 0.1),
-                    (8, 256): (4.0, 0.1), (8, 1024): (2.0, 0.1), (16, 512): (9.0, 0.1)}
+        measured = {(4, 256): 3.0, (4, 1024): 1.5, (8, 256): 4.0, (8, 1024): 2.0, (16, 512): 9.0}
         slope, intercept = fit_noise_curve(measured)
         assert slope == pytest.approx((48.0 + 64.0) / 2)
         assert intercept == pytest.approx(0.0, abs=1e-12)
 
     def test_pools_when_no_worker_count_varies_batch(self):
-        measured = {(4, 256): (3.0, 0.1), (8, 1024): (1.5, 0.1)}
+        measured = {(4, 256): 3.0, (8, 1024): 1.5}
         assert fit_noise_curve(measured) == fit_noise_vs_batch([(256, 3.0), (1024, 1.5)])
 
     def test_single_batch_is_flat_mean(self):
-        assert fit_noise_curve({(4, 256): (3.0, 0.1), (8, 256): (4.0, 0.1)}) == (0.0, 3.5)
+        assert fit_noise_curve({(4, 256): 3.0, (8, 256): 4.0}) == (0.0, 3.5)
+
+
+class TestFitStat:
+    def test_epochs_regressed_on_the_fitted_noise(self):
+        noise = {(4, 256): 3.0, (4, 1024): 1.5, (8, 256): 4.0, (8, 1024): 2.0}
+        anchors = [(256, 60.0), (1024, 40.0)]
+        stat = fit_stat(noise, anchors)
+        assert (stat.noise_slope, stat.noise_intercept) == fit_noise_curve(noise)
+        fitted = [(stat.predicted_noise(b), e) for b, e in anchors]
+        assert (stat.epochs_base, stat.epochs_slope) == fit_epochs_vs_noise(fitted)
+
+    def test_no_anchors_gives_relative_epochs(self):
+        stat = fit_stat({(4, 256): 3.0, (4, 1024): 1.5}, None)
+        assert (stat.epochs_base, stat.epochs_slope) == (0.0, 1.0)
+
+    # The noise each caller hands over, flat across batch sizes: fit's and
+    # full search's per-configuration means, and the two anchors' estimates.
+    @pytest.mark.parametrize("noise", [
+        {(4, 256): 2.0, (4, 1024): 2.0, (8, 256): 1.0, (8, 1024): 1.0, (8, 512): 1.0},
+        {(4, 256): 2.0, (4, 1024): 2.0},
+        {(4, 256): 2.0, (8, 1024): 2.0},
+        {(4, 512): 2.0, (8, 512): 1.0},
+    ], ids=["grid", "anchors-shared-workers", "anchors", "single-batch"])
+    @pytest.mark.parametrize("anchors", [
+        [(256, 30.0), (1024, 20.0)], [(256, 30.0), (1024, 20.0), (512, 40.0)], [(512, 25.0)],
+    ], ids=["two", "three", "one"])
+    def test_flat_curve_pins_the_anchor_mean(self, noise, anchors):
+        stat = fit_stat(noise, anchors)
+        assert stat.noise_slope == 0.0
+        mean = sum(e for _, e in anchors) / len(anchors)
+        assert (stat.epochs_base, stat.epochs_slope) == (mean, 0.0)
+
+    def test_anchors_sharing_one_batch_on_a_sloped_curve_are_degenerate(self):
+        with pytest.raises(DegenerateFitError, match="no variation in noise"):
+            fit_stat({(4, 256): 3.0, (4, 1024): 1.5}, [(256, 60.0), (256, 50.0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_predicted_epochs_do_not_depend_on_the_noise_values(self, data):
+        """Two noise maps over the same configurations predict the same epochs.
+
+        Noise values lie in [-10, 10], negative ones included, and anchor
+        epochs in [1, 1000].  Each fitted curve must be clearly sloped: across
+        the anchor batches it varies by at least 1e-6, and by at least 1e-4 of
+        its magnitude there, so its squares do not underflow and rounding in
+        the fitted noise stays small next to its spread.  Epochs are compared
+        at the anchors and at batches between them, to 1e-10 of the largest
+        anchor epochs.
+        """
+        batch = st.integers(1, 4096)
+        configs = data.draw(st.lists(
+            st.tuples(st.integers(1, 16), batch), min_size=2, max_size=8, unique=True
+        ).filter(lambda cs: len({b for _, b in cs}) >= 2))
+        maps = [{c: data.draw(st.floats(-10.0, 10.0)) for c in configs} for _ in range(2)]
+        anchors = data.draw(st.lists(
+            st.tuples(batch, st.floats(1.0, 1000.0)), min_size=2, max_size=4
+        ).filter(lambda a: len({b for b, _ in a}) >= 2))
+        lo, hi = min(b for b, _ in anchors), max(b for b, _ in anchors)
+        for noise in maps:
+            slope, intercept = fit_noise_curve(noise)
+            spread = abs(slope) * (lo**-0.5 - hi**-0.5)
+            level = max(abs(slope * x + intercept) for x in (lo**-0.5, hi**-0.5))
+            assume(spread >= max(1e-6, 1e-4 * level))
+        fits = [fit_stat(noise, anchors) for noise in maps]
+        queries = [b for b, _ in anchors] + data.draw(st.lists(st.integers(lo, hi), max_size=4))
+        scale = max(e for _, e in anchors)
+        for b in queries:
+            e1, e2 = (f.predicted_epochs(f.predicted_noise(b)) for f in fits)
+            assert abs(e1 - e2) <= 1e-10 * scale
 
 
 def _bits(prediction) -> tuple[str, ...]:

@@ -2,13 +2,14 @@
 
 import pytest
 
+import scalefit.search as search_module
 from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape, run_cost_usd
 from scalefit.errors import (
     ConfigurationError,
     ModelNotFoundError,
     SearchFailedError,
 )
-from scalefit.perfmodel import predict
+from scalefit.perfmodel import StatFit, predict
 from scalefit.policy import Objective
 from scalefit.search import (
     GridSampling,
@@ -239,7 +240,7 @@ class TestScalingSearch:
         assert outcome.chosen == oracle.chosen.config
         assert outcome.recommendation.feasible
         assert outcome.recommendation.chosen.config == outcome.chosen
-        assert outcome.model.provenance == "partial_search"
+        assert outcome.model.provenance == "scaling_search"
         # Two anchors plus one timing profile per valid pair.
         kinds = [e.kind for e in outcome.explored]
         assert kinds.count("anchor") == 2
@@ -301,6 +302,20 @@ class TestScalingSearch:
         assert outcome.chosen == oracle.chosen.config == JobConfig(64, 8192)
         totals = compose_end_to_end(outcome, s.workload, s.cluster)
         assert totals.total_time_s / oracle.chosen.time_s - 1.0 <= 0.5
+
+
+@pytest.mark.parametrize("driver", [full_search, partial_search, online_scaling_search])
+def test_flat_measured_noise_pins_the_epochs_at_the_anchor_mean(monkeypatch, driver):
+    # Every profile and anchor run measures the same noise, so the fitted
+    # curve is flat and the epochs cannot depend on it.
+    run_anchor = search_module._Session.run_anchor
+    monkeypatch.setattr(search_module, "normalized_noises", lambda batch: [0.5] * len(batch))
+    monkeypatch.setattr(search_module._Session, "run_anchor",
+                        lambda session, config: (run_anchor(session, config)[0], 0.5))
+    env = make_env()
+    stat = driver(env, GRID, SearchParams(), Objective.min_cost_time()).model.stat
+    mean = (env.workload.true_epochs(384) + env.workload.true_epochs(1024)) / 2
+    assert stat == StatFit(0.0, 0.5, mean, 0.0)
 
 
 class TestNoSearch:

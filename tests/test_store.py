@@ -81,6 +81,29 @@ class TestRoundTrip:
         assert stored.model == model
         assert stored.created_at == "2026-02-03T04:05:06+00:00"
 
+    @pytest.mark.parametrize("provenance", ["scaling_search", "trace_fit"])
+    def test_scaling_and_fit_provenances_round_trip(self, tmp_path, make_model, provenance):
+        store = ModelStore(tmp_path)
+        model = make_model(provenance=provenance)
+        store.save(model)
+        assert store.load("example").model == model
+
+    def test_document_written_before_the_scaling_and_fit_provenances_loads(self, tmp_path):
+        # `fit` wrote `full_search` and scaling search `partial_search`.
+        doc = {
+            "schema_version": 1, "fingerprint": "resnet18-like",
+            "created_at": "2026-01-01T00:00:00+00:00", "dataset_size": 1000000,
+            "stat": {"noise_slope": "48.0", "noise_intercept": "0.1",
+                     "epochs_base": "6.0", "epochs_slope": "16.0"},
+            "parallel": {"base_s": "0.25", "per_sample_s": "0.012", "per_worker_s": "0.008"},
+            "provenance": "full_search",
+        }
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        (tmp_path / "index.json").write_text(json.dumps({"resnet18-like": "old.json"}))
+        model = ModelStore(tmp_path).load("resnet18-like").model
+        assert model.provenance == "full_search"
+        assert model.stat == StatFit(48.0, 0.1, 6.0, 16.0)
+
     def test_save_overwrites_same_fingerprint(self, tmp_path, make_model):
         store = ModelStore(tmp_path)
         store.save(make_model(noise_slope=48))
@@ -231,6 +254,17 @@ class TestValidation:
         bad_ds = dict(good, dataset_size="big")
         with pytest.raises(CorruptDocumentError, match="dataset_size"):
             model_from_document(bad_ds)
+
+    @pytest.mark.parametrize("entry", [5, None, "../outside.json", "/abs/model.json",
+                                       "sub/model.json", "model.txt", "nul\0.json"])
+    def test_index_entry_must_name_a_document_in_the_store(self, tmp_path, make_model, entry):
+        store = ModelStore(tmp_path / "store")
+        store.save(make_model(fingerprint="fine"))
+        index = json.loads((store.root / "index.json").read_text())
+        (store.root / "index.json").write_text(json.dumps({**index, "bad": entry}))
+        for read in (store.fingerprints, store.load_all, lambda: store.load("fine")):
+            with pytest.raises(CorruptDocumentError, match="index.json: entry 'bad' must be"):
+                read()
 
     def test_index_fingerprint_cross_check(self, tmp_path, make_model):
         store = ModelStore(tmp_path)
