@@ -6,9 +6,12 @@ Three small regressions carry the whole prediction chain:
 * epochs-to-target vs. normalized noise: ``epochs = base + slope * noise``
 * iteration time vs. (mini-batch, workers): ``tau = c0 + c_b * b + c_K * K``
 
-All fits are solved in closed form through the normal equations; there is
-no iterative optimizer anywhere, so two exact points reproduce a line
-exactly and three non-collinear points reproduce a plane exactly.
+Every fit goes through one least-squares kernel, :func:`_lstsq`: it centres
+each predictor column, divides it by its largest deviation and solves the
+normal equations of the scaled columns once.  A column that does not vary
+gets coefficient 0.  There is no iterative optimizer anywhere, so two exact
+points reproduce a line and three non-collinear points reproduce a plane
+to rounding.
 """
 
 from __future__ import annotations
@@ -119,23 +122,37 @@ class Prediction:
     cost_usd: float
 
 
-def _ols_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Least-squares slope and intercept via the centered normal equations.
+def _lstsq(columns: Sequence[Sequence[float]], y: Sequence[float]) -> tuple[float, list[float]]:
+    """Least-squares intercept and slopes of ``y`` on the predictor ``columns``.
 
+    Each column is centred and divided by its largest deviation before the
+    one solve, so its entries lie in [-1, 1] whatever its spread, and spreads
+    far below 1e-154 square without underflow.  A column that does not vary
+    gets slope 0, so with no varying column the intercept is the mean of
+    ``y``.  Varying columns that are linearly dependent raise
+    :class:`DegenerateFitError`, worded for the timing plane, the only fit
+    with two columns.
     Values past the float range give inf or NaN coefficients quietly; the
     fit's dataclass rejects them, naming the coefficient.
     """
-    xs = np.asarray(x, dtype=float)
+    x = np.array(columns, dtype=float)
     ys = np.asarray(y, dtype=float)
+    slopes = np.zeros(len(x))
     with np.errstate(all="ignore"):
-        xbar = xs.mean()
-        sxx = float(((xs - xbar) ** 2).sum())
-        if sxx == 0.0:
-            raise DegenerateFitError("all predictor values are identical")
-        sxy = float(((xs - xbar) * (ys - ys.mean())).sum())
-        slope = sxy / sxx
-        intercept = float(ys.mean() - slope * xbar)
-    return slope, intercept
+        vary = x.min(axis=1) != x.max(axis=1)  # NaN varies, so it reaches the fit
+        xbar = x[vary].mean(axis=1)
+        dev = x[vary] - xbar[:, None]
+        scale = np.abs(dev).max(axis=1)
+        z = dev / scale[:, None]
+        # One varying column is full rank by construction.
+        if len(z) >= 2 and np.linalg.matrix_rank(z) < len(z):
+            raise DegenerateFitError(
+                "timing points are collinear in the (mini_batch, workers) plane"
+            )
+        ybar = ys.mean()
+        slopes[vary] = np.linalg.solve(z @ z.T, z @ (ys - ybar)) / scale
+        intercept = ybar - slopes[vary] @ xbar
+    return float(intercept), slopes.tolist()
 
 
 def fit_noise_vs_batch(points: Sequence[tuple[int, float]]) -> tuple[float, float]:
@@ -150,12 +167,10 @@ def fit_noise_vs_batch(points: Sequence[tuple[int, float]]) -> tuple[float, floa
     """
     if len(points) < 2:
         raise DegenerateFitError("need at least 2 noise points")
-    batches = [b for b, _ in points]
-    if len(set(batches)) < 2:
+    if len({b for b, _ in points}) < 2:
         raise DegenerateFitError("no variation in global_batch among noise points")
-    x = [b**-0.5 for b in batches]
-    y = [g for _, g in points]
-    return _ols_line(x, y)
+    intercept, (slope,) = _lstsq([[b**-0.5 for b, _ in points]], [g for _, g in points])
+    return slope, intercept
 
 
 def fit_epochs_vs_noise(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -173,8 +188,8 @@ def fit_epochs_vs_noise(points: Sequence[tuple[float, float]]) -> tuple[float, f
     noises = [g for g, _ in points]
     if len(set(noises)) < 2:
         raise DegenerateFitError("no variation in noise among epoch anchors")
-    slope, intercept = _ols_line(noises, [e for _, e in points])
-    return intercept, slope
+    base, (slope,) = _lstsq([noises], [e for _, e in points])
+    return base, slope
 
 
 def fit_iteration_time(
@@ -188,23 +203,13 @@ def fit_iteration_time(
     """
     if len(points) < 3:
         raise DegenerateFitError("need at least 3 iteration-time points")
-    ks = np.array([k for (k, _), _ in points], dtype=float)
-    bs = np.array([b for (_, b), _ in points], dtype=float)
-    taus = np.array([t for _, t in points], dtype=float)
-    if len(set(bs.tolist())) < 2:
+    bs, ks, taus = zip(*[(float(b), float(k), t) for (k, b), t in points])
+    if len(set(bs)) < 2:
         raise DegenerateFitError("no variation in mini_batch among timing points")
-    if len(set(ks.tolist())) < 2:
+    if len(set(ks)) < 2:
         raise DegenerateFitError("no variation in workers among timing points")
-    design = np.column_stack([np.ones_like(bs), bs, ks])
-    if np.linalg.matrix_rank(design) < 3:
-        raise DegenerateFitError(
-            "timing points are collinear in the (mini_batch, workers) plane"
-        )
-    with np.errstate(all="ignore"):  # as in _ols_line
-        coef = np.linalg.solve(design.T @ design, design.T @ taus)
-    return ParallelFit(
-        base_s=float(coef[0]), per_sample_s=float(coef[1]), per_worker_s=float(coef[2])
-    )
+    base, (per_sample, per_worker) = _lstsq([bs, ks], taus)
+    return ParallelFit(base_s=base, per_sample_s=per_sample, per_worker_s=per_worker)
 
 
 def fit_iteration_time_best_effort(
@@ -212,27 +217,20 @@ def fit_iteration_time_best_effort(
 ) -> ParallelFit:
     """Plane fit that degrades gracefully on rank-deficient profiling grids.
 
-    Falls back to a line along whichever axis does vary, or to a flat mean
-    when nothing varies.  Search drivers use this so a degenerate bounds
-    box (a single batch size, say) still yields a usable model.
+    An axis that does not vary gets coefficient 0, so the fit is a line
+    along the axis that does vary, or a flat mean when nothing varies; when
+    both axes vary but collinearly, it is the flat mean too.  Search drivers
+    use this so a degenerate bounds box (a single batch size, say) still
+    yields a usable model.
     """
-    try:
-        return fit_iteration_time(points)
-    except DegenerateFitError:
-        pass
     if not points:
         raise DegenerateFitError("need at least 1 iteration-time point")
-    ks = [float(k) for (k, _), _ in points]
-    bs = [float(b) for (_, b), _ in points]
-    taus = [t for _, t in points]
-    if len(set(bs)) >= 2 and len(set(ks)) < 2:
-        slope, intercept = _ols_line(bs, taus)
-        return ParallelFit(base_s=intercept, per_sample_s=slope, per_worker_s=0.0)
-    if len(set(ks)) >= 2 and len(set(bs)) < 2:
-        slope, intercept = _ols_line(ks, taus)
-        return ParallelFit(base_s=intercept, per_sample_s=0.0, per_worker_s=slope)
-    mean_tau = sum(taus) / len(taus)
-    return ParallelFit(base_s=mean_tau, per_sample_s=0.0, per_worker_s=0.0)
+    bs, ks, taus = zip(*[(float(b), float(k), t) for (k, b), t in points])
+    try:
+        base, (per_sample, per_worker) = _lstsq([bs, ks], taus)
+    except DegenerateFitError:
+        base, per_sample, per_worker = sum(taus) / len(taus), 0.0, 0.0
+    return ParallelFit(base_s=base, per_sample_s=per_sample, per_worker_s=per_worker)
 
 
 def average_over_workers(
@@ -257,8 +255,8 @@ def fit_noise_curve(noise: Mapping[tuple[int, int], float]) -> tuple[float, floa
     """Noise-vs-batch (slope, intercept) from (workers, global_batch) -> mean noise.
 
     Averages the per-worker-count fits of every worker count measured at two
-    or more batch sizes; without any, fits all points pooled, and with a
-    single batch size returns a flat curve at the mean noise.
+    or more batch sizes; without any, fits all points pooled, which with a
+    single batch size is a flat curve at the mean noise.
     """
     by_k: dict[int, list[tuple[int, float]]] = defaultdict(list)
     for (k, b), gamma in sorted(noise.items()):
@@ -270,10 +268,9 @@ def fit_noise_curve(noise: Mapping[tuple[int, int], float]) -> tuple[float, floa
     ]
     if per_k:
         return average_over_workers(per_k)
-    pooled = [(b, gamma) for (_, b), gamma in sorted(noise.items())]
-    if len({b for b, _ in pooled}) >= 2:
-        return fit_noise_vs_batch(pooled)
-    return 0.0, sum(n for _, n in pooled) / len(pooled)
+    pooled = sorted(noise.items())
+    intercept, (slope,) = _lstsq([[b**-0.5 for (_, b), _ in pooled]], [g for _, g in pooled])
+    return slope, intercept
 
 
 def fit_stat(
@@ -293,11 +290,11 @@ def fit_stat(
     curve = StatFit(slope, intercept, 0.0, 1.0)
     if epoch_anchors is None:
         return curve
-    epochs = [e for _, e in epoch_anchors]
-    if slope == 0.0:
-        return StatFit(slope, intercept, sum(epochs) / len(epochs), 0.0)
     fitted = [curve.predicted_noise(b) for b, _ in epoch_anchors]
-    return StatFit(slope, intercept, *fit_epochs_vs_noise(list(zip(fitted, epochs))))
+    if slope != 0.0 and len(set(fitted)) < 2:
+        raise DegenerateFitError("no variation in noise among epoch anchors")
+    base, (epochs_slope,) = _lstsq([fitted], [e for _, e in epoch_anchors])
+    return StatFit(slope, intercept, base, epochs_slope)
 
 
 def predict(

@@ -281,27 +281,27 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
     ),
     "fit-anchors": (
         0,
-        "82fc0d640ac55abae3cc674f29807ccb6862c0e5f1d6db3d8f603b58a7a96991",
+        "9a773aed5314184be9942b394634c6e4a984ca8d6a052c38e514da531dae6ee9",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "ee59d77f7bae85b537e890df441da5fad3ff9be1a8b434b23415f91cb98eb579",
+        "b224d18b996ae7cb834a9572b99d835b97e30168a87507157e9f2e0554109219",
     ),
     "fit-relative": (
         0,
-        "489b407bfe53c8730cbbbb45b4037d49bf9891d2fb26a979982f5e0a4667aa2a",
+        "016450d25fb2bfdfd4f01eed78c3a388c7ad6739c3b1d1184608fc44e6617496",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "85f22238766fbef03bf1050e01de163e9ddf0dbcb4a0f695221a4f375d59fb3f",
+        "28f6a8d81f5f41f3793b0fca71bcf61cd1a58bcb9863e3a00d367d24a55c43d6",
     ),
     "fit-pooled": (
         0,
-        "d9db948098506c68e11514981390d94adc43438d5abae7c047f28a1aadcb53df",
+        "b973936c8e1164d7c875e24ca48f74ee744097b6e4984ee623bd0230f1f3782b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "cf75997e68bf7a0f0160e986ba99b02b879f42a52f5bcceb16dad528a791f949",
+        "1be61bd185d9eec3c2e87823e5be47694b6921e7a5326638798e7a3d09d6d40e",
     ),
     "fit-mixed": (
         0,
-        "f578182d276a269867c17330bf4a32dfe855e4ed127cc2a3c5ff8336950698be",
+        "53f029bbc07020b3a5a6f344da4cfd24f0cb6604299299d4eedd798c05751528",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "c21a77e3267b13fb5faf1de5e8a9a113618b0ee5bbff0cfb4aa41151407c300d",
+        "c6c25a72e2a1b3423ba0438ceb3de6f5ff16790d50b733d2ce4149f5780ebaac",
     ),
     "fit-single-batch": (
         6,
@@ -431,13 +431,13 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
     ),
     "search-full": (
         0,
-        "380210acb73cf5a1a43cce13ed9069c3d3d50d850103bb6c2c67330cac141cdf",
+        "0a8f65559ec57b539c7ca8992b955cb4c18665c777065c9c4bd605e2bdb2ee0b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-partial": (
         0,
-        "159326d2074774207e425f08bd1233d3fd7bd84a8061c4fff469d31873c7b4ed",
+        "ffd844e4562425c8ccc597999868708094ff89e086addd5fcd151e72d7e32675",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
@@ -449,19 +449,19 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
     ),
     "search-partial-capped": (
         3,
-        "b5f78e535c98b56146bd6737b43259a96feb1f58af2abcd39b4a63cab54262bb",
+        "9d2d235841560ac749883f2886202cccd42a6892e792649548fb6c0161168c0e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-scaling": (
         0,
-        "ef0db3bc1c7e8cc0e5d6719b33436566d0e53252f38fc22200f93be6c2802604",
+        "3b232cb3b90ceaa5f3a0ce176b07c91c53a9827c6ae792a4409e59fc0151d44e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-scaling-random": (
         0,
-        "d907128144fdd1a8b19c30c18f82867ab3ddd8dff280d84f2bafd5910faa263f",
+        "7bf3866e3dd314b9d562f1bac9194ba0f39a54b49ad8543d209c32ea28545b56",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
@@ -497,13 +497,13 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
     ),
     "search-full-drops": (
         0,
-        "b9ab99807ef6ae299fb6ee1d9a4da65b800e1b46742bf3885cc64c31093fbcb2",
+        "4ec4e7cc06000336f3cb4af00cf2bbabba93618157719d3880e57f873b47b116",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-scaling-drops": (
         0,
-        "cdebfb13c7ef8109bb1a110e621c552e56a6db99d20535c00bb0eb7123d0a1fe",
+        "28814930bdf182c702a896d907cf4a84d8e1853e1c6810b101feb45ea9f3901a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),

@@ -78,16 +78,20 @@ class TestEpochsFit:
 
 
 class TestIterationTimeFit:
-    def test_plane_recovery(self):
-        # Timing samples generated from base 0.2, per-sample 0.001, per-worker 0.05.
+    # At 1e-162 the mini-batches spread by about 1e-160: their squares are
+    # subnormal, and the unscaled design looks rank-deficient.
+    @pytest.mark.parametrize("unit", [1.0, 1e-162])
+    def test_plane_recovery(self, unit):
+        # Timing samples generated from base 0.2, per-sample 0.001 / unit,
+        # per-worker 0.05, with mini-batches in multiples of ``unit``.
         pts = [
-            ((8, 64.0), 0.664),
-            ((8, 128.0), 0.728),
-            ((16, 64.0), 1.064),
+            ((8, 64.0 * unit), 0.664),
+            ((8, 128.0 * unit), 0.728),
+            ((16, 64.0 * unit), 1.064),
         ]
         fit = fit_iteration_time(pts)
         assert fit.base_s == pytest.approx(0.2, abs=1e-12)
-        assert fit.per_sample_s == pytest.approx(0.001, abs=1e-12)
+        assert fit.per_sample_s * unit == pytest.approx(0.001, abs=1e-12)
         assert fit.per_worker_s == pytest.approx(0.05, abs=1e-12)
 
     def test_qualitative_corner_plane(self):
@@ -172,15 +176,91 @@ class TestBestEffortFit:
         assert fit.per_sample_s == 0.0
         assert fit.predicted_iteration_time(8, 64) == pytest.approx(0.6)
 
-    def test_single_point_flat(self):
-        fit = fit_iteration_time_best_effort([((8, 64.0), 0.75)])
-        assert fit.base_s == pytest.approx(0.75)
+    # Two points, or mini_batch = 4 * workers: both axes vary, but no plane
+    # is determined.
+    @pytest.mark.parametrize("pts,mean", [
+        ([((8, 64.0), 0.75)], 0.75),
+        ([((8, 64.0), 0.5), ((16, 32.0), 0.7)], 0.6),
+        ([((8, 32.0), 0.5), ((12, 48.0), 0.6), ((16, 64.0), 0.7)], 0.6),
+    ], ids=["single-point", "two-points", "collinear"])
+    def test_flat_mean(self, pts, mean):
+        fit = fit_iteration_time_best_effort(pts)
+        assert fit.base_s == pytest.approx(mean)
         assert fit.per_sample_s == 0.0
         assert fit.per_worker_s == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateFitError):
             fit_iteration_time_best_effort([])
+
+
+def _reference_fit(columns: list[list[float]], y: list[float]):
+    """(intercept, slopes, condition number) from ``np.linalg.lstsq`` on [1, columns].
+
+    Each column is first divided by the power of two at its largest
+    magnitude, which is exact, so the reference sees entries in (-1, 1].
+    """
+    x = np.array(columns, dtype=float)
+    exps = np.frexp(np.abs(x).max(axis=1))[1]
+    design = np.column_stack([np.ones(x.shape[1]), *np.ldexp(x, -exps[:, None])])
+    coef = np.linalg.lstsq(design, np.array(y, dtype=float), rcond=None)[0]
+    return coef[0], np.ldexp(coef[1:], -exps), np.linalg.cond(design)
+
+
+def _assert_close_to_reference(intercept, slopes, columns, y, reference):
+    ref_intercept, ref_slopes, _ = reference
+    size = max(abs(v) for v in y)
+    for slope, ref, col in zip(slopes, ref_slopes, columns):
+        assert abs(slope - ref) * (max(col) - min(col)) <= 1e-9 * size
+    reach = size + sum(abs(r) * max(abs(v) for v in c) for r, c in zip(ref_slopes, columns))
+    assert abs(intercept - ref_intercept) <= 1e-9 * reach
+
+
+multiples = st.integers(1, 20)
+# Responses in steps of 1e-3: a subnormal response has no relative precision
+# left, for the reference as for the fit.
+responses = st.integers(-10**6, 10**6).map(lambda m: m / 1000)
+
+
+class TestLeastSquaresReference:
+    """The fits against ``np.linalg.lstsq`` on random well-posed designs.
+
+    Well-posed: the reference design [1, columns], each column scaled by a
+    power of two to (-1, 1], has condition number at most 1e3.  Tolerance:
+    each slope times its column's spread agrees with the reference to 1e-9
+    of the largest |y|, and the intercept to 1e-9 of the largest |y| plus
+    each slope's largest term.  The solve's error grows with the square of
+    that condition number times the float64 epsilon, about 2e-10 here.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_iteration_time_plane(self, data):
+        """Mini-batch spreads run from 1e-150 to 1e150, worker spreads from 1 to 1e150."""
+        n = data.draw(st.integers(3, 8))
+        unit_b = 10.0 ** data.draw(st.integers(-150, 150))
+        unit_k = 10 ** data.draw(st.integers(0, 150))
+        bs = [m * unit_b for m in data.draw(st.lists(multiples, min_size=n, max_size=n))]
+        ks = [m * unit_k for m in data.draw(st.lists(multiples, min_size=n, max_size=n))]
+        taus = data.draw(st.lists(responses, min_size=n, max_size=n))
+        reference = _reference_fit([bs, ks], taus)
+        assume(reference[2] <= 1e3)
+        fit = fit_iteration_time([((k, b), t) for b, k, t in zip(bs, ks, taus)])
+        _assert_close_to_reference(fit.base_s, [fit.per_sample_s, fit.per_worker_s],
+                                   [bs, ks], taus, reference)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_noise_line(self, data):
+        """Batches up to 2e301, so ``B**-0.5`` spreads run from 1e-150 to 1."""
+        unit = 10 ** data.draw(st.integers(0, 300))
+        batches = [m * unit for m in data.draw(st.lists(multiples, min_size=2, max_size=8))]
+        noise = data.draw(st.lists(responses, min_size=len(batches), max_size=len(batches)))
+        x = [b**-0.5 for b in batches]
+        reference = _reference_fit([x], noise)
+        assume(reference[2] <= 1e3)
+        slope, intercept = fit_noise_vs_batch(list(zip(batches, noise)))
+        _assert_close_to_reference(intercept, [slope], [x], noise, reference)
 
 
 class TestAverageOverWorkers:
@@ -239,6 +319,13 @@ class TestFitStat:
         assert stat.noise_slope == 0.0
         mean = sum(e for _, e in anchors) / len(anchors)
         assert (stat.epochs_base, stat.epochs_slope) == (mean, 0.0)
+
+    def test_noise_of_order_1e_200_fits(self):
+        # Centred, the fitted noise at the anchors squares to 0 unless scaled.
+        stat = fit_stat({(4, 256): 3e-200, (4, 1024): 1.5e-200}, [(256, 60.0), (1024, 50.0)])
+        assert stat.noise_slope == pytest.approx(4.8e-199, rel=1e-12)
+        for b, epochs in [(256, 60.0), (1024, 50.0)]:
+            assert stat.predicted_epochs(stat.predicted_noise(b)) == pytest.approx(epochs)
 
     def test_anchors_sharing_one_batch_on_a_sloped_curve_are_degenerate(self):
         with pytest.raises(DegenerateFitError, match="no variation in noise"):

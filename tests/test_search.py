@@ -9,7 +9,7 @@ from scalefit.errors import (
     ModelNotFoundError,
     SearchFailedError,
 )
-from scalefit.perfmodel import StatFit, predict
+from scalefit.perfmodel import StatFit, predict, predict_columns
 from scalefit.policy import Objective
 from scalefit.search import (
     GridSampling,
@@ -316,6 +316,34 @@ def test_flat_measured_noise_pins_the_epochs_at_the_anchor_mean(monkeypatch, dri
     stat = driver(env, GRID, SearchParams(), Objective.min_cost_time()).model.stat
     mean = (env.workload.true_epochs(384) + env.workload.true_epochs(1024)) / 2
     assert stat == StatFit(0.0, 0.5, mean, 0.0)
+
+
+# Each preset's grid, with batch sizes in powers of two.
+PRESET_GRIDS = {
+    "transformer-like": SearchBounds(k_min=16, k_max=64, k_step=16, b_min=1024, b_max=8192,
+                                     b_candidates=(1024, 2048, 4096, 8192)),
+    "resnet18-like": SearchBounds(k_min=1, k_max=16, b_min=64, b_max=2048,
+                                  b_candidates=(64, 128, 256, 512, 1024, 2048)),
+    "resnet50-like": SearchBounds(k_min=2, k_max=32, k_step=2, b_min=256, b_max=4096,
+                                  b_candidates=(256, 512, 1024, 2048, 4096)),
+}
+
+
+@pytest.mark.parametrize("driver", [full_search, partial_search, online_scaling_search])
+@pytest.mark.parametrize("preset", list(PRESET_GRIDS))
+def test_noiseless_search_model_predicts_ground_truth(preset, driver):
+    """Without jitter, every mode's fitted model reproduces T and C over its grid."""
+    workload, cluster = preset_workload(preset, seed=1, jitter=0.0), preset_cluster(preset)
+    bounds = PRESET_GRIDS[preset]
+    model = driver(SimEnvironment(workload, cluster), bounds, SearchParams(),
+                   Objective.min_cost_time()).model
+    grid = predict_columns(model, *bounds.columns(), cluster.pricing, cluster.shape)
+    truth = ground_truth_points(workload, cluster, bounds)
+    assert grid.skipped == []
+    assert [p.config for p in grid.points.points()] == [p.config for p in truth]
+    for got, want in zip(grid.points.points(), truth):
+        assert got.time_s == pytest.approx(want.time_s, rel=1e-9)
+        assert got.cost_usd == pytest.approx(want.cost_usd, rel=1e-9)
 
 
 class TestNoSearch:
