@@ -122,9 +122,9 @@ class SearchBounds:
         if self.b_candidates is not None:
             if len(self.b_candidates) == 0:
                 raise ConfigurationError("b_candidates must not be empty")
-            if any(b < 1 for b in self.b_candidates):
+            if any(not b >= 1 for b in self.b_candidates):  # NaN fails it too
                 raise ConfigurationError("b_candidates must all be >= 1")
-            if any(b > MAX_GRID_VALUE for b in self.b_candidates):
+            if any(not b <= MAX_GRID_VALUE for b in self.b_candidates):
                 raise ConfigurationError("b_candidates must all be <= 2**62")
             object.__setattr__(
                 self, "b_candidates", tuple(sorted(set(self.b_candidates)))

@@ -1,33 +1,35 @@
 """Configuration-search drivers over a profiling environment.
 
-Three exploration strategies share the same machinery:
+Every profiling mode is one :class:`_Session` over the grid's valid pairs.
+The session runs each configuration, advances one iteration cursor and
+keeps one exploration ledger; every run is recorded with its iteration
+count, restore overhead and mean measured iteration time, and the reported
+search overhead is exactly the sum of ``restore + iterations * mean_time``
+over those records, priced at each record's own cluster size.  It fits both
+statistical laws once, with :func:`~scalefit.perfmodel.fit_stat`: the noise
+curve from the noise the mode measured, and the epoch line from the
+workload's true epochs at the extreme batch sizes, which are read, not
+measured.  One model-and-select step then fits iteration time on the
+profiled ``(K, B / K)`` points and picks a configuration.  The modes differ
+only in what they run and what they predict:
 
-* ``full_search`` profiles every grid configuration briefly and predicts
-  each from its measured iteration time and the fitted noise curve.
-* ``partial_search`` stabilizes the noise estimate on two extreme-batch
-  anchor runs, profiles iteration time on the four grid corners only, and
-  predicts everything else from the fitted model.
+* ``full_search`` trains an uncharged cold start, profiles every grid pair
+  briefly (indivisible pairs are recorded as skipped), fits noise over all
+  of them, and predicts each pair from its measured iteration time.
+* ``partial_search`` stabilizes noise on two extreme-batch anchor runs,
+  profiles iteration time at the four grid corners only, and predicts the
+  whole grid from the fitted model.
 * ``online_scaling_search`` stabilizes noise on the same two anchors,
   samples batch sizes and worker counts, and predicts each sampled pair
-  from its measured iteration time and the anchors' statistical fit.
+  from its measured iteration time.
 
 ``no_search`` skips profiling entirely and reuses a stored model.
 ``run_search`` runs a scenario's mode, any of the four, against its
-simulated environment.  Every mode then selects the same way: the
-scenario's objective and constraints pick among the predicted points with
+simulated environment.  Every mode selects the same way: the scenario's
+objective and constraints pick among the predicted points with
 :func:`~scalefit.policy.select_rows`, and when nothing is feasible the
 outcome has no chosen configuration and its recommendation names the
 nearest miss.
-
-The profiling drivers run against a :class:`SimEnvironment` and fit both
-statistical laws with :func:`~scalefit.perfmodel.fit_stat`: the noise curve
-from the noise they measured, and the epoch line from the workload's true
-epochs at the extreme batch sizes, which are read, not measured.
-
-Every run on a configuration is recorded with its iteration count, restore
-overhead, and mean measured iteration time; the reported search overhead is
-exactly the sum of ``restore + iterations * mean_time`` over those records,
-priced at each record's own cluster size.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .config import (
     PricingModel,
     SearchBounds,
     VMShape,
-    mini_batch,
     run_cost_usd,
 )
 from .errors import (
@@ -132,60 +133,36 @@ class SearchOutcome:
     recommendation: Recommendation
 
 
-def _extreme_batches(
-    valid: Iterable[tuple[int, int]],
-) -> tuple[int, list[int], int, list[int]]:
-    """(smallest batch, its sorted worker counts, largest batch, its sorted worker counts)."""
-    pairs = list(valid)
-    b_lo = min(b for _, b in pairs)
-    b_hi = max(b for _, b in pairs)
-    ks_lo = sorted(k for k, b in pairs if b == b_lo)
-    ks_hi = sorted(k for k, b in pairs if b == b_hi)
-    return b_lo, ks_lo, b_hi, ks_hi
-
-
-def _anchor_configs(valid: list[tuple[int, int]]) -> tuple[JobConfig, JobConfig]:
-    """Extreme-batch anchor configs, sharing the smallest worker count when possible."""
-    b_lo, ks_lo, b_hi, ks_hi = _extreme_batches(valid)
-    common = set(ks_lo) & set(ks_hi)
-    if common:
-        return JobConfig(min(common), b_lo), JobConfig(min(common), b_hi)
-    return JobConfig(ks_lo[0], b_lo), JobConfig(ks_hi[0], b_hi)
-
-
-def _corner_configs(valid: list[tuple[int, int]]) -> list[JobConfig]:
-    """Unique timing-profile corners: extreme workers at each extreme batch."""
-    b_lo, ks_lo, b_hi, ks_hi = _extreme_batches(valid)
-    corners = [(ks_lo[0], b_lo), (ks_hi[0], b_hi), (ks_lo[-1], b_lo), (ks_hi[-1], b_hi)]
-    return [JobConfig(k, b) for k, b in dict.fromkeys(corners)]
-
-
 class _Session:
-    """Tracks the global iteration cursor across exploration runs."""
+    """One profiling session: the grid, the iteration cursor and the exploration ledger.
 
-    def __init__(self, env: SimEnvironment, params: SearchParams) -> None:
-        self.env = env
-        self.params = params
+    Pricing and shape default to the environment's cluster.  The anchors sit
+    at the extreme batches, on the smallest worker count valid at both if any.
+    """
+
+    def __init__(self, env: SimEnvironment, bounds: SearchBounds, params: SearchParams,
+                 pricing: PricingModel | None, shape: VMShape | None, mode: str) -> None:
+        self.env, self.params, self.mode = env, params, mode
+        self.pricing = pricing if pricing is not None else env.cluster.pricing
+        self.shape = shape if shape is not None else env.cluster.shape
+        self.workers, self.batch = bounds.columns()
+        self.valid = list(zip(self.workers.tolist(), self.batch.tolist()))
+        if not self.valid:
+            raise SearchFailedError("bounds contain no valid (workers, batch) pair")
+        if mode != "full" and len({b for _, b in self.valid}) < 2:
+            raise SearchFailedError(f"{mode} search needs at least 2 distinct batch sizes")
+        if mode == "partial" and len({k for k, _ in self.valid}) < 2:
+            raise SearchFailedError("partial search needs at least 2 distinct worker counts")
+        b_lo = min(b for _, b in self.valid)
+        b_hi = max(b for _, b in self.valid)
+        ks_lo = sorted(k for k, b in self.valid if b == b_lo)
+        ks_hi = sorted(k for k, b in self.valid if b == b_hi)
+        self.extremes = (b_lo, ks_lo, b_hi, ks_hi)
+        common = set(ks_lo) & set(ks_hi)
+        k_lo, k_hi = (min(common),) * 2 if common else (ks_lo[0], ks_hi[0])
+        self.anchors = (JobConfig(k_lo, b_lo), JobConfig(k_hi, b_hi))
         self.cursor = 0
-
-    def run_profile(self, config: JobConfig) -> tuple[Exploration, float, float]:
-        """Short profiling pass: (record, mean normalized noise, mean tau)."""
-        iters = self.params.profile_iters
-        batch = self.env.profile(config.workers, config.global_batch, iters, self.cursor)
-        self.cursor += len(batch)
-        noises = normalized_noises(batch)
-        mean_noise = sum(noises) / len(noises) if noises else 0.0
-        taus = batch.iteration_time_s.tolist()
-        mean_tau = sum(taus) / len(taus)
-        record = Exploration(
-            workers=config.workers,
-            global_batch=config.global_batch,
-            kind="profile",
-            iterations=len(batch),
-            mean_iteration_time_s=mean_tau,
-            restore_s=self.env.cluster.restore_overhead_s,
-        )
-        return record, mean_noise, mean_tau
+        self.explored: list[Exploration] = []
 
     def run_anchor(self, config: JobConfig) -> tuple[Exploration, float]:
         """Run until the noise estimate stabilizes: (record, noise).
@@ -200,9 +177,7 @@ class _Session:
         stop = None
         while stop is None and consumed < limit:
             chunk = min(self.params.ewma.stability_window, limit - consumed)
-            batch = self.env.profile(
-                config.workers, config.global_batch, chunk, self.cursor
-            )
+            batch = self.env.profile(config.workers, config.global_batch, chunk, self.cursor)
             stop = tracker.consume(batch)
             used = len(batch) if stop is None else stop + 1
             for tau in batch.iteration_time_s[:used].tolist():
@@ -214,24 +189,75 @@ class _Session:
                 f"noise did not stabilize within {limit} "
                 f"iterations at K={config.workers}, B={config.global_batch}"
             )
-        record = Exploration(
-            workers=config.workers,
-            global_batch=config.global_batch,
-            kind="anchor",
-            iterations=consumed,
-            mean_iteration_time_s=total_time / consumed,
-            restore_s=self.env.cluster.restore_overhead_s,
-        )
+        record = Exploration(config.workers, config.global_batch, "anchor", consumed,
+                             total_time / consumed, self.env.cluster.restore_overhead_s)
         return record, tracker.estimate.normalized
 
-    def fit_anchors(self, valid: list[tuple[int, int]]) -> tuple[list[Exploration], StatFit]:
-        """Stabilize noise on the two extreme-batch anchors and fit both statistical laws."""
-        explored, noise, epochs = [], {}, []
-        for c in _anchor_configs(valid):
+    def fit_anchors(self) -> StatFit:
+        """Stabilize noise on the two anchors, record both runs and fit the statistical laws."""
+        noise = {}
+        for c in self.anchors:
             record, noise[(c.workers, c.global_batch)] = self.run_anchor(c)
-            explored.append(record)
-            epochs.append((c.global_batch, self.env.workload.true_epochs(c.global_batch)))
-        return explored, fit_stat(noise, epochs)
+            self.explored.append(record)
+        return self.fit(noise)
+
+    def profile(
+        self, pairs: Iterable[tuple[int, int]]
+    ) -> tuple[dict[tuple[int, int], float], list[tuple[int, int, float]]]:
+        """Short profiling passes: (mean normalized noise by pair, (K, B, mean tau) rows).
+
+        Each pair runs ``profile_iters`` iterations; a pair whose batch its
+        worker count does not divide is recorded as skipped and not run.
+        """
+        noise: dict[tuple[int, int], float] = {}
+        rows = []
+        for k, b in pairs:
+            if b % k != 0:
+                self.explored.append(Exploration(k, b, "skipped", 0, 0.0, 0.0))
+                continue
+            batch = self.env.profile(k, b, self.params.profile_iters, self.cursor)
+            self.cursor += len(batch)
+            noises = normalized_noises(batch)
+            noise[(k, b)] = sum(noises) / len(noises) if noises else 0.0
+            taus = batch.iteration_time_s.tolist()
+            mean_tau = sum(taus) / len(taus)
+            self.explored.append(Exploration(
+                k, b, "profile", len(batch), mean_tau, self.env.cluster.restore_overhead_s
+            ))
+            rows.append((k, b, mean_tau))
+        return noise, rows
+
+    def fit(self, noise: dict[tuple[int, int], float]) -> StatFit:
+        """Both statistical laws: measured noise, and true epochs at the extreme batches."""
+        b_lo, _, b_hi, _ = self.extremes
+        epochs = [(b, self.env.workload.true_epochs(b)) for b in dict.fromkeys((b_lo, b_hi))]
+        return fit_stat(noise, epochs)
+
+    def select(self, stat: StatFit, rows: list[tuple[int, int, float]], objective: Objective,
+               constraints: Constraints | None, whole_grid: bool = False) -> SearchOutcome:
+        """Fit iteration time on the profiled rows, predict, and select.
+
+        ``whole_grid`` predicts every valid pair from the model; otherwise
+        each profiled row is predicted from its fitted noise and measured
+        iteration time, and rows outside the model's domain drop.
+        """
+        model = PerfModel(
+            stat=stat,
+            parallel=fit_iteration_time_best_effort([((k, b / k), tau) for k, b, tau in rows]),
+            dataset_size=self.env.workload.dataset_size,
+            fingerprint=self.env.workload.name,
+            provenance=f"{self.mode}_search",
+        )
+        if whole_grid:
+            grid = predict_columns(model, self.workers, self.batch, self.pricing, self.shape)
+        else:
+            ks, bs, taus = zip(*rows)
+            noise = [stat.predicted_noise(b) for b in bs]
+            grid, _ = chain_columns(model, ks, bs, noise, taus, self.pricing, self.shape)
+        return _selected_outcome(
+            self.mode, model, self.explored, grid.points, objective, constraints,
+            self.pricing, self.shape,
+        )
 
 
 def _selected_outcome(
@@ -281,47 +307,17 @@ def full_search(
 ) -> SearchOutcome:
     """Profile every grid configuration and select from its measured iteration times.
 
-    The job first trains on the initial (smallest-workers, smallest-batch)
-    configuration until the noise estimate stabilizes; that cold-start run
-    is productive training and is not charged to the exploration ledger.
-    Every grid pair is then profiled for ``profile_iters`` iterations —
-    pairs that violate divisibility are recorded as skipped — and predicted
-    from its mean iteration time and the noise curve fitted over all pairs.
+    The job first trains on the smallest-batch anchor until the noise
+    estimate stabilizes; that cold-start run is productive training and is
+    not charged to the exploration ledger.  Every grid pair is then profiled
+    for ``profile_iters`` iterations — pairs that violate divisibility are
+    recorded as skipped — and predicted from its mean iteration time and the
+    noise curve fitted over all pairs.
     """
-    pricing = pricing if pricing is not None else env.cluster.pricing
-    shape = shape if shape is not None else env.cluster.shape
-    combos = bounds.grid()
-    valid = [(k, b) for k, b in combos if b % k == 0]
-    if not valid:
-        raise SearchFailedError("bounds contain no valid (workers, batch) pair")
-    session = _Session(env, params)
-    session.run_anchor(_anchor_configs(valid)[0])
-
-    explored: list[Exploration] = []
-    noise: dict[tuple[int, int], float] = {}
-    taus: dict[tuple[int, int], float] = {}
-    for k, b in combos:
-        if b % k != 0:
-            explored.append(Exploration(k, b, "skipped", 0, 0.0, 0.0))
-            continue
-        record, noise[(k, b)], taus[(k, b)] = session.run_profile(JobConfig(k, b))
-        explored.append(record)
-
-    b_lo, _, b_hi, _ = _extreme_batches(valid)
-    stat = fit_stat(noise, [(b, env.workload.true_epochs(b)) for b in dict.fromkeys((b_lo, b_hi))])
-    rows = [(k, b, stat.predicted_noise(b), tau) for (k, b), tau in sorted(taus.items())]
-    model = PerfModel(
-        stat=stat,
-        parallel=fit_iteration_time_best_effort([((k, b / k), tau) for k, b, _, tau in rows]),
-        dataset_size=env.workload.dataset_size,
-        fingerprint=env.workload.name,
-        provenance="full_search",
-    )
-    # Fitted noise and measured iteration time; rows outside the model's domain drop.
-    grid, _ = chain_columns(model, *zip(*rows), pricing, shape)
-    return _selected_outcome(
-        "full", model, explored, grid.points, objective, constraints, pricing, shape
-    )
+    session = _Session(env, bounds, params, pricing, shape, "full")
+    session.run_anchor(session.anchors[0])
+    noise, rows = session.profile(bounds.grid())
+    return session.select(session.fit(noise), rows, objective, constraints)
 
 
 def partial_search(
@@ -336,60 +332,34 @@ def partial_search(
 ) -> SearchOutcome:
     """Anchor-and-corner search: two stabilized noise runs plus four timing profiles.
 
-    The anchors sit at the extreme batch sizes on the smallest worker count
-    valid at both; iteration time is profiled only at the four grid corners.
-    Every other configuration is predicted from the fitted model.
+    The anchors sit at the extreme batch sizes; iteration time is profiled
+    only at the unique corners, the extreme worker counts at each extreme
+    batch.  Every configuration is predicted from the fitted model.
     """
-    pricing = pricing if pricing is not None else env.cluster.pricing
-    shape = shape if shape is not None else env.cluster.shape
-    workers, batch = bounds.columns()
-    valid = list(zip(workers.tolist(), batch.tolist()))
-    if not valid:
-        raise SearchFailedError("bounds contain no valid (workers, batch) pair")
-    if len({b for _, b in valid}) < 2:
-        raise SearchFailedError("partial search needs at least 2 distinct batch sizes")
-    if len({k for k, _ in valid}) < 2:
-        raise SearchFailedError("partial search needs at least 2 distinct worker counts")
-
-    session = _Session(env, params)
-    explored, stat = session.fit_anchors(valid)
-    timing = []
-    for config in _corner_configs(valid):
-        record, _, mean_tau = session.run_profile(config)
-        explored.append(record)
-        timing.append(((config.workers, float(mini_batch(config))), mean_tau))
-
-    model = PerfModel(
-        stat=stat,
-        parallel=fit_iteration_time_best_effort(timing),
-        dataset_size=env.workload.dataset_size,
-        fingerprint=env.workload.name,
-        provenance="partial_search",
-    )
-    grid = predict_columns(model, workers, batch, pricing, shape)
-    return _selected_outcome(
-        "partial", model, explored, grid.points, objective, constraints, pricing, shape
-    )
+    session = _Session(env, bounds, params, pricing, shape, "partial")
+    stat = session.fit_anchors()
+    b_lo, ks_lo, b_hi, ks_hi = session.extremes
+    corners = [(ks_lo[0], b_lo), (ks_hi[0], b_hi), (ks_lo[-1], b_lo), (ks_hi[-1], b_hi)]
+    _, rows = session.profile(dict.fromkeys(corners))
+    return session.select(stat, rows, objective, constraints, whole_grid=True)
 
 
-def _sampled_configs(
+def _sampled_pairs(
     valid: list[tuple[int, int]], sampling: GridSampling | RandomSampling
-) -> dict[int, list[int]]:
-    """Batch size -> sorted worker counts to measure."""
+) -> list[tuple[int, int]]:
+    """(K, B) pairs to measure, in (B, K) order."""
     by_b: dict[int, list[int]] = defaultdict(list)
-    for k, b in valid:
+    for k, b in sorted(valid, key=lambda pair: pair[::-1]):
         by_b[b].append(k)
-    if isinstance(sampling, GridSampling):
-        return {b: sorted(ks) for b, ks in sorted(by_b.items())}
-    rng = np.random.default_rng(sampling.seed)
-    bs = sorted(by_b)
-    drawn_bs = {bs[i] for i in rng.integers(0, len(bs), size=sampling.bspace)}
-    out: dict[int, list[int]] = {}
-    for b in sorted(drawn_bs):
-        ks = sorted(by_b[b])
-        drawn_ks = {ks[i] for i in rng.integers(0, len(ks), size=sampling.kspace)}
-        out[b] = sorted(drawn_ks)
-    return out
+    if isinstance(sampling, RandomSampling):
+        rng = np.random.default_rng(sampling.seed)
+        bs = list(by_b)
+        drawn = sorted({bs[i] for i in rng.integers(0, len(bs), size=sampling.bspace)})
+        by_b = {
+            b: sorted({by_b[b][i] for i in rng.integers(0, len(by_b[b]), size=sampling.kspace)})
+            for b in drawn
+        }
+    return [(k, b) for b, ks in by_b.items() for k in ks]
 
 
 def online_scaling_search(
@@ -410,38 +380,10 @@ def online_scaling_search(
     objective and constraints then select among the sampled pairs, as in
     every other mode.
     """
-    pricing = pricing if pricing is not None else env.cluster.pricing
-    shape = shape if shape is not None else env.cluster.shape
-    workers, batch = bounds.columns()
-    valid = list(zip(workers.tolist(), batch.tolist()))
-    if not valid:
-        raise SearchFailedError("bounds contain no valid (workers, batch) pair")
-    if len({b for _, b in valid}) < 2:
-        raise SearchFailedError("scaling search needs at least 2 distinct batch sizes")
-
-    session = _Session(env, params)
-    explored, stat = session.fit_anchors(valid)
-    sampled = []
-    for b, ks in _sampled_configs(valid, params.sampling).items():
-        for k in ks:
-            record, _, mean_tau = session.run_profile(JobConfig(k, b))
-            explored.append(record)
-            sampled.append((k, b, stat.predicted_noise(b), mean_tau))
-
-    model = PerfModel(
-        stat=stat,
-        parallel=fit_iteration_time_best_effort(
-            [((k, float(b // k)), tau) for k, b, _, tau in sampled]
-        ),
-        dataset_size=env.workload.dataset_size,
-        fingerprint=env.workload.name,
-        provenance="scaling_search",
-    )
-    # Predicted noise and measured iteration time; rows outside the model's domain drop.
-    grid, _ = chain_columns(model, *zip(*sampled), pricing, shape)
-    return _selected_outcome(
-        "scaling", model, explored, grid.points, objective, constraints, pricing, shape
-    )
+    session = _Session(env, bounds, params, pricing, shape, "scaling")
+    stat = session.fit_anchors()
+    _, rows = session.profile(_sampled_pairs(session.valid, params.sampling))
+    return session.select(stat, rows, objective, constraints)
 
 
 def no_search(

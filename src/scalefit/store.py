@@ -162,7 +162,6 @@ class ModelStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._index_path = self.root / "index.json"
 
     def _read_index(self) -> dict[str, str]:
@@ -189,6 +188,7 @@ class ModelStore:
         if not model.fingerprint:
             raise CorruptDocumentError("cannot store a model without a fingerprint")
         filename = _slug(model.fingerprint)
+        self.root.mkdir(parents=True, exist_ok=True)
         write_model_file(self.root / filename, model, created_at)
         index = self._read_index()
         index[model.fingerprint] = filename

@@ -868,6 +868,15 @@ class TestSearch:
         assert code == 4
         assert "store is empty" in err
 
+    def test_mode_none_missing_store_exits_4_and_creates_nothing(
+        self, run_cli, scenario_file, tmp_path
+    ):
+        root = tmp_path / "typo"
+        path = scenario_file(search={"mode": "none"}, store_dir=str(root / "deep" / "store"))
+        code, out, _ = run_cli("search", "--scenario", str(path))
+        assert (code, out) == (4, "")
+        assert not root.exists()
+
     def test_mode_none_out_of_domain_model_exits_5(
         self, run_cli, scenario_file, tmp_path, make_model
     ):

@@ -215,6 +215,8 @@ class TestSearchBounds:
             SearchBounds(k_min=1, k_max=2, b_min=1, b_max=2, b_candidates=())
         with pytest.raises(ConfigurationError):
             SearchBounds(k_min=1, k_max=2, b_min=1, b_max=2, b_candidates=(0,))
+        with pytest.raises(ConfigurationError, match="^b_candidates must all be >= 1"):
+            SearchBounds(k_min=1, k_max=4, b_min=1, b_max=8, b_candidates=(math.nan,))
 
     @pytest.mark.parametrize("field", ["k_min", "k_max", "b_min", "b_max", "k_step"])
     def test_bounds_past_int64_range_name_the_field(self, field):

@@ -318,6 +318,21 @@ def test_flat_measured_noise_pins_the_epochs_at_the_anchor_mean(monkeypatch, dri
     assert stat == StatFit(0.0, 0.5, mean, 0.0)
 
 
+@pytest.mark.parametrize("driver", [full_search, partial_search, online_scaling_search])
+def test_pricing_and_shape_overrides_price_every_point_and_the_ledger(driver):
+    pricing, shape = PricingModel.per_resource(0.05, 0.01), VMShape(8, 32.0)
+    env = make_env()
+    assert (pricing, shape) != (env.cluster.pricing, env.cluster.shape)
+    outcome = driver(env, GRID, SearchParams(), Objective.min_cost_time(),
+                     pricing=pricing, shape=shape)
+    assert outcome.tradeoff_points
+    for p in outcome.tradeoff_points:
+        assert p.cost_usd == run_cost_usd(pricing, shape, p.config.workers, p.time_s)
+    assert (outcome.overhead_time_s, outcome.overhead_cost_usd) == overhead_identity(
+        outcome, pricing, shape
+    )
+
+
 # Each preset's grid, with batch sizes in powers of two.
 PRESET_GRIDS = {
     "transformer-like": SearchBounds(k_min=16, k_max=64, k_step=16, b_min=1024, b_max=8192,

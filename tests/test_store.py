@@ -206,6 +206,16 @@ class TestValidation:
         with pytest.raises(ModelNotFoundError):
             read_model_file(tmp_path / "absent.json")
 
+    def test_reads_leave_a_missing_root_absent_and_save_creates_it(self, tmp_path, make_model):
+        root = tmp_path / "deep" / "store"
+        store = ModelStore(root)
+        assert store.fingerprints() == [] and store.load_all() == []
+        with pytest.raises(ModelNotFoundError):
+            store.load("nope")
+        assert not (tmp_path / "deep").exists()
+        store.save(make_model())
+        assert store.fingerprints() == [make_model().fingerprint]
+
     def test_truncated_document(self, tmp_path, make_model):
         store = ModelStore(tmp_path)
         path = store.save(make_model(fingerprint="broken"))
