@@ -35,6 +35,7 @@ from .errors import (
     ScenarioError,
     SearchFailedError,
     TraceParseError,
+    ordered_sum,
 )
 from .noise import normalized_noises
 from .perfmodel import (
@@ -253,7 +254,7 @@ def _measure_traces(paths: list[str]) -> dict[tuple[int, int], tuple[float, floa
             raise DegenerateFitError(
                 f"trace for K={key[0]}, B={key[1]} has no usable samples"
             )
-        out[key] = (sum(noises) / len(noises), sum(taus) / len(taus))
+        out[key] = (ordered_sum(noises) / len(noises), ordered_sum(taus) / len(taus))
     return out
 
 

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 
 # Largest accepted configuration or count integer: grids are enumerated in
 # int64, and sums such as ``b_min + k - 1`` must not wrap.
 MAX_GRID_VALUE = 2**62
+
+
+def ordered_sum(values) -> float:
+    """``values`` added left to right from ``0.0``, unlike the compensated ``sum`` of 3.12+."""
+    return reduce(operator.add, values, 0.0)
 
 
 class ScalefitError(Exception):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Iterable
 
 import numpy as np
@@ -144,18 +145,15 @@ class SampleBatch(Sequence):
 def _raw_noise_column(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
     """(raw noise per row, rows with a non-zero aggregate); raw is 0 elsewhere.
 
-    Worker columns are added left to right into zeros, the order in which the
-    built-in ``sum`` (through Python 3.11) adds one sample's norms, so every
-    value equals the per-sample ratio bit for bit.  ``np.sum`` would add
-    pairwise and could change the last bit.
+    ``cumsum`` adds each row's worker norms strictly left to right, and
+    ``+ 0.0`` maps a ``-0.0`` total to ``0.0``, so every value equals the
+    ordered per-sample ratio bit for bit; ``np.sum`` adds pairwise.
     """
-    acc = np.zeros(len(batch))
     usable = batch.agg_sqnorm != 0
     with np.errstate(over="ignore"):  # overflow gives inf, as the float sum does
-        for column in batch.worker_sqnorms.T:
-            acc += column
+        total = batch.worker_sqnorms.cumsum(axis=1)[:, -1] + 0.0
         raw = np.divide(
-            acc / batch.workers, batch.agg_sqnorm, out=np.zeros_like(acc), where=usable
+            total / batch.workers, batch.agg_sqnorm, out=np.zeros_like(total), where=usable
         )
     return raw, usable
 
@@ -204,16 +202,35 @@ class NoiseEstimate:
     recent_window: tuple[float, ...]
 
 
+def _sliding_max_min(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min of ``values[max(0, i - width + 1) : i + 1]`` for every ``i``.
+
+    van Herk / Gil-Werman: running extremes forward and backward within
+    blocks of ``width``; a full window is one block's suffix and the next's
+    prefix, a shorter leading one a prefix of the first.  NaN propagates.
+    """
+    n = len(values)
+    width = min(width, n)
+    # Repeating the last value fills the last block without changing any extreme.
+    blocks = np.concatenate((values, values[-1:].repeat(-n % width))).reshape(-1, width)
+    extremes = []
+    for ufunc in (np.maximum, np.minimum):
+        prefix = ufunc.accumulate(blocks, axis=1).ravel()[:n]
+        suffix = ufunc.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+        ufunc(suffix[: n - width + 1], prefix[width - 1 :], out=prefix[width - 1 :])
+        extremes.append(prefix)
+    return extremes[0], extremes[1]
+
+
 class NoiseTracker:
     """Accumulates per-iteration samples for one configuration.
 
     Samples with a zero aggregated gradient cannot produce a noise ratio;
     the tracker counts them as skipped and leaves the smoothed state
-    unchanged.  The window's maximum and minimum are kept in monotonic
-    deques of (sample number, smoothed value), so each row costs O(1)
-    amortized instead of a scan of the window (Lemire, "Streaming
-    maximum-minimum filter using no more than three comparisons per
-    element", 2006).
+    unchanged.  A batch is tested a chunk at a time: its EWMA is one
+    ``itertools.accumulate`` over the usable rows, rows inside the warm-up
+    do no window work, and the rest take their window extremes at once from
+    :func:`_sliding_max_min` over the previous window and the new values.
     """
 
     def __init__(self, workers: int, cfg: EwmaConfig | None = None) -> None:
@@ -223,11 +240,6 @@ class NoiseTracker:
         self._seen = 0
         self._skipped = 0
         self._window: deque[float] = deque(maxlen=self.cfg.stability_window)
-        # A NaN, which the deques cannot order, only arises as alpha = 1 times
-        # an infinite previous value, and then every later value is NaN too;
-        # on such windows the deques still agree with max() and min().
-        self._hi: deque[tuple[int, float]] = deque()
-        self._lo: deque[tuple[int, float]] = deque()
 
     def consume(self, batch: SampleBatch) -> int | None:
         """Feed the rows of ``batch`` in order until the estimate is stabilized.
@@ -240,37 +252,32 @@ class NoiseTracker:
                 f"sample has {batch.workers} workers, tracker expects {self.workers}"
             )
         raws, usable = _raw_noise_column(batch)
-        cfg = self.cfg
+        rows = np.flatnonzero(usable)
+        cfg, prev = self.cfg, self._smoothed
         a, b = cfg.alpha, 1.0 - cfg.alpha
-        size, warmup, tol = cfg.stability_window, cfg.warmup_iters, cfg.stability_rel_tol
-        smoothed, seen = self._smoothed, self._seen
-        window, hi, lo = self._window, self._hi, self._lo
-        stop = None
-        for row, (raw, ok) in enumerate(zip(raws.tolist(), usable.tolist())):
-            if not ok:
-                self._skipped += 1
-                continue
-            smoothed = raw if smoothed is None else a * raw + b * smoothed
-            seen += 1
-            window.append(smoothed)
-            while hi and hi[-1][1] <= smoothed:
-                hi.pop()
-            hi.append((seen, smoothed))
-            if hi[0][0] <= seen - size:
-                hi.popleft()
-            while lo and lo[-1][1] >= smoothed:
-                lo.pop()
-            lo.append((seen, smoothed))
-            if lo[0][0] <= seen - size:
-                lo.popleft()
-            if seen < warmup:
-                continue
-            top = hi[0][1]
-            spread = 0.0 if top == 0 else (top - lo[0][1]) / top
-            if spread <= tol:
-                stop = row
-                break
-        self._smoothed, self._seen = smoothed, seen
+        # The same expression, in the same order, as a per-row update.
+        smoothed = list(accumulate(raws[rows].tolist(), lambda s, r: a * r + b * s,
+                                   initial=prev))
+        if prev is not None:
+            del smoothed[0]  # accumulate yields its initial value first
+        # Values before first_test are still inside the warm-up.
+        first_test = max(cfg.warmup_iters - self._seen - 1, 0)
+        used, stop = len(smoothed), None
+        if first_test < used:
+            old = len(self._window)
+            hi, lo = _sliding_max_min(np.fromiter(chain(self._window, smoothed), float),
+                                      cfg.stability_window)
+            hi, lo = hi[old + first_test :], lo[old + first_test :]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                spread = np.where(hi == 0, 0.0, (hi - lo) / hi)
+            hit = int(np.argmax(spread <= cfg.stability_rel_tol))
+            if spread[hit] <= cfg.stability_rel_tol:
+                used = first_test + hit + 1
+                stop = int(rows[used - 1])
+        self._skipped += (len(batch) if stop is None else stop + 1) - used
+        self._smoothed = smoothed[used - 1] if used else prev
+        self._seen += used
+        self._window.extend(smoothed[:used])
         return stop
 
     def update(self, sample: IterationSample) -> NoiseEstimate:

@@ -32,7 +32,7 @@ from .config import (
     run_cost_usd,
     vm_hourly_price,
 )
-from .errors import DegenerateFitError, ModelOutOfDomainError, check
+from .errors import DegenerateFitError, ModelOutOfDomainError, check, ordered_sum
 from .tradeoff import PointColumns
 
 PROVENANCES = ("full_search", "partial_search", "scaling_search", "trace_fit", "reused",
@@ -229,7 +229,7 @@ def fit_iteration_time_best_effort(
     try:
         base, (per_sample, per_worker) = _lstsq([bs, ks], taus)
     except DegenerateFitError:
-        base, per_sample, per_worker = sum(taus) / len(taus), 0.0, 0.0
+        base, per_sample, per_worker = ordered_sum(taus) / len(taus), 0.0, 0.0
     return ParallelFit(base_s=base, per_sample_s=per_sample, per_worker_s=per_worker)
 
 
@@ -246,8 +246,8 @@ def average_over_workers(
     """
     if len(fits) == 0:
         raise DegenerateFitError("no per-worker-count fits to average")
-    slope = sum(f[1] for f in fits) / len(fits)
-    intercept = sum(f[2] for f in fits) / len(fits)
+    slope = ordered_sum(f[1] for f in fits) / len(fits)
+    intercept = ordered_sum(f[2] for f in fits) / len(fits)
     return slope, intercept
 
 

@@ -48,7 +48,7 @@ from .config import (
     run_cost_usd,
 )
 from .errors import (
-    MAX_GRID_VALUE, ConfigurationError, ModelNotFoundError, SearchFailedError, check
+    MAX_GRID_VALUE, ConfigurationError, ModelNotFoundError, SearchFailedError, check, ordered_sum
 )
 from .noise import EwmaConfig, NoiseTracker, normalized_noises
 from .perfmodel import (
@@ -172,25 +172,22 @@ class _Session:
         """
         tracker = NoiseTracker(config.workers, self.params.ewma)
         limit = self.params.max_stabilize_iters
-        consumed = 0
-        total_time = 0.0
+        taus: list[float] = []
         stop = None
-        while stop is None and consumed < limit:
-            chunk = min(self.params.ewma.stability_window, limit - consumed)
+        while stop is None and len(taus) < limit:
+            chunk = min(self.params.ewma.stability_window, limit - len(taus))
             batch = self.env.profile(config.workers, config.global_batch, chunk, self.cursor)
             stop = tracker.consume(batch)
             used = len(batch) if stop is None else stop + 1
-            for tau in batch.iteration_time_s[:used].tolist():
-                total_time += tau
+            taus.extend(batch.iteration_time_s[:used].tolist())
             self.cursor += used
-            consumed += used
         if stop is None:
             raise SearchFailedError(
                 f"noise did not stabilize within {limit} "
                 f"iterations at K={config.workers}, B={config.global_batch}"
             )
-        record = Exploration(config.workers, config.global_batch, "anchor", consumed,
-                             total_time / consumed, self.env.cluster.restore_overhead_s)
+        record = Exploration(config.workers, config.global_batch, "anchor", len(taus),
+                             ordered_sum(taus) / len(taus), self.env.cluster.restore_overhead_s)
         return record, tracker.estimate.normalized
 
     def fit_anchors(self) -> StatFit:
@@ -218,9 +215,9 @@ class _Session:
             batch = self.env.profile(k, b, self.params.profile_iters, self.cursor)
             self.cursor += len(batch)
             noises = normalized_noises(batch)
-            noise[(k, b)] = sum(noises) / len(noises) if noises else 0.0
+            noise[(k, b)] = ordered_sum(noises) / len(noises) if noises else 0.0
             taus = batch.iteration_time_s.tolist()
-            mean_tau = sum(taus) / len(taus)
+            mean_tau = ordered_sum(taus) / len(taus)
             self.explored.append(Exploration(
                 k, b, "profile", len(batch), mean_tau, self.env.cluster.restore_overhead_s
             ))

@@ -113,7 +113,12 @@ class SimEnvironment:
 
     Traces are reproducible from the workload seed and the sequence of
     ``profile`` calls; every call advances one shared generator in a fixed
-    draw order.
+    draw order.  A call of ``iters`` rows at ``workers`` makes one
+    ``standard_normal(iters * (workers + 3))`` draw and splits it, in order,
+    into noise jitter (``iters``), worker spread (``iters x workers``, row
+    by row), compute jitter and sync jitter (``iters`` each).  The generator
+    fills a draw value by value, so this equals four separate draws of those
+    shapes and leaves the generator in the same state.
     """
 
     def __init__(self, workload: SimWorkload, cluster: SimCluster) -> None:
@@ -146,28 +151,23 @@ class SimEnvironment:
         b = mini_batch(config)
         t_idx = start_iteration + np.arange(iters, dtype=float)
         ramp = 1.0 - np.exp(-t_idx / w.ramp_iters)
-        noise_jit = w.jitter * self._rng.standard_normal(iters)
-        spread = self._rng.standard_normal((iters, workers)) * math.sqrt(
-            2.0 / w.grad_dim
-        )
-        compute_jit = w.jitter * self._rng.standard_normal(iters)
-        sync_jit = w.jitter * self._rng.standard_normal(iters)
+        draw = self._rng.standard_normal(iters * (workers + 3))
+        noise_jit = w.jitter * draw[:iters]
+        spread = draw[iters : -2 * iters].reshape(iters, workers) * math.sqrt(2.0 / w.grad_dim)
+        compute_jit = w.jitter * draw[-2 * iters : -iters]
+        sync_jit = w.jitter * draw[-iters:]
 
         gamma = workers * w.true_normalized_noise(global_batch) * ramp
-        gamma = np.clip(gamma * (1.0 + noise_jit), 0.0, None)
+        gamma = np.maximum(gamma * (1.0 + noise_jit), 0.0)
         # Center the per-worker spread so the Eq-style ratio stays exact.
         spread -= spread.mean(axis=1, keepdims=True)
-        worker_vals = np.clip(gamma[:, None] * (1.0 + spread), 0.0, None)
+        worker_vals = np.maximum(gamma[:, None] * (1.0 + spread), 0.0)
 
-        compute = np.clip(
-            (w.time_base_s / 2.0 + w.time_per_sample_s * b) * (1.0 + compute_jit),
-            0.0,
-            None,
+        compute = np.maximum(
+            (w.time_base_s / 2.0 + w.time_per_sample_s * b) * (1.0 + compute_jit), 0.0
         )
-        sync = np.clip(
-            (w.time_base_s / 2.0 + w.time_per_worker_s * workers) * (1.0 + sync_jit),
-            0.0,
-            None,
+        sync = np.maximum(
+            (w.time_base_s / 2.0 + w.time_per_worker_s * workers) * (1.0 + sync_jit), 0.0
         )
 
         try:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import CorruptDocumentError, ModelNotFoundError, ModelOutOfDomainError
+from .errors import CorruptDocumentError, ModelNotFoundError, ModelOutOfDomainError, ordered_sum
 from .perfmodel import PROVENANCES, ParallelFit, PerfModel, StatFit
 
 SCHEMA_VERSION = 1
@@ -231,7 +231,7 @@ class ModelStore:
         n = len(stored)
 
         def mean(get) -> float:
-            return sum(get(s.model) for s in stored) / n
+            return ordered_sum(get(s.model) for s in stored) / n
 
         stat = StatFit(
             noise_slope=mean(lambda m: m.stat.noise_slope),

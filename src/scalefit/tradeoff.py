@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import JobConfig
-from .errors import EmptyInputError, check
+from .errors import EmptyInputError, check, ordered_sum
 
 KNEEDLE = "kneedle"
 FALLBACK = "fallback_min_cost_time"
@@ -179,12 +179,12 @@ def _curve_knees(curve: PointColumns, starts: np.ndarray) -> tuple[np.ndarray, n
         y0, y1 = y[starts], y[ends]
         chord_dev = (y - (y0[seg] + (y1 - y0)[seg] * x)).tolist()
         # Interior mean above the endpoint chord means concave, below means
-        # convex.  Python's sum keeps the additions in order; NumPy's
+        # convex.  ordered_sum keeps the additions in order; NumPy's
         # pairwise sum can flip the sign of a mean near zero.
         concave = np.zeros(len(starts), dtype=bool)
         for i in np.flatnonzero(kneedle).tolist():
             s, e = int(starts[i]), int(ends[i])
-            concave[i] = sum(chord_dev[s + 1 : e]) / (e - s - 1) > 0
+            concave[i] = ordered_sum(chord_dev[s + 1 : e]) / (e - s - 1) > 0
         # Map each curve to the increasing-concave canonical form.
         increasing, concave = (y1 >= y0)[seg], concave[seg]
         d = np.where(

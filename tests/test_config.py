@@ -15,7 +15,7 @@ from scalefit.config import (
     mini_batch,
     run_cost_usd,
 )
-from scalefit.errors import ConfigurationError, ModelOutOfDomainError, check
+from scalefit.errors import ConfigurationError, ModelOutOfDomainError, check, ordered_sum
 
 
 class TestJobConfig:
@@ -83,6 +83,19 @@ class TestCheck:
     def test_error_type_is_the_callers(self):
         with pytest.raises(ModelOutOfDomainError, match="^x must be finite, got inf$"):
             check("x", math.inf, -math.inf, finite=True, error=ModelOutOfDomainError)
+
+
+class TestOrderedSum:
+    """Float totals that do not depend on the interpreter's ``sum``."""
+
+    def test_adds_left_to_right_without_compensation(self):
+        # A compensated sum gives 1.0 and 1.0 here.
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
+        assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_empty_and_negative_zero_totals_are_positive_zero(self):
+        assert math.copysign(1.0, ordered_sum([])) == 1.0
+        assert math.copysign(1.0, ordered_sum([-0.0, -0.0])) == 1.0
 
 
 class TestPricing:

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import is_stabilized
-from scalefit.errors import ConfigurationError, DegenerateGradientError, InvalidSampleError
+from scalefit.errors import (
+    ConfigurationError, DegenerateGradientError, InvalidSampleError, ordered_sum
+)
 from scalefit.noise import (
     EwmaConfig,
     IterationSample,
     NoiseEstimate,
     NoiseTracker,
     SampleBatch,
+    _sliding_max_min,
     compute_raw_noise,
     normalized_noises,
 )
@@ -240,7 +243,7 @@ class TestTrackerEdgeCases:
 
 
 def reference_run(rows, workers, cfg):
-    """The per-sample tracker loop: Python ``sum``, scalar EWMA, full window scan.
+    """The per-sample tracker loop: ordered sum, scalar EWMA, full window scan.
 
     Returns (first stabilized row or None, normalized, samples seen, skipped,
     recent window).
@@ -251,7 +254,7 @@ def reference_run(rows, workers, cfg):
         if agg == 0:
             skipped += 1
             continue
-        raw = sum(norms) / len(norms) / agg
+        raw = ordered_sum(norms) / len(norms) / agg
         smoothed = raw if smoothed is None else cfg.alpha * raw + (1.0 - cfg.alpha) * smoothed
         seen += 1
         window.append(smoothed)
@@ -356,6 +359,20 @@ class TestBatchTracker:
         assert tracker.estimate.samples_seen == 3
 
 
+class TestSlidingMaxMin:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_matches_max_and_min_of_every_window(self, data):
+        values = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, np.inf, np.nan]) | st.floats(0.0, 10.0), min_size=1, max_size=40
+        )))
+        width = data.draw(st.integers(1, len(values)))
+        hi, lo = _sliding_max_min(values, width)
+        windows = [values[max(0, i - width + 1) : i + 1] for i in range(len(values))]
+        np.testing.assert_array_equal(hi, [np.max(w) for w in windows])
+        np.testing.assert_array_equal(lo, [np.min(w) for w in windows])
+
+
 def fed_tracker(window, cfg):
     """A one-worker tracker with ``alpha`` 1 fed ``window``, so its window holds those values."""
     tracker = NoiseTracker(1, EwmaConfig(1.0, cfg.warmup_iters, cfg.stability_window,
@@ -416,3 +433,18 @@ class TestStabilization:
         assert t_star is not None
         assert 1000 < t_star <= 5000
         assert t_star == 2067  # regression pin for the default simulator stream
+
+    def test_simulator_stream_stabilizes_at_the_same_row_in_chunks(self):
+        # The anchor-run shape: 200-row chunks through consume stop where
+        # per-sample updates do in the test above.
+        env = SimEnvironment(
+            preset_workload("resnet18-like", seed=0), preset_cluster("resnet18-like")
+        )
+        tracker = NoiseTracker(8, EwmaConfig(0.01, 1000, 200, 0.01))
+        cursor, stop = 0, None
+        while cursor < 6000 and stop is None:
+            stop = tracker.consume(env.profile(8, 512, 200, cursor))
+            cursor += 200
+        assert stop is not None
+        assert tracker.estimate.stabilized
+        assert tracker.estimate.samples_seen == 2067

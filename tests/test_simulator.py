@@ -9,7 +9,7 @@ import pytest
 from conftest import true_iteration_time
 from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape
 from scalefit.errors import ConfigurationError, SearchFailedError
-from scalefit.noise import compute_raw_noise
+from scalefit.noise import SampleBatch, compute_raw_noise
 from scalefit.perfmodel import predict
 from scalefit.policy import Objective
 from scalefit.simulator import (
@@ -160,6 +160,33 @@ class TestProfile:
             env.profile(8, 512, 5, start_iteration=2**63)
         with pytest.raises(ConfigurationError):
             env.profile(8, 100, 5)  # indivisible batch
+
+    @pytest.mark.parametrize("workers", [1, 3, 16])
+    def test_draws_follow_the_documented_order(self, workers):
+        # Four separate draws per call: noise jitter, worker spread, compute
+        # jitter, sync jitter; a second call continues the same generator.
+        w = small_workload(jitter=0.05, seed=7)
+        env = SimEnvironment(w, flat_cluster())
+        rng = np.random.default_rng(w.seed)
+        for start in (0, 30):
+            t = start + np.arange(30, dtype=float)
+            noise_jit = w.jitter * rng.standard_normal(30)
+            spread = rng.standard_normal((30, workers)) * math.sqrt(2.0 / w.grad_dim)
+            compute_jit = w.jitter * rng.standard_normal(30)
+            sync_jit = w.jitter * rng.standard_normal(30)
+            gamma = workers * w.true_normalized_noise(96) * (1.0 - np.exp(-t / w.ramp_iters))
+            gamma = np.clip(gamma * (1.0 + noise_jit), 0.0, None)
+            spread -= spread.mean(axis=1, keepdims=True)
+            expected = SampleBatch(
+                t.astype(np.int64),
+                np.clip(gamma[:, None] * (1.0 + spread), 0.0, None),
+                np.ones(30),
+                np.clip((w.time_base_s / 2.0 + w.time_per_sample_s * (96 // workers))
+                        * (1.0 + compute_jit), 0.0, None),
+                np.clip((w.time_base_s / 2.0 + w.time_per_worker_s * workers)
+                        * (1.0 + sync_jit), 0.0, None),
+            )
+            assert env.profile(workers, 96, 30, start) == expected
 
     def test_epochs_query_is_worker_independent(self):
         assert small_workload().true_epochs(576) == pytest.approx(110.0)
