@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, EmptyInputError, check
-from .tradeoff import PointColumns, TradeoffPoint, knee_rows, pareto_rows
+from .tradeoff import PointColumns, TradeoffPoint, frontier_knee
 
 OBJECTIVE_KINDS = ("deadline", "budget", "knee_point", "min_cost_time")
 
@@ -115,8 +115,8 @@ def select_rows(
 ) -> RowPick:
     """Pick the best row for the objective among feasible ones; see :func:`select`.
 
-    Each choice is the first row of a stable ``np.lexsort`` on the
-    objective's keys and tie-breaks.
+    Each choice is the first row of a stable ``np.lexsort`` on the objective's
+    keys and tie-breaks, found by :meth:`PointColumns.first`'s argmin cascade.
     """
     if not len(cols):
         raise EmptyInputError("cannot select from zero points")
@@ -138,15 +138,13 @@ def select_rows(
             violation = violation + np.where(t > t_cap, t - t_cap, 0.0)
         if c_cap is not None:
             violation = violation + np.where(c > c_cap, c - c_cap, 0.0)
-        nearest = np.lexsort(cols.sort_keys(violation, c))[0]
+        nearest = cols.first(violation, c)
         return RowPick(chosen=None, feasible_count=0, nearest_miss=int(nearest))
 
-    sub = cols.take(rows)
+    sub = cols if len(rows) == len(cols) else cols.take(rows)
     t, c = sub.time_s, sub.cost_usd
     if objective.kind == "knee_point":
-        frontier = pareto_rows(sub)
-        knee, _ = knee_rows(sub.take(frontier), np.zeros(len(frontier), dtype=np.int64))
-        best = frontier[knee[0]]
+        best = frontier_knee(sub)
     else:
         with np.errstate(over="ignore"):
             leading = {
@@ -154,7 +152,7 @@ def select_rows(
                 "budget": (t,),
                 "min_cost_time": (t * c, c),
             }[objective.kind]
-        best = np.lexsort(sub.sort_keys(*leading))[0]
+        best = sub.first(*leading)
     return RowPick(chosen=int(rows[best]), feasible_count=len(rows), nearest_miss=None)
 
 

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import JobConfig
-from .errors import EmptyInputError, check, ordered_sum
+from .errors import EmptyInputError, check
 
 KNEEDLE = "kneedle"
 FALLBACK = "fallback_min_cost_time"
@@ -70,9 +70,41 @@ class PointColumns:
         """Every row as a :class:`TradeoffPoint`, in row order."""
         return [self.point(row) for row in range(len(self))]
 
-    def sort_keys(self, *leading: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``np.lexsort`` keys for ``leading`` then :func:`_point_order`."""
-        return (self.global_batch, self.workers, self.cost_usd, self.time_s, *leading[::-1])
+    def order(self, *leading: np.ndarray) -> np.ndarray:
+        """Rows in the order of a stable ``np.lexsort`` by ``leading``, then :func:`_point_order`.
+
+        Only the first key sorts every row; each later key sorts just the runs
+        of rows that tie on every earlier key.  NaN sorts last and ties with NaN.
+        """
+        keys = (*leading, self.time_s, self.cost_usd, self.workers, self.global_batch)
+        order = keys[0].argsort(kind="stable")
+        v = keys[0][order]
+        same = v[1:] == v[:-1]  # same[i]: positions i and i + 1 tie on every key so far
+        if len(v) > 1 and v[-2] != v[-2]:  # NaNs sort last, so two NaNs end the run
+            same |= np.isnan(v[:-1])
+        for key in keys[1:]:
+            if not np.count_nonzero(same):
+                break
+            at = (np.concatenate(([False], same)) | np.concatenate((same, [False]))).nonzero()[0]
+            rows = order[at]
+            order[at] = rows[np.lexsort((key[rows], np.concatenate(([True], ~same)).cumsum()[at]))]
+            v = key[order]
+            same &= (v[1:] == v[:-1]) | (v[:-1] != v[:-1])
+        return order
+
+    def first(self, *leading: np.ndarray) -> int:
+        """``order(*leading)[0]`` by an argmin cascade over the rows still tied."""
+        rows = np.arange(len(self))
+        for key in (*leading, self.time_s, self.cost_usd, self.workers, self.global_batch):
+            v = key[rows]
+            low = v[v.argmin()]
+            if low != low:  # argmin finds NaN first, but NaN sorts last
+                low = np.fmin.reduce(v)  # NaN only if every value is, and then all tie
+            if low == low:
+                rows = rows[v == low]
+            if len(rows) == 1:
+                break
+        return int(rows[0])
 
 
 @dataclass(frozen=True)
@@ -104,15 +136,15 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
 def pareto_rows(cols: PointColumns) -> np.ndarray:
     """Rows of a non-empty column set on the pareto frontier, in point order.
 
-    Sort-and-sweep (Kung, Luccio & Preparata, JACM 1975): a stable lexsort by
-    time, cost, workers and batch, then a walk over the groups of equal
-    time.  A group's cheapest rows survive when that cost is strictly below
-    every earlier group's; exact duplicates all survive.
+    Sort-and-sweep (Kung, Luccio & Preparata, JACM 1975): :meth:`PointColumns.order`
+    sorts by time, then by cost, workers and batch only among equal times, and a
+    walk over the groups of equal time keeps a group's cheapest rows when that
+    cost is strictly below every earlier group's; exact duplicates all survive.
     """
-    order = np.lexsort(cols.sort_keys())
+    order = cols.order()
     t, c = cols.time_s[order], cols.cost_usd[order]
     new_time = _run_starts(t)
-    group = np.cumsum(new_time) - 1
+    group = new_time.cumsum() - 1
     cheapest = c[new_time]
     earlier = np.concatenate(([math.inf], np.minimum.accumulate(cheapest)[:-1]))
     keep = (cheapest < earlier)[group] & (c == cheapest[group])
@@ -134,6 +166,14 @@ def pareto_frontier(points: list[TradeoffPoint]) -> list[TradeoffPoint]:
     return [points[i] for i in pareto_rows(PointColumns.of(points)).tolist()]
 
 
+def frontier_knee(cols: PointColumns) -> int:
+    """Kneedle knee row of a non-empty column set's frontier, one curve in point order."""
+    frontier = pareto_rows(cols)
+    curve = frontier[_run_starts(cols.time_s[frontier])]
+    picks, _ = _curve_knees(cols.take(curve), np.zeros(1, dtype=np.intp))
+    return int(curve[picks[0]])
+
+
 @dataclass(frozen=True)
 class KneeResult:
     """Knee selection and the method that made it."""
@@ -145,17 +185,27 @@ class KneeResult:
 def knee_rows(cols: PointColumns, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Kneedle knee of each group's curve in a non-empty column set, by ascending group.
 
-    Each group's rows form a curve as :meth:`TradeoffCurve.build` does:
-    sorted by time, with exact time ties collapsed to the first row by
-    :func:`_point_order`.  Returns the knee row of every group and whether
-    kneedle picked it (see :func:`kneedle_knee`) rather than the fallback.
+    Each group's rows form a curve as :meth:`TradeoffCurve.build` does: in
+    :meth:`PointColumns.order` on group, with exact time ties collapsed to the
+    first row.  Returns the knee row of every group and whether kneedle picked
+    it (see :func:`kneedle_knee`) rather than the fallback.
     """
-    order = np.lexsort(cols.sort_keys(group))
+    order = cols.order(group)
     g = group[order]
     first = _run_starts(g, cols.time_s[order])
     rows = order[first]
-    picks, kneedle = _curve_knees(cols.take(rows), np.flatnonzero(_run_starts(g[first])))
+    picks, kneedle = _curve_knees(cols.take(rows), _run_starts(g[first]).nonzero()[0])
     return rows[picks], kneedle
+
+
+def _ordered_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``errors.ordered_sum`` of each of one or more ``values[s:s + n]``, bit for bit: one add
+    per position over the segments still running, a prefix when taken longest first."""
+    by_len = (-counts).argsort(kind="stable")
+    at, neg, sums = starts[by_len], -counts[by_len], np.zeros(len(counts))
+    for j, running in enumerate(np.searchsorted(neg, np.arange(0, neg[0], -1)).tolist()):
+        sums[:running] += values[j:][at[:running]]
+    return sums[by_len.argsort()]
 
 
 def _curve_knees(curve: PointColumns, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +217,7 @@ def _curve_knees(curve: PointColumns, starts: np.ndarray) -> tuple[np.ndarray, n
     t, c = curve.time_s, curve.cost_usd
     ends = np.concatenate((starts[1:], [len(t)])) - 1
     counts = ends - starts + 1
-    seg = np.repeat(np.arange(len(starts)), counts)
+    seg = np.arange(len(starts)).repeat(counts)
     c_lo, c_hi = np.minimum.reduceat(c, starts), np.maximum.reduceat(c, starts)
     kneedle = (counts >= 3) & (c_hi != c_lo)
     with np.errstate(all="ignore"):
@@ -177,14 +227,12 @@ def _curve_knees(curve: PointColumns, starts: np.ndarray) -> tuple[np.ndarray, n
         x = (t - t0[seg]) / (t[ends] - t0)[seg]
         y = (c - c_lo[seg]) / (c_hi - c_lo)[seg]
         y0, y1 = y[starts], y[ends]
-        chord_dev = (y - (y0[seg] + (y1 - y0)[seg] * x)).tolist()
+        chord_dev = y - (y0[seg] + (y1 - y0)[seg] * x)
         # Interior mean above the endpoint chord means concave, below means
-        # convex.  ordered_sum keeps the additions in order; NumPy's
-        # pairwise sum can flip the sign of a mean near zero.
-        concave = np.zeros(len(starts), dtype=bool)
-        for i in np.flatnonzero(kneedle).tolist():
-            s, e = int(starts[i]), int(ends[i])
-            concave[i] = ordered_sum(chord_dev[s + 1 : e]) / (e - s - 1) > 0
+        # convex.  The sums add in order; NumPy's pairwise sum can flip the
+        # sign of a mean near zero.
+        interior = counts - 2
+        concave = _ordered_sums(chord_dev[1:], starts, interior) / interior > 0
         # Map each curve to the increasing-concave canonical form.
         increasing, concave = (y1 >= y0)[seg], concave[seg]
         d = np.where(
@@ -198,7 +246,7 @@ def _curve_knees(curve: PointColumns, starts: np.ndarray) -> tuple[np.ndarray, n
         if not kneedle.all():
             # Fallback: smallest cost-time product, ties toward time, cost,
             # workers, batch.
-            fallback = np.lexsort(curve.sort_keys(seg, t * c))[starts]
+            fallback = curve.order(seg, t * c)[starts]
             picks = np.where(kneedle, picks, fallback)
     return picks, kneedle
 

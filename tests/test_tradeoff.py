@@ -6,22 +6,28 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import all_pairs_frontier, batched_points, scalar_kneedle
-from scalefit.config import JobConfig
-from scalefit.errors import ConfigurationError, EmptyInputError
-from scalefit.policy import Objective, select
+from scalefit.config import JobConfig, SearchBounds
+from scalefit.errors import ConfigurationError, EmptyInputError, ordered_sum
+from scalefit.perfmodel import predict_columns
+from scalefit.policy import Objective, select, select_rows
+from scalefit.simulator import preset_cluster, preset_workload
 from scalefit.tradeoff import (
     FALLBACK,
     KNEEDLE,
     PointColumns,
     TradeoffCurve,
     TradeoffPoint,
+    _ordered_sums,
     knee_rows,
     kneedle_knee,
     pareto_frontier,
     pareto_rows,
 )
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan]
 
 
 class TestPointAndCurve:
@@ -233,3 +239,144 @@ class TestKneedle:
             assert again.point.time_s == pytest.approx(
                 a_t * base.point.time_s + b_t, rel=1e-12
             )
+
+
+@st.composite
+def pooled_column(draw, n, floating):
+    """``n`` values from a small pool, so ties are heavy; float pools hold every special value."""
+    if floating:
+        pool = np.array(SPECIAL_FLOATS + draw(st.lists(st.floats(), max_size=20)))
+    else:
+        pool = np.array(draw(st.lists(st.integers(-2, 4), min_size=1, max_size=5)), dtype=np.int64)
+    return pool[draw(arrays(np.intp, n, elements=st.integers(0, len(pool) - 1)))]
+
+
+@st.composite
+def keyed_columns(draw):
+    """A column set of 1-300 rows and 0-2 leading keys, each float or int."""
+    n = draw(st.integers(1, 300))
+    floating = (False, False, True, True)  # workers, batch, time, cost
+    cols = PointColumns(*(draw(pooled_column(n, f)) for f in floating))
+    leading = [draw(pooled_column(n, draw(st.booleans()))) for _ in range(draw(st.integers(0, 2)))]
+    return cols, leading
+
+
+def lexsort_order(cols, *leading):
+    """Reference point order: one stable lexsort over every key of every row."""
+    return np.lexsort((cols.global_batch, cols.workers, cols.cost_usd, cols.time_s, *leading[::-1]))
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal with the same sign, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1, a) == math.copysign(1, b)
+
+
+class TestOrderKernel:
+    @given(keyed_columns())
+    def test_order_and_first_match_a_full_lexsort(self, case):
+        cols, leading = case
+        want = lexsort_order(cols, *leading)
+        assert cols.order(*leading).tolist() == want.tolist()
+        assert cols.first(*leading) == want[0]
+
+    def test_every_value_tied(self):
+        for value in (0.0, math.nan, math.inf):
+            cols = PointColumns(np.ones(5, np.int64), np.ones(5, np.int64), np.full(5, value),
+                                np.array([0.0, -0.0, math.nan, -0.0, 0.0]))
+            assert cols.order().tolist() == lexsort_order(cols).tolist() == [0, 1, 3, 4, 2]
+            assert cols.first(np.full(5, math.nan)) == 0
+
+    @given(
+        short=st.lists(st.integers(1, 4), max_size=60),
+        long=st.integers(1, 120),
+        long_at=st.integers(0, 60),
+        data=st.data(),
+    )
+    def test_position_sums_match_the_per_curve_loop(self, short, long, long_at, data):
+        # One long curve among many short ones; the sums run over each
+        # curve's interior, as the knee's concavity test takes them.
+        lengths = np.array(short[:long_at] + [long] + short[long_at:])
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        values = data.draw(pooled_column(int(lengths.sum()), True))
+        with np.errstate(over="ignore", invalid="ignore"):  # as inside the knee kernel
+            got = _ordered_sums(values, starts + 1, lengths - 2).tolist()
+        want = [ordered_sum(values[s + 1 : s + n - 1].tolist()) for s, n in zip(starts, lengths)]
+        assert all(same_float(a, b) for a, b in zip(got, want, strict=True))
+
+
+@pytest.fixture(scope="module")
+def large_grid() -> PointColumns:
+    """Every valid configuration of K 1-128 x B 1-8192 under the resnet18-like preset's model."""
+    workload, cluster = preset_workload("resnet18-like"), preset_cluster("resnet18-like")
+    workers, batch = SearchBounds(1, 128, 1, 8192).columns()
+    model = workload.to_perf_model()
+    return predict_columns(model, workers, batch, cluster.pricing, cluster.shape).points
+
+
+def reference_frontier(cols: PointColumns) -> list[int]:
+    """Frontier rows by a walk over a full lexsort: each time's cheapest rows, if below every
+    faster row's cost."""
+    order = lexsort_order(cols).tolist()
+    t, c = cols.time_s.tolist(), cols.cost_usd.tolist()
+    frontier, best, i = [], math.inf, 0
+    while i < len(order):
+        j = i + 1
+        while j < len(order) and t[order[j]] == t[order[i]]:
+            j += 1
+        low = c[order[i]]
+        if low < best:
+            frontier += [r for r in order[i:j] if c[r] == low]
+        best, i = min(best, low), j
+    return frontier
+
+
+class TestLargeGrid:
+    """The 44,461-point grid against references built on ``np.lexsort``."""
+
+    def test_pareto_rows(self, large_grid):
+        assert len(large_grid) == 44_461
+        assert pareto_rows(large_grid).tolist() == reference_frontier(large_grid)
+
+    def test_knee_rows_by_batch(self, large_grid):
+        cols = large_grid
+        curves: dict[int, list[int]] = {}
+        for r in lexsort_order(cols, cols.global_batch).tolist():
+            rows = curves.setdefault(int(cols.global_batch[r]), [])
+            if not rows or cols.time_s[rows[-1]] != cols.time_s[r]:
+                rows.append(r)
+        want_rows, want_methods = [], []
+        for rows in curves.values():
+            pts = tuple(cols.point(r) for r in rows)
+            point, method = scalar_kneedle(TradeoffCurve(points=pts))
+            want_rows.append(rows[next(i for i, p in enumerate(pts) if p is point)])
+            want_methods.append(method == KNEEDLE)
+        got_rows, got_kneedle = knee_rows(cols, cols.global_batch)
+        assert got_rows.tolist() == want_rows
+        assert got_kneedle.tolist() == want_methods
+
+    def test_select_rows_every_kind_and_a_nearest_miss(self, large_grid):
+        cols = large_grid
+        t, c, w, b = cols.time_s, cols.cost_usd, cols.workers, cols.global_batch
+        deadline, budget = float(np.quantile(t, 0.3)), float(np.quantile(c, 0.3))
+
+        def lex_first(rows, *keys):
+            return int(rows[np.lexsort(tuple(k[rows] for k in reversed(keys)))[0]])
+
+        fast, cheap = np.flatnonzero(t <= deadline), np.flatnonzero(c <= budget)
+        every = np.arange(len(t))
+        frontier = reference_frontier(cols)
+        curve = [r for i, r in enumerate(frontier) if i == 0 or t[r] != t[frontier[i - 1]]]
+        knee, _ = scalar_kneedle(TradeoffCurve(points=tuple(cols.point(r) for r in curve)))
+        cases = [
+            (Objective.deadline(deadline), lex_first(fast, c, t, w, b), len(fast)),
+            (Objective.budget(budget), lex_first(cheap, t, c, w, b), len(cheap)),
+            (Objective.min_cost_time(), lex_first(every, t * c, c, t, w, b), len(t)),
+            (Objective.knee_point(), next(r for r in curve if cols.point(r) == knee), len(t)),
+        ]
+        for objective, row, count in cases:
+            assert select_rows(cols, objective) == (row, count, None)
+        cap = float(t.min()) / 2
+        miss = lex_first(every, t - cap, c, t, w, b)
+        assert select_rows(cols, Objective.deadline(cap)) == (None, 0, miss)
