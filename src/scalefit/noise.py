@@ -58,9 +58,10 @@ class SampleBatch(Sequence):
     ``iteration`` is int64 of shape ``(n,)``; ``worker_sqnorms`` is float64
     of shape ``(n, K)``; ``agg_sqnorm``, ``compute_s`` and ``sync_s`` are
     float64 of shape ``(n,)``.  Construction copies and validates the
-    columns once: shapes must agree, iterations must be >= 0 and every float
-    finite and >= 0, or :class:`InvalidSampleError` names the column and the
-    first bad row.  As a sequence the batch yields :class:`IterationSample`
+    columns once (:meth:`adopt` takes fresh arrays without copying them):
+    shapes must agree, iterations must be >= 0 and every float finite and
+    >= 0, or :class:`InvalidSampleError` names the column and the first bad
+    row.  As a sequence the batch yields :class:`IterationSample`
     rows; two batches are equal when their columns are.
     """
 
@@ -68,16 +69,36 @@ class SampleBatch(Sequence):
 
     def __init__(self, iteration, worker_sqnorms, agg_sqnorm, compute_s, sync_s) -> None:
         try:
-            self.iteration = np.array(iteration, dtype=np.int64)
+            iteration = np.array(iteration, dtype=np.int64)
         except OverflowError:
             row = next(i for i, t in enumerate(iteration) if not -(2**63) <= t < 2**63)
             raise InvalidSampleError(
                 "iteration", row, f"must be < 2**63, got {iteration[row]}"
             ) from None
-        self.worker_sqnorms = np.array(worker_sqnorms, dtype=np.float64)
-        self.agg_sqnorm = np.array(agg_sqnorm, dtype=np.float64)
-        self.compute_s = np.array(compute_s, dtype=np.float64)
-        self.sync_s = np.array(sync_s, dtype=np.float64)
+        self._own(iteration, *(np.array(column, dtype=np.float64)
+                               for column in (worker_sqnorms, agg_sqnorm, compute_s, sync_s)))
+
+    @classmethod
+    def adopt(cls, iteration, worker_sqnorms, agg_sqnorm, compute_s, sync_s) -> SampleBatch:
+        """A batch that takes ownership of fresh int64 and float64 arrays without copying them.
+
+        The arrays become the batch's read-only columns, so the caller must
+        hold no other reference it writes through.  Validation is the
+        constructor's.
+        """
+        batch = cls.__new__(cls)
+        batch._own(np.asarray(iteration, dtype=np.int64),
+                   *(np.asarray(column, dtype=np.float64)
+                     for column in (worker_sqnorms, agg_sqnorm, compute_s, sync_s)))
+        return batch
+
+    def _own(self, iteration, worker_sqnorms, agg_sqnorm, compute_s, sync_s) -> None:
+        """Freeze and validate the typed columns as this batch's own."""
+        self.iteration = iteration
+        self.worker_sqnorms = worker_sqnorms
+        self.agg_sqnorm = agg_sqnorm
+        self.compute_s = compute_s
+        self.sync_s = sync_s
         shapes = {name: getattr(self, name).shape for name in self.__slots__}
         n, k = shapes["worker_sqnorms"] if self.worker_sqnorms.ndim == 2 else (0, 0)
         rows = {shape for name, shape in shapes.items() if name != "worker_sqnorms"}
@@ -145,13 +166,16 @@ class SampleBatch(Sequence):
 def _raw_noise_column(batch: SampleBatch) -> tuple[np.ndarray, np.ndarray]:
     """(raw noise per row, rows with a non-zero aggregate); raw is 0 elsewhere.
 
-    ``cumsum`` adds each row's worker norms strictly left to right, and
-    ``+ 0.0`` maps a ``-0.0`` total to ``0.0``, so every value equals the
-    ordered per-sample ratio bit for bit; ``np.sum`` adds pairwise.
+    Each row's worker norms are added one worker column at a time onto
+    ``0.0``, strictly left to right, so every value equals the ordered
+    per-sample ratio bit for bit (a ``-0.0`` total becomes ``0.0``);
+    ``np.sum`` adds pairwise.  No ``(n, K)`` temporary is built.
     """
     usable = batch.agg_sqnorm != 0
     with np.errstate(over="ignore"):  # overflow gives inf, as the float sum does
-        total = batch.worker_sqnorms.cumsum(axis=1)[:, -1] + 0.0
+        total = batch.worker_sqnorms[:, 0] + 0.0
+        for column in batch.worker_sqnorms.T[1:]:
+            total += column
         raw = np.divide(
             total / batch.workers, batch.agg_sqnorm, out=np.zeros_like(total), where=usable
         )

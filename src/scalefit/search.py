@@ -48,7 +48,8 @@ from .config import (
     run_cost_usd,
 )
 from .errors import (
-    MAX_GRID_VALUE, ConfigurationError, ModelNotFoundError, SearchFailedError, check, ordered_sum
+    MAX_GRID_VALUE, ConfigurationError, ModelNotFoundError, ModelOutOfDomainError,
+    SearchFailedError, check, ordered_sum,
 )
 from .noise import EwmaConfig, NoiseTracker, normalized_noises
 from .perfmodel import (
@@ -68,6 +69,10 @@ if TYPE_CHECKING:
     from .scenario import Scenario
 
 SEARCH_MODES = ("full", "partial", "scaling", "none")
+# Most stability windows an anchor synthesizes in one ``profile`` call.
+# Larger calls cost less per row but hold more memory at once; at 4, the
+# search-anchor benchmark's peak RSS stays below that of one window per call.
+_ANCHOR_CALL_CHUNKS = 4
 
 
 @dataclass(frozen=True)
@@ -167,27 +172,59 @@ class _Session:
     def run_anchor(self, config: JobConfig) -> tuple[Exploration, float]:
         """Run until the noise estimate stabilizes: (record, noise).
 
-        Profiles in chunks of ``stability_window`` iterations; the rows of a
-        chunk past the one that stabilizes the estimate are discarded.
+        Profiles in chunks of ``stability_window`` iterations, at most
+        ``_ANCHOR_CALL_CHUNKS`` per ``profile`` call: first the chunks up to
+        the one holding the first row that can stabilize the estimate (row
+        ``warmup_iters - 1``) in as few calls as that allows, then 1, 2,
+        4... chunks per call.  After the stop, the whole chunks past the
+        stopping one are given back to the environment's stream, and the
+        rows of the stopping chunk past the stop stay drawn and are
+        discarded.  So the record, the cursor and every later draw are those
+        of one chunk per call.  A multi-chunk call whose synthesized samples
+        overflow gives all its draws back, and the run goes on one chunk per
+        call, so an overflow is raised only from the chunk where a
+        chunk-by-chunk run meets it.
         """
-        tracker = NoiseTracker(config.workers, self.params.ewma)
-        limit = self.params.max_stabilize_iters
-        taus: list[float] = []
-        stop = None
-        while stop is None and len(taus) < limit:
-            chunk = min(self.params.ewma.stability_window, limit - len(taus))
-            batch = self.env.profile(config.workers, config.global_batch, chunk, self.cursor)
+        ewma, limit = self.params.ewma, self.params.max_stabilize_iters
+        window = ewma.stability_window
+        tracker = NoiseTracker(config.workers, ewma)
+        # Chunks up to the one holding the first row that can stop the run.
+        warm, growth, cap = -(-min(ewma.warmup_iters, limit) // window), 1, _ANCHOR_CALL_CHUNKS
+        taus, seen, stop = [], 0, None
+        while stop is None and seen < limit:
+            if seen // window < warm:
+                chunks = min(warm - seen // window, cap)
+            else:
+                chunks, growth = growth, min(2 * growth, cap)
+            rows = min(chunks * window, limit - seen)
+            try:
+                batch = self.env.profile(config.workers, config.global_batch, rows, self.cursor,
+                                         rows_per_draw=window)
+            except ModelOutOfDomainError:
+                if rows <= window:
+                    raise
+                self.env.give_back(rows)
+                growth = cap = 1
+                continue
             stop = tracker.consume(batch)
-            used = len(batch) if stop is None else stop + 1
-            taus.extend(batch.iteration_time_s[:used].tolist())
+            used = rows if stop is None else stop + 1
+            if stop is not None:
+                self.env.give_back(rows - min(rows, (stop // window + 1) * window))
+            taus.append(batch.iteration_time_s[:used])
+            del batch  # frees its columns before the next call synthesizes more
+            seen += used
             self.cursor += used
         if stop is None:
             raise SearchFailedError(
                 f"noise did not stabilize within {limit} "
                 f"iterations at K={config.workers}, B={config.global_batch}"
             )
-        record = Exploration(config.workers, config.global_batch, "anchor", len(taus),
-                             ordered_sum(taus) / len(taus), self.env.cluster.restore_overhead_s)
+        # Left to right from 0.0 as ordered_sum adds: ``+ 0.0`` maps a -0.0
+        # total to 0.0, and an overflow gives inf quietly, as float adds do.
+        with np.errstate(over="ignore"):
+            total = float(np.add.accumulate(np.concatenate(taus))[-1]) + 0.0
+        record = Exploration(config.workers, config.global_batch, "anchor", seen,
+                             total / seen, self.env.cluster.restore_overhead_s)
         return record, tracker.estimate.normalized
 
     def fit_anchors(self) -> StatFit:

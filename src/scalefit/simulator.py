@@ -108,23 +108,61 @@ class SimCluster:
         check("restore_overhead_s", self.restore_overhead_s, 0, finite=True)
 
 
+_EMPTY = np.empty(0)
+_NO_DRAW = (_EMPTY, 0, 1, 0)  # values, rows, rows per block, values per row
+
+
 class SimEnvironment:
     """Deterministic profiling environment over a simulated workload.
 
     Traces are reproducible from the workload seed and the sequence of
-    ``profile`` calls; every call advances one shared generator in a fixed
-    draw order.  A call of ``iters`` rows at ``workers`` makes one
-    ``standard_normal(iters * (workers + 3))`` draw and splits it, in order,
-    into noise jitter (``iters``), worker spread (``iters x workers``, row
-    by row), compute jitter and sync jitter (``iters`` each).  The generator
-    fills a draw value by value, so this equals four separate draws of those
-    shapes and leaves the generator in the same state.
+    ``profile`` calls.  Every call reads the next values of one stream of
+    standard normals: values given back with :meth:`give_back` first, in
+    their drawn order, then the workload's generator.  The generator fills
+    a draw value by value, so the stream's values do not depend on how the
+    calls split it.
+
+    A call lays out its rows in blocks of ``rows_per_draw`` (all of them by
+    default) and a last shorter block for any remainder.  A block of ``r``
+    rows at ``workers`` reads ``r * (workers + 3)`` values and splits them,
+    in order, into noise jitter (``r``), worker spread (``r x workers``,
+    row by row), compute jitter and sync jitter (``r`` each), exactly as a
+    call of ``r`` rows would.  So one call of ``m * r + q`` rows with
+    ``rows_per_draw=r`` equals ``m`` calls of ``r`` rows and one of ``q``.
     """
 
     def __init__(self, workload: SimWorkload, cluster: SimCluster) -> None:
         self.workload = workload
         self.cluster = cluster
         self._rng = np.random.default_rng(workload.seed)
+        self._given_back = _EMPTY
+        self._last: tuple[np.ndarray, int, int, int] = _NO_DRAW  # for give_back
+
+    def _draw(self, n: int) -> np.ndarray:
+        """The stream's next ``n`` values: given-back ones first, then fresh draws."""
+        given, rest = self._given_back[:n], self._given_back[n:]
+        self._given_back = rest if len(rest) else _EMPTY  # drops a used-up buffer
+        if len(given) == n:
+            return given
+        fresh = self._rng.standard_normal(n - len(given))
+        return np.concatenate((given, fresh)) if len(given) else fresh
+
+    def give_back(self, rows: int) -> None:
+        """Put the draws of the last ``rows`` rows of the previous ``profile`` call back.
+
+        Those rows must be that call's last whole blocks (the ones a failed
+        call drew count too).  The next calls read the given-back values
+        first, so they see the stream as if the rows had never been drawn.
+        """
+        draw, iters, per_draw, width = self._last
+        check("rows", rows, 0, iters)
+        if (iters - rows) % per_draw and rows:
+            raise ConfigurationError(
+                f"rows must end the previous call's blocks of {per_draw}, got {rows} of {iters}"
+            )
+        keep = len(draw) - rows * width
+        self._given_back = np.concatenate((draw[keep:], self._given_back))
+        self._last = (draw[:keep], iters - rows, per_draw, width)
 
     # Coefficients whose products pass the float range give inf or NaN samples
     # quietly; SampleBatch then rejects them, and the rejection is reported
@@ -136,6 +174,8 @@ class SimEnvironment:
         global_batch: int,
         iters: int,
         start_iteration: int = 0,
+        *,
+        rows_per_draw: int | None = None,
     ) -> SampleBatch:
         """Synthesize ``iters`` per-iteration samples starting at ``start_iteration``.
 
@@ -147,21 +187,30 @@ class SimEnvironment:
         check("iters", iters, 1, MAX_GRID_VALUE)
         # Iterations are stored as int64, so the last one stays below 2**63.
         check("start_iteration", start_iteration, 0, MAX_GRID_VALUE)
+        per_draw = iters if rows_per_draw is None else check(
+            "rows_per_draw", rows_per_draw, 1, MAX_GRID_VALUE)
         w = self.workload
         b = mini_batch(config)
         t_idx = start_iteration + np.arange(iters, dtype=float)
         ramp = 1.0 - np.exp(-t_idx / w.ramp_iters)
-        draw = self._rng.standard_normal(iters * (workers + 3))
-        noise_jit = w.jitter * draw[:iters]
-        spread = draw[iters : -2 * iters].reshape(iters, workers) * math.sqrt(2.0 / w.grad_dim)
-        compute_jit = w.jitter * draw[-2 * iters : -iters]
-        sync_jit = w.jitter * draw[-iters:]
+        width = workers + 3
+        self._last = _NO_DRAW  # frees the previous draw before this one is made
+        draw = self._draw(iters * width)
+        self._last = (draw, iters, per_draw, width)
+        # Scaled into new arrays: the draw itself stays raw, so it can be given back.
+        noise_jit, spread, compute_jit, sync_jit = _scaled_normals(
+            draw, iters, per_draw, workers,
+            (w.jitter, math.sqrt(2.0 / w.grad_dim), w.jitter, w.jitter),
+        )
 
         gamma = workers * w.true_normalized_noise(global_batch) * ramp
         gamma = np.maximum(gamma * (1.0 + noise_jit), 0.0)
         # Center the per-worker spread so the Eq-style ratio stays exact.
         spread -= spread.mean(axis=1, keepdims=True)
-        worker_vals = np.maximum(gamma[:, None] * (1.0 + spread), 0.0)
+        # max(gamma * (1 + spread), 0) in place, the largest array a call builds.
+        spread += 1.0
+        spread *= gamma[:, None]
+        worker_vals = np.maximum(spread, 0.0, out=spread)
 
         compute = np.maximum(
             (w.time_base_s / 2.0 + w.time_per_sample_s * b) * (1.0 + compute_jit), 0.0
@@ -171,7 +220,7 @@ class SimEnvironment:
         )
 
         try:
-            return SampleBatch(
+            return SampleBatch.adopt(
                 t_idx.astype(np.int64), worker_vals, np.ones(iters), compute, sync
             )
         except InvalidSampleError as exc:
@@ -180,6 +229,32 @@ class SimEnvironment:
                 f"{_COLUMN_SOURCES[exc.field]} overflow the synthesized {exc.field} "
                 f"({exc.reason})"
             ) from None
+
+
+def _scaled_normals(
+    draw: np.ndarray, iters: int, per_draw: int, workers: int, scales: tuple[float, ...]
+) -> list[np.ndarray]:
+    """New (noise, spread ``(iters, workers)``, compute, sync) normals times their scales.
+
+    ``draw`` holds blocks of ``per_draw`` rows and a last shorter block for
+    any remainder; each field's rows are gathered block by block.
+    """
+    width = workers + 3
+    whole, tail = divmod(iters, per_draw)
+    pieces, at = [], 0
+    for count, r in ((whole, per_draw), (1, tail)):
+        if count and r:
+            blocks = draw[at : at + count * r * width].reshape(count, r * width)
+            at += blocks.size
+            pieces.append((blocks[:, :r], blocks[:, r : -2 * r],
+                           blocks[:, -2 * r : -r], blocks[:, -r:]))
+    fields = [
+        (parts[0] * scale).ravel() if len(parts) == 1
+        else np.concatenate([part * scale for part in parts], axis=None)
+        for scale, parts in zip(scales, zip(*pieces))
+    ]
+    fields[1] = fields[1].reshape(iters, workers)
+    return fields
 
 
 def ground_truth(

@@ -17,6 +17,7 @@ from scalefit.noise import (
     NoiseEstimate,
     NoiseTracker,
     SampleBatch,
+    _raw_noise_column,
     _sliding_max_min,
     compute_raw_noise,
     normalized_noises,
@@ -58,6 +59,33 @@ class TestSampleBatch:
         assert SampleBatch.from_samples(rows) == SampleBatch.from_samples(rows)
         assert SampleBatch.from_samples(rows) != SampleBatch.from_samples(rows[:1])
         assert SampleBatch.from_samples(rows) != SampleBatch.from_samples(rows[::-1])
+
+    def test_adopt_takes_the_arrays_without_copying(self):
+        columns = {name: np.asarray(value, dtype=np.int64 if name == "iteration" else float)
+                   for name, value in batch_columns().items()}
+        batch = SampleBatch.adopt(**columns)
+        assert batch == SampleBatch(**columns)
+        assert all(getattr(batch, name) is column for name, column in columns.items())
+        with pytest.raises(ValueError):
+            columns["agg_sqnorm"][0] = 2.0
+
+    def test_adopt_validates_as_the_constructor_does(self):
+        cases = [batch_columns(n=0)]
+        for field, value in (("iteration", [0, 1, 2]), ("worker_sqnorms", np.ones(4)),
+                             ("worker_sqnorms", np.ones((4, 0))), ("iteration", [0, -1, 2, 3])):
+            cases.append({**batch_columns(), field: value})
+        for field in ("worker_sqnorms", "agg_sqnorm", "compute_s", "sync_s"):
+            for bad in (float("nan"), float("inf"), -1.0):
+                columns = batch_columns()
+                columns[field][2:] = bad
+                cases.append(columns)
+        for columns in cases:
+            errors = []
+            for make in (SampleBatch, SampleBatch.adopt):
+                with pytest.raises(ConfigurationError) as exc_info:
+                    make(**columns)
+                errors.append((type(exc_info.value), str(exc_info.value)))
+            assert errors[0] == errors[1]
 
     def test_columns_are_read_only_copies(self):
         columns = batch_columns()
@@ -145,6 +173,21 @@ class TestRawNoise:
         for name, build in fields.items():
             with pytest.raises(ConfigurationError, match=f"{name} must be finite and >= 0"):
                 build(bad)
+
+    @settings(max_examples=300)
+    @given(data=st.data(), workers=st.integers(1, 9))
+    def test_totals_add_each_row_left_to_right_from_zero(self, data, workers):
+        # Zeros of both signs, subnormals and norms whose total overflows to inf.
+        norm = st.sampled_from([0.0, -0.0, 5e-324, 2.5e-308, 1.0, 1e308, 1.7e308]) | st.floats(0.0, 4.0)
+        rows = data.draw(st.lists(st.lists(norm, min_size=workers, max_size=workers),
+                                  min_size=1, max_size=12))
+        aggs = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                  min_size=len(rows), max_size=len(rows)))
+        batch = SampleBatch(range(len(rows)), rows, aggs, np.zeros(len(rows)), np.zeros(len(rows)))
+        raw, usable = _raw_noise_column(batch)
+        expected = [ordered_sum(row) / workers / agg if agg else 0.0 for row, agg in zip(rows, aggs)]
+        assert raw.tobytes() == np.array(expected).tobytes()  # bit for bit, signed zeros too
+        assert usable.tolist() == [agg != 0 for agg in aggs]
 
     def test_iteration_time_is_compute_plus_sync(self):
         s = sample([1.0], 1.0, compute=0.4, sync=0.25)

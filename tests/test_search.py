@@ -1,5 +1,9 @@
 """Search drivers: full grid, anchor-and-corner, scaling, and model reuse."""
 
+import sys
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import scalefit.search as search_module
@@ -7,11 +11,15 @@ from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape, run_
 from scalefit.errors import (
     ConfigurationError,
     ModelNotFoundError,
+    ModelOutOfDomainError,
     SearchFailedError,
+    ordered_sum,
 )
+from scalefit.noise import EwmaConfig, NoiseTracker, SampleBatch
 from scalefit.perfmodel import StatFit, predict, predict_columns
 from scalefit.policy import Objective
 from scalefit.search import (
+    Exploration,
     GridSampling,
     RandomSampling,
     SearchParams,
@@ -359,6 +367,113 @@ def test_noiseless_search_model_predicts_ground_truth(preset, driver):
     for got, want in zip(grid.points.points(), truth):
         assert got.time_s == pytest.approx(want.time_s, rel=1e-9)
         assert got.cost_usd == pytest.approx(want.cost_usd, rel=1e-9)
+
+
+def chunked_anchor(session, config):
+    """The anchor loop with one ``stability_window`` chunk per ``profile`` call."""
+    tracker = NoiseTracker(config.workers, session.params.ewma)
+    limit = session.params.max_stabilize_iters
+    taus, stop = [], None
+    while stop is None and len(taus) < limit:
+        chunk = min(session.params.ewma.stability_window, limit - len(taus))
+        batch = session.env.profile(config.workers, config.global_batch, chunk, session.cursor)
+        stop = tracker.consume(batch)
+        used = len(batch) if stop is None else stop + 1
+        taus.extend(batch.iteration_time_s[:used].tolist())
+        session.cursor += used
+    if stop is None:
+        raise SearchFailedError(
+            f"noise did not stabilize within {limit} "
+            f"iterations at K={config.workers}, B={config.global_batch}"
+        )
+    record = Exploration(config.workers, config.global_batch, "anchor", len(taus),
+                         ordered_sum(taus) / len(taus), session.env.cluster.restore_overhead_s)
+    return record, tracker.estimate.normalized
+
+
+def anchor_runs(run, workload, cluster, bounds, params, configs):
+    """Per config: (record, noise) or (error type, message), then the cursor; then the next draws."""
+    session = search_module._Session(SimEnvironment(workload, cluster), bounds, params,
+                                     None, None, "partial")
+    results = []
+    for config in configs:
+        try:
+            results.append(run(session, config))
+        except (SearchFailedError, ModelOutOfDomainError) as exc:
+            results.append((type(exc), str(exc)))
+        results.append(session.cursor)
+    return results, session.env.profile(1, 1, 7)
+
+
+class TestAnchorBlocks:
+    """``run_anchor`` draws several chunks per call and matches the chunk-by-chunk loop."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("preset", list(PRESET_GRIDS))
+    @pytest.mark.parametrize("edge", [0, -1])
+    def test_matches_one_chunk_per_call_on_each_grid(self, preset, seed, edge):
+        # Both anchor batches at the grid's smallest and largest worker count.
+        workload, cluster = preset_workload(preset, seed=seed, jitter=0.05), preset_cluster(preset)
+        bounds = PRESET_GRIDS[preset]
+        k = (bounds.k_min, bounds.k_max)[edge]
+        b = sorted(bounds.b_candidates)
+        configs = [JobConfig(k, b[0]), JobConfig(k, b[-1])]
+        expected = anchor_runs(chunked_anchor, workload, cluster, bounds, SearchParams(), configs)
+        assert all(isinstance(r[0], Exploration) for r in expected[0][::2])
+        assert anchor_runs(search_module._Session.run_anchor, workload, cluster, bounds,
+                           SearchParams(), configs) == expected
+
+    # With seed 1 both anchors stop at row 1676 with a window of 200, and
+    # at row 2164 with a window of 300.
+    @pytest.mark.parametrize("warmup,window,limit,tol,stops", [
+        (1000, 200, 930, 0.02, False),  # the limit ends inside the warm-up
+        (1000, 200, 1730, 0.02, True),  # the stop falls in the short last chunk
+        (1000, 200, 1930, 0.02, True),  # the short last chunk is given back
+        (350, 200, 1790, 0.02, True),
+        (1000, 300, 2230, 0.02, True),
+        (350, 200, 1130, 1e-9, False),
+    ])
+    def test_limits_that_are_not_whole_chunks(self, warmup, window, limit, tol, stops):
+        params = SearchParams(max_stabilize_iters=limit, ewma=EwmaConfig(
+            warmup_iters=warmup, stability_window=window, stability_rel_tol=tol))
+        workload, cluster = preset_workload("resnet18-like", seed=1, jitter=0.05), preset_cluster(
+            "resnet18-like")
+        configs = [JobConfig(8, 1024), JobConfig(8, 384)]
+        expected = anchor_runs(chunked_anchor, workload, cluster, GRID, params, configs)
+        assert isinstance(expected[0][0][0], Exploration) == stops
+        assert anchor_runs(search_module._Session.run_anchor, workload, cluster, GRID, params,
+                           configs) == expected
+
+    @pytest.mark.parametrize("seed,stops", [(29, True), (46, True), (1, False), (18, False)])
+    def test_an_overflow_is_raised_only_where_the_loop_meets_it(self, seed, stops):
+        # Jitter above 3 sigma overflows the compute plane at b = 128, and
+        # only there.  With seeds 29 and 46 the run stops before such a row
+        # that a multi-chunk call draws; with 1 and 18 it meets one inside a
+        # multi-chunk call, and the error names the first overflowing chunk.
+        workload = replace(preset_workload("resnet18-like", seed=seed, jitter=0.05),
+                           time_base_s=0.0, time_per_sample_s=sys.float_info.max / (128 * 1.15))
+        cluster = preset_cluster("resnet18-like")
+        configs = [JobConfig(8, 1024)]
+        expected = anchor_runs(chunked_anchor, workload, cluster, GRID, SearchParams(), configs)
+        assert isinstance(expected[0][0][0], Exploration) == stops
+        assert anchor_runs(search_module._Session.run_anchor, workload, cluster, GRID,
+                           SearchParams(), configs) == expected
+
+
+    def test_mean_time_adds_like_ordered_sum_with_signed_zeros(self, monkeypatch):
+        profile = SimEnvironment.profile
+
+        def negative_zero_times(env, *args, **kwargs):
+            batch = profile(env, *args, **kwargs)
+            zeros = np.full(len(batch), -0.0)
+            return SampleBatch(batch.iteration, batch.worker_sqnorms, batch.agg_sqnorm, zeros, zeros)
+
+        monkeypatch.setattr(SimEnvironment, "profile", negative_zero_times)
+        workload, cluster = make_env(seed=1, jitter=0.05).workload, preset_cluster("resnet18-like")
+        runs = [anchor_runs(run, workload, cluster, GRID, SearchParams(), [JobConfig(8, 384)])
+                for run in (chunked_anchor, search_module._Session.run_anchor)]
+        assert runs[0] == runs[1]
+        assert [repr(r[0][0][0].mean_iteration_time_s) for r in runs] == ["0.0", "0.0"]
 
 
 class TestNoSearch:

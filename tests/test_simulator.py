@@ -8,7 +8,7 @@ import pytest
 
 from conftest import true_iteration_time
 from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape
-from scalefit.errors import ConfigurationError, SearchFailedError
+from scalefit.errors import ConfigurationError, ModelOutOfDomainError, SearchFailedError
 from scalefit.noise import SampleBatch, compute_raw_noise
 from scalefit.perfmodel import predict
 from scalefit.policy import Objective
@@ -160,6 +160,8 @@ class TestProfile:
             env.profile(8, 512, 5, start_iteration=2**63)
         with pytest.raises(ConfigurationError):
             env.profile(8, 100, 5)  # indivisible batch
+        with pytest.raises(ConfigurationError, match="rows_per_draw must be >= 1, got 0"):
+            env.profile(8, 512, 5, rows_per_draw=0)
 
     @pytest.mark.parametrize("workers", [1, 3, 16])
     def test_draws_follow_the_documented_order(self, workers):
@@ -187,6 +189,60 @@ class TestProfile:
                         * (1.0 + sync_jit), 0.0, None),
             )
             assert env.profile(workers, 96, 30, start) == expected
+
+    @pytest.mark.parametrize("workers", [1, 16, 64])
+    @pytest.mark.parametrize("blocks,tail", [(3, 0), (3, 7), (1, 0), (0, 7)])
+    def test_blocks_equal_one_call_per_block(self, workers, blocks, tail):
+        w = small_workload(jitter=0.05, seed=7)
+        at_once, by_block = SimEnvironment(w, flat_cluster()), SimEnvironment(w, flat_cluster())
+        batch = at_once.profile(workers, 6144, blocks * 40 + tail, 300, rows_per_draw=40)
+        sizes = [40] * blocks + [tail] * bool(tail)
+        parts = [by_block.profile(workers, 6144, n, 300 + 40 * i) for i, n in enumerate(sizes)]
+        for name in SampleBatch.__slots__:
+            column = np.concatenate([getattr(part, name) for part in parts])
+            assert getattr(batch, name).tobytes() == column.tobytes(), name
+        assert at_once.profile(3, 96, 5) == by_block.profile(3, 96, 5)
+
+    @pytest.mark.parametrize("workers", [1, 16])
+    def test_give_back_equals_never_drawing_the_rows(self, workers):
+        w = small_workload(jitter=0.05, seed=3)
+        env, fresh = SimEnvironment(w, flat_cluster()), SimEnvironment(w, flat_cluster())
+        env.profile(workers, 1536, 5 * 40 + 7, 0, rows_per_draw=40)
+        env.give_back(2 * 40 + 7)
+        env.give_back(40)  # the kept rows end on a block too
+        fresh.profile(workers, 1536, 2 * 40, 0, rows_per_draw=40)
+        for args in ((workers, 1536, 3 * 40 + 7, 80), (2, 96, 11, 0)):
+            assert env.profile(*args, rows_per_draw=40) == fresh.profile(*args, rows_per_draw=40)
+
+    @pytest.mark.parametrize("rows_per_draw", [None, 300, 40])
+    def test_given_back_draws_are_the_raw_draws(self, rows_per_draw):
+        # Synthesis must not write into the draw, with one block or several.
+        env = SimEnvironment(small_workload(jitter=0.05), flat_cluster())
+        first = env.profile(16, 1536, 200, 0, rows_per_draw=rows_per_draw)
+        env.give_back(200)
+        assert env.profile(16, 1536, 200, 0, rows_per_draw=rows_per_draw) == first
+
+    def test_an_overflowing_call_can_give_its_draws_back(self):
+        # b = B / K: 96 per worker overflows the compute plane, 6 does not.
+        w = small_workload(jitter=0.05, time_per_sample_s=1e307)
+        env, fresh = SimEnvironment(w, flat_cluster()), SimEnvironment(w, flat_cluster())
+        with pytest.raises(ModelOutOfDomainError, match="overflow the synthesized compute_s"):
+            env.profile(1, 96, 120, 0, rows_per_draw=40)
+        env.give_back(120)
+        assert env.profile(16, 96, 30) == fresh.profile(16, 96, 30)
+
+    def test_give_back_takes_whole_blocks_of_the_previous_call(self):
+        env = SimEnvironment(small_workload(), flat_cluster())
+        with pytest.raises(ConfigurationError, match="rows must be <= 0, got 1"):
+            env.give_back(1)  # nothing drawn yet
+        env.profile(4, 96, 2 * 40 + 7, 0, rows_per_draw=40)
+        for rows, match in ((-1, "rows must be >= 0"), (88, "rows must be <= 87"),
+                            (40, "end the previous call's blocks of 40, got 40 of 87")):
+            with pytest.raises(ConfigurationError, match=match):
+                env.give_back(rows)
+        env.give_back(47)
+        env.give_back(40)
+        env.give_back(0)
 
     def test_epochs_query_is_worker_independent(self):
         assert small_workload().true_epochs(576) == pytest.approx(110.0)
