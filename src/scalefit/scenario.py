@@ -73,8 +73,6 @@ def _build_workload(doc: dict, seed: int) -> SimWorkload:
             for key in ("jitter", "ramp_iters"):
                 if key in doc:
                     overrides[key] = _number(doc, key, "workload")
-            if "grad_dim" in doc:
-                overrides["grad_dim"] = _expect(doc, "grad_dim", int, "workload")
             if "dataset_size" in doc:
                 overrides["dataset_size"] = _expect(doc, "dataset_size", int, "workload")
             return replace(base, **overrides) if overrides else base
@@ -90,7 +88,6 @@ def _build_workload(doc: dict, seed: int) -> SimWorkload:
             time_per_worker_s=_number(doc, "time_per_worker_s", "workload", required=True),
             ramp_iters=_number(doc, "ramp_iters", "workload", default=500.0),
             jitter=_number(doc, "jitter", "workload", default=0.0),
-            grad_dim=_expect(doc, "grad_dim", int, "workload", default=10_000),
             seed=seed,
         )
     except ConfigurationError as exc:

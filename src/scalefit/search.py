@@ -70,8 +70,9 @@ if TYPE_CHECKING:
 
 SEARCH_MODES = ("full", "partial", "scaling", "none")
 # Most stability windows an anchor synthesizes in one ``profile`` call.
-# Larger calls cost less per row but hold more memory at once; at 4, the
-# search-anchor benchmark's peak RSS stays below that of one window per call.
+# Larger calls cost less per row but hold more rows at once.  At 4, the
+# search-anchor benchmark's peak RSS is within 0.2 MB of one window per
+# call, no more than moving the same code to another directory moves it.
 _ANCHOR_CALL_CHUNKS = 4
 
 
@@ -176,14 +177,14 @@ class _Session:
         ``_ANCHOR_CALL_CHUNKS`` per ``profile`` call: first the chunks up to
         the one holding the first row that can stabilize the estimate (row
         ``warmup_iters - 1``) in as few calls as that allows, then 1, 2,
-        4... chunks per call.  After the stop, the whole chunks past the
-        stopping one are given back to the environment's stream, and the
-        rows of the stopping chunk past the stop stay drawn and are
-        discarded.  So the record, the cursor and every later draw are those
-        of one chunk per call.  A multi-chunk call whose synthesized samples
-        overflow gives all its draws back, and the run goes on one chunk per
-        call, so an overflow is raised only from the chunk where a
-        chunk-by-chunk run meets it.
+        4... chunks per call.  After the stop, every row past it is given
+        back to the environment's stream.  A row's draws do not depend on
+        the call that reads them, so the record, the noise, the cursor and
+        every later draw are those of one ``profile`` call over the rows the
+        run used.  A multi-chunk call whose synthesized samples overflow
+        gives all its draws back, and the run goes on one chunk per call, so
+        an overflow is raised only from the chunk where a chunk-by-chunk run
+        meets it.
         """
         ewma, limit = self.params.ewma, self.params.max_stabilize_iters
         window = ewma.stability_window
@@ -198,8 +199,7 @@ class _Session:
                 chunks, growth = growth, min(2 * growth, cap)
             rows = min(chunks * window, limit - seen)
             try:
-                batch = self.env.profile(config.workers, config.global_batch, rows, self.cursor,
-                                         rows_per_draw=window)
+                batch = self.env.profile(config.workers, config.global_batch, rows, self.cursor)
             except ModelOutOfDomainError:
                 if rows <= window:
                     raise
@@ -208,8 +208,7 @@ class _Session:
                 continue
             stop = tracker.consume(batch)
             used = rows if stop is None else stop + 1
-            if stop is not None:
-                self.env.give_back(rows - min(rows, (stop // window + 1) * window))
+            self.env.give_back(rows - used)
             taus.append(batch.iteration_time_s[:used])
             del batch  # frees its columns before the next call synthesizes more
             seen += used

@@ -3,8 +3,10 @@
 A simulated workload carries the true coefficients of the prediction chain
 plus a noise-ramp horizon and a jitter level.  Per-iteration samples are
 synthesized so that the raw noise ratio equals the ramped true value (times
-multiplicative jitter) exactly: the aggregated squared norm is pinned to 1
-and the per-worker squared norms carry the target mean.
+multiplicative jitter): the aggregated squared norm is pinned to 1 and every
+worker's squared norm is that target.  Each row reads three standard
+normals, whatever the worker count, so the draws depend only on the stream's
+position and the number of rows.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ class SimWorkload:
     time_per_worker_s: float
     ramp_iters: float = 500.0
     jitter: float = 0.0
-    grad_dim: int = 10_000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -66,7 +67,6 @@ class SimWorkload:
             check(name, getattr(self, name), -math.inf, finite=True)
         check("ramp_iters", self.ramp_iters, 1, finite=True)
         check("jitter", self.jitter, 0, finite=True)
-        check("grad_dim", self.grad_dim, 2, MAX_GRID_VALUE)
         check("seed", self.seed, 0)
 
     def true_normalized_noise(self, global_batch: int) -> float:
@@ -109,7 +109,6 @@ class SimCluster:
 
 
 _EMPTY = np.empty(0)
-_NO_DRAW = (_EMPTY, 0, 1, 0)  # values, rows, rows per block, values per row
 
 
 class SimEnvironment:
@@ -122,13 +121,10 @@ class SimEnvironment:
     a draw value by value, so the stream's values do not depend on how the
     calls split it.
 
-    A call lays out its rows in blocks of ``rows_per_draw`` (all of them by
-    default) and a last shorter block for any remainder.  A block of ``r``
-    rows at ``workers`` reads ``r * (workers + 3)`` values and splits them,
-    in order, into noise jitter (``r``), worker spread (``r x workers``,
-    row by row), compute jitter and sync jitter (``r`` each), exactly as a
-    call of ``r`` rows would.  So one call of ``m * r + q`` rows with
-    ``rows_per_draw=r`` equals ``m`` calls of ``r`` rows and one of ``q``.
+    A call of ``n`` rows reads ``3 * n`` values, whatever its worker count:
+    row ``i`` reads the call's values ``3i``, ``3i + 1`` and ``3i + 2`` as
+    its noise, compute and sync jitter.  So any split of calls over the same
+    rows reads the same values.
     """
 
     def __init__(self, workload: SimWorkload, cluster: SimCluster) -> None:
@@ -136,7 +132,7 @@ class SimEnvironment:
         self.cluster = cluster
         self._rng = np.random.default_rng(workload.seed)
         self._given_back = _EMPTY
-        self._last: tuple[np.ndarray, int, int, int] = _NO_DRAW  # for give_back
+        self._last = _EMPTY  # the previous call's draw, for give_back
 
     def _draw(self, n: int) -> np.ndarray:
         """The stream's next ``n`` values: given-back ones first, then fresh draws."""
@@ -150,68 +146,44 @@ class SimEnvironment:
     def give_back(self, rows: int) -> None:
         """Put the draws of the last ``rows`` rows of the previous ``profile`` call back.
 
-        Those rows must be that call's last whole blocks (the ones a failed
-        call drew count too).  The next calls read the given-back values
-        first, so they see the stream as if the rows had never been drawn.
+        A failed call's rows count too.  The next calls read the given-back
+        values first, so they see the stream as if the rows had never been
+        drawn.
         """
-        draw, iters, per_draw, width = self._last
-        check("rows", rows, 0, iters)
-        if (iters - rows) % per_draw and rows:
-            raise ConfigurationError(
-                f"rows must end the previous call's blocks of {per_draw}, got {rows} of {iters}"
-            )
-        keep = len(draw) - rows * width
-        self._given_back = np.concatenate((draw[keep:], self._given_back))
-        self._last = (draw[:keep], iters - rows, per_draw, width)
+        keep = len(self._last) - 3 * check("rows", rows, 0, len(self._last) // 3)
+        self._given_back = np.concatenate((self._last[keep:], self._given_back))
+        self._last = self._last[:keep]
 
     # Coefficients whose products pass the float range give inf or NaN samples
     # quietly; SampleBatch then rejects them, and the rejection is reported
     # against the workload coefficients rather than a synthesized row.
     @np.errstate(all="ignore")
     def profile(
-        self,
-        workers: int,
-        global_batch: int,
-        iters: int,
-        start_iteration: int = 0,
-        *,
-        rows_per_draw: int | None = None,
+        self, workers: int, global_batch: int, iters: int, start_iteration: int = 0
     ) -> SampleBatch:
         """Synthesize ``iters`` per-iteration samples starting at ``start_iteration``.
 
         The raw noise target ramps as ``1 - exp(-t / ramp_iters)`` toward
-        ``workers * true_normalized_noise(B)``; compute and sync times split
-        the plane with half the base each and jitter independently.
+        ``workers * true_normalized_noise(B)``, and every worker's squared
+        norm is that target; compute and sync times split the plane with
+        half the base each.  The three jitter independently, each by its own
+        draw of the row.
         """
         config = JobConfig(workers, global_batch)
         check("iters", iters, 1, MAX_GRID_VALUE)
         # Iterations are stored as int64, so the last one stays below 2**63.
         check("start_iteration", start_iteration, 0, MAX_GRID_VALUE)
-        per_draw = iters if rows_per_draw is None else check(
-            "rows_per_draw", rows_per_draw, 1, MAX_GRID_VALUE)
         w = self.workload
         b = mini_batch(config)
         t_idx = start_iteration + np.arange(iters, dtype=float)
         ramp = 1.0 - np.exp(-t_idx / w.ramp_iters)
-        width = workers + 3
-        self._last = _NO_DRAW  # frees the previous draw before this one is made
-        draw = self._draw(iters * width)
-        self._last = (draw, iters, per_draw, width)
-        # Scaled into new arrays: the draw itself stays raw, so it can be given back.
-        noise_jit, spread, compute_jit, sync_jit = _scaled_normals(
-            draw, iters, per_draw, workers,
-            (w.jitter, math.sqrt(2.0 / w.grad_dim), w.jitter, w.jitter),
-        )
+        self._last = _EMPTY  # frees the previous draw before this one is made
+        self._last = self._draw(3 * iters)
+        # Scaled into a new array: the draw itself stays raw, so it can be given back.
+        noise_jit, compute_jit, sync_jit = (self._last.reshape(iters, 3) * w.jitter).T
 
         gamma = workers * w.true_normalized_noise(global_batch) * ramp
         gamma = np.maximum(gamma * (1.0 + noise_jit), 0.0)
-        # Center the per-worker spread so the Eq-style ratio stays exact.
-        spread -= spread.mean(axis=1, keepdims=True)
-        # max(gamma * (1 + spread), 0) in place, the largest array a call builds.
-        spread += 1.0
-        spread *= gamma[:, None]
-        worker_vals = np.maximum(spread, 0.0, out=spread)
-
         compute = np.maximum(
             (w.time_base_s / 2.0 + w.time_per_sample_s * b) * (1.0 + compute_jit), 0.0
         )
@@ -220,8 +192,10 @@ class SimEnvironment:
         )
 
         try:
+            # Every worker's norm is the row's target: a read-only view, not K copies.
             return SampleBatch.adopt(
-                t_idx.astype(np.int64), worker_vals, np.ones(iters), compute, sync
+                t_idx.astype(np.int64), np.broadcast_to(gamma[:, None], (iters, workers)),
+                np.ones(iters), compute, sync,
             )
         except InvalidSampleError as exc:
             raise ModelOutOfDomainError(
@@ -229,32 +203,6 @@ class SimEnvironment:
                 f"{_COLUMN_SOURCES[exc.field]} overflow the synthesized {exc.field} "
                 f"({exc.reason})"
             ) from None
-
-
-def _scaled_normals(
-    draw: np.ndarray, iters: int, per_draw: int, workers: int, scales: tuple[float, ...]
-) -> list[np.ndarray]:
-    """New (noise, spread ``(iters, workers)``, compute, sync) normals times their scales.
-
-    ``draw`` holds blocks of ``per_draw`` rows and a last shorter block for
-    any remainder; each field's rows are gathered block by block.
-    """
-    width = workers + 3
-    whole, tail = divmod(iters, per_draw)
-    pieces, at = [], 0
-    for count, r in ((whole, per_draw), (1, tail)):
-        if count and r:
-            blocks = draw[at : at + count * r * width].reshape(count, r * width)
-            at += blocks.size
-            pieces.append((blocks[:, :r], blocks[:, r : -2 * r],
-                           blocks[:, -2 * r : -r], blocks[:, -r:]))
-    fields = [
-        (parts[0] * scale).ravel() if len(parts) == 1
-        else np.concatenate([part * scale for part in parts], axis=None)
-        for scale, parts in zip(scales, zip(*pieces))
-    ]
-    fields[1] = fields[1].reshape(iters, workers)
-    return fields
 
 
 def ground_truth(
@@ -349,7 +297,6 @@ _PRESET_WORKLOADS: dict[str, SimWorkload] = {
         time_per_worker_s=0.008,
         ramp_iters=500.0,
         jitter=0.0,
-        grad_dim=10_000,
     ),
     "resnet50-like": SimWorkload(
         name="resnet50-like",
@@ -363,7 +310,6 @@ _PRESET_WORKLOADS: dict[str, SimWorkload] = {
         time_per_worker_s=0.012,
         ramp_iters=750.0,
         jitter=0.0,
-        grad_dim=25_000,
     ),
     "transformer-like": SimWorkload(
         name="transformer-like",
@@ -377,7 +323,6 @@ _PRESET_WORKLOADS: dict[str, SimWorkload] = {
         time_per_worker_s=0.02,
         ramp_iters=2500.0,
         jitter=0.0,
-        grad_dim=60_000,
     ),
 }
 

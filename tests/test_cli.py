@@ -969,8 +969,6 @@ class TestSearch:
         ({"seed": -1}, "workload", "seed must be >= 0, got -1"),
         ({"search": {"mode": "scaling", "sampling": {"kind": "random", "seed": -1}}},
          "search", "seed must be >= 0, got -1"),
-        ({"workload": {"preset": "resnet18-like", "grad_dim": 10**400}}, "workload",
-         f"grad_dim must be <= 2**62, got {10**400}"),
         ({"cluster": {"pricing": {"flat_hourly_usd": 0.13402},
                       "shape": {"vcpus": 10**400, "memory_gb": 16}}},
          "cluster.shape", f"vcpus must be <= 2**62, got {10**400}"),
@@ -983,13 +981,22 @@ class TestSearch:
         ({"search": {"mode": "partial", "profile_iters": 10**400}}, "search",
          f"profile_iters must be <= 2**62, got {10**400}"),
     ], ids=["preset_dataset_size", "dataset_size", "jitter", "ramp_iters", "restore_overhead_s",
-            "memory_gb", "noise_slope", "epochs_base", "seed", "sampling_seed", "grad_dim",
-            "vcpus", "bspace", "kspace", "profile_iters"])
+            "memory_gb", "noise_slope", "epochs_base", "seed", "sampling_seed", "vcpus",
+            "bspace", "kspace", "profile_iters"])
     def test_out_of_range_value_exits_5_naming_the_field(self, run_cli, scenario_file,
                                                          overrides, path, message):
         code, out, err = run_cli("search", "--scenario", str(scenario_file(**overrides)))
         assert (code, out) == (5, "")
         assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("workload", [{"preset": "resnet18-like"}, CUSTOM_WORKLOAD])
+    def test_a_grad_dim_key_is_ignored(self, run_cli, scenario_file, workload):
+        # The simulator has no gradient dimension; like any unknown key, an
+        # old scenario's grad_dim loads and changes nothing.
+        expected = run_cli("search", "--scenario", str(scenario_file(workload=workload)))
+        assert expected[0] == 0, expected[2]
+        old = scenario_file(workload={**workload, "grad_dim": 10**400})
+        assert run_cli("search", "--scenario", str(old)) == expected
 
     @pytest.mark.parametrize("mode,message", [
         ("full", "no configuration produced a usable prediction"),
@@ -1103,7 +1110,7 @@ FUZZ_SCENARIO = {
     "workload": {"name": "fuzz", "dataset_size": 200_000, "noise_slope": 30.0,
                  "noise_intercept": 0.2, "epochs_base": 5.0, "epochs_slope": 12.0,
                  "time_base_s": 0.3, "time_per_sample_s": 0.01, "time_per_worker_s": 0.01,
-                 "ramp_iters": 5.0, "jitter": 0.05, "grad_dim": 1000},
+                 "ramp_iters": 5.0, "jitter": 0.05},
     "cluster": {"shape": {"vcpus": 4, "memory_gb": 16},
                 "pricing": {"mode": "flat_per_vm", "flat_hourly_usd": 0.13402},
                 "restore_overhead_s": 37.0},

@@ -259,49 +259,49 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
         0,
         "ae8f5fd41c2e56c9db51f0354f3b77e095b7a9f8b061492c51849d4e479855d4",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "12ecf05846591b735411b739893fe0c5b881d24ee5bb9ce4301de358c42a12ff",
+        "3fbfd1225ddf078a78f2598e97e1e54fd675c74353441b7350688e464377abde",
     ),
     "simulate-preset-jitter": (
         0,
         "ce5fac9c77f91d56d8654733a0d25c404486938fed41eba81871539fad903b32",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "f566f088182c00eb5f43b93f8245da1c2c7c42c8de4618f9d2f6d65bbf121023",
+        "c15a242adfd02fca25e3cda85aedfd995e681444285ba1e07f3ad4ba95b986e4",
     ),
     "simulate-json": (
         0,
         "c0e150203d609b4147e1ebee4a62ea8d50dbe8eff865cb12234b07c5353604c1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "8983c4d9cf42718f5ec5a75fbf1e2aef68af729a0a3a8e93a442cbbe37b36f47",
+        "2efe99e0b535c9dbe594b83af883d43fb9ba3b05700440c5a455052ca4ca8046",
     ),
     "simulate-json-jitter": (
         0,
         "1035fb99f06985b1b6122a4196ff724ffdcd0c90d948e9015fcdae14c4b0a98e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "f004b74c60ec5353bf1bf63d0742de3f782e3c70f70a21c0574206f0e99b6a48",
+        "f4a46020fab4471cec6f26062b651a60a2caccd31f37fcded88aea0be99951ef",
     ),
     "fit-anchors": (
         0,
         "9a773aed5314184be9942b394634c6e4a984ca8d6a052c38e514da531dae6ee9",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "b224d18b996ae7cb834a9572b99d835b97e30168a87507157e9f2e0554109219",
+        "d0d84bf47e80499d1b8c757872e11fdb94c5a71f5067dbc7fdc1250638bb5914",
     ),
     "fit-relative": (
         0,
         "016450d25fb2bfdfd4f01eed78c3a388c7ad6739c3b1d1184608fc44e6617496",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "28f6a8d81f5f41f3793b0fca71bcf61cd1a58bcb9863e3a00d367d24a55c43d6",
+        "66de340b0fe208d87adecbedc215f8e52b79324c695c581aeaa87e32fd3a3273",
     ),
     "fit-pooled": (
         0,
-        "b973936c8e1164d7c875e24ca48f74ee744097b6e4984ee623bd0230f1f3782b",
+        "564880e38453a04e01988d709262143bff0b2d028f1da44f390831b015a5c245",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "1be61bd185d9eec3c2e87823e5be47694b6921e7a5326638798e7a3d09d6d40e",
+        "793f1cae2aaeb546c89bf4724dae0410284e26fba5ab00dbfcc2534bd6700b7e",
     ),
     "fit-mixed": (
         0,
-        "53f029bbc07020b3a5a6f344da4cfd24f0cb6604299299d4eedd798c05751528",
+        "a024ef0a335cbce90f6f31c3cb0ae65baa79b68ddc5010d18665672739ccd836",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "c6c25a72e2a1b3423ba0438ceb3de6f5ff16790d50b733d2ce4149f5780ebaac",
+        "e4a2887c1bcc94e8a9602ca3b9f87285df34df27d16133fe330fbd61923a47f7",
     ),
     "fit-single-batch": (
         6,
@@ -431,37 +431,37 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
     ),
     "search-full": (
         0,
-        "0a8f65559ec57b539c7ca8992b955cb4c18665c777065c9c4bd605e2bdb2ee0b",
+        "d78c8de273435c23195be3c74faa4d0d8e862aee96cd2e18d3de1727e83fdaaa",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-partial": (
         0,
-        "ffd844e4562425c8ccc597999868708094ff89e086addd5fcd151e72d7e32675",
+        "3da75983c350f7cd3993ae2658f489d52b35c367f54cd051b5f9b7dfcb3302bb",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-partial-csv": (
         0,
-        "b10872170b22195a11256216713b63b56c3e0b82da21147ad2ce1573c3a263a0",
+        "c8e03cc632da6fa922d1472f78c879a512e8b0b3eb0eea2f35e7474d47967b0e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-partial-capped": (
         3,
-        "9d2d235841560ac749883f2886202cccd42a6892e792649548fb6c0161168c0e",
+        "ba35b898929a123b51a9295db65ce43687cd9840d68104f0612ff1ec36e82e04",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-scaling": (
         0,
-        "3b232cb3b90ceaa5f3a0ce176b07c91c53a9827c6ae792a4409e59fc0151d44e",
+        "b209c8770ce85b820d3131bfefdd445c9039a492bd9123cd4e0a4c90b08f272a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-scaling-random": (
         0,
-        "7bf3866e3dd314b9d562f1bac9194ba0f39a54b49ad8543d209c32ea28545b56",
+        "5388015d9462ec2e95764f99cac4d4c133564480665db4a7f39ff7c736ad1f18",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
@@ -497,13 +497,13 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
     ),
     "search-full-drops": (
         0,
-        "4ec4e7cc06000336f3cb4af00cf2bbabba93618157719d3880e57f873b47b116",
+        "042bbe6ffcf094195fa3435e82a4c4e1edf40fc3c6f8fda07435009ae5ad4dea",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "search-scaling-drops": (
         0,
-        "28814930bdf182c702a896d907cf4a84d8e1853e1c6810b101feb45ea9f3901a",
+        "679d45f8c5cbc27c909a3c1145d29c2ce812216df6f4c77b51e3f4bcddbeb288",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),

@@ -53,14 +53,12 @@ class TestDefaults:
             "preset": "resnet50-like",
             "jitter": 0.05,
             "ramp_iters": 900,
-            "grad_dim": 5000,
             "dataset_size": 42_000,
         }
         s = scenario_from_document(doc)
         assert s.workload.name == "resnet50-like"
         assert s.workload.jitter == 0.05
         assert s.workload.ramp_iters == 900.0
-        assert s.workload.grad_dim == 5000
         assert s.workload.dataset_size == 42_000
         assert s.workload.noise_slope == 60.0  # untouched preset coefficient
 
@@ -80,7 +78,6 @@ class TestDefaults:
         assert s.workload.name == "toy"
         assert s.workload.noise_intercept == 0.0
         assert s.workload.ramp_iters == 500.0
-        assert s.workload.grad_dim == 10_000
 
     def test_objective_and_constraints(self):
         doc = minimal_doc(

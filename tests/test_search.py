@@ -1,7 +1,7 @@
 """Search drivers: full grid, anchor-and-corner, scaling, and model reuse."""
 
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -369,8 +369,40 @@ def test_noiseless_search_model_predicts_ground_truth(preset, driver):
         assert got.cost_usd == pytest.approx(want.cost_usd, rel=1e-9)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("preset", list(PRESET_GRIDS))
+def test_the_anchor_worker_count_moves_no_draw(preset, seed, monkeypatch):
+    # Partial search with both anchors on the smallest and on the largest
+    # worker count valid at both anchor batches.  The draws do not depend on
+    # K; the noise target carries a factor K that the per-row sum over the
+    # workers rounds, so the fitted noise agrees to rounding only.
+    init, outcomes = search_module._Session.__init__, []
+    for pick in (min, max):
+        def forced(session, *args, pick=pick):
+            init(session, *args)
+            _, ks_lo, _, ks_hi = session.extremes
+            k = pick(set(ks_lo) & set(ks_hi))
+            session.anchors = tuple(JobConfig(k, c.global_batch) for c in session.anchors)
+
+        monkeypatch.setattr(search_module._Session, "__init__", forced)
+        workload, cluster = preset_workload(preset, seed=seed, jitter=0.05), preset_cluster(preset)
+        outcomes.append(partial_search(SimEnvironment(workload, cluster), PRESET_GRIDS[preset],
+                                       SearchParams(), Objective.min_cost_time()))
+    lo, hi = outcomes
+    assert lo.explored[0].workers < hi.explored[0].workers
+    assert [e.iterations for e in lo.explored] == [e.iterations for e in hi.explored]
+    assert lo.chosen == hi.chosen
+    assert lo.model.parallel == hi.model.parallel
+    for f in fields(StatFit):
+        assert getattr(lo.model.stat, f.name) == pytest.approx(getattr(hi.model.stat, f.name),
+                                                               rel=1e-12, abs=0), f.name
+
+
 def chunked_anchor(session, config):
-    """The anchor loop with one ``stability_window`` chunk per ``profile`` call."""
+    """The anchor loop with one ``stability_window`` chunk per ``profile`` call.
+
+    The rows of the stopping chunk past the stop are given back.
+    """
     tracker = NoiseTracker(config.workers, session.params.ewma)
     limit = session.params.max_stabilize_iters
     taus, stop = [], None
@@ -379,6 +411,7 @@ def chunked_anchor(session, config):
         batch = session.env.profile(config.workers, config.global_batch, chunk, session.cursor)
         stop = tracker.consume(batch)
         used = len(batch) if stop is None else stop + 1
+        session.env.give_back(len(batch) - used)
         taus.extend(batch.iteration_time_s[:used].tolist())
         session.cursor += used
     if stop is None:
@@ -423,12 +456,33 @@ class TestAnchorBlocks:
         assert anchor_runs(search_module._Session.run_anchor, workload, cluster, bounds,
                            SearchParams(), configs) == expected
 
-    # With seed 1 both anchors stop at row 1676 with a window of 200, and
-    # at row 2164 with a window of 300.
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("preset", list(PRESET_GRIDS))
+    def test_equals_one_profile_call_over_the_rows_it_used(self, preset, seed):
+        workload, cluster = preset_workload(preset, seed=seed, jitter=0.05), preset_cluster(preset)
+        params = SearchParams()
+        session = search_module._Session(SimEnvironment(workload, cluster), PRESET_GRIDS[preset],
+                                         params, None, None, "partial")
+        env = SimEnvironment(workload, cluster)
+        cursor = 0
+        for config in session.anchors:
+            record, noise = session.run_anchor(config)
+            batch = env.profile(config.workers, config.global_batch, record.iterations, cursor)
+            tracker = NoiseTracker(config.workers, params.ewma)
+            assert tracker.consume(batch) == len(batch) - 1
+            assert tracker.estimate.normalized == noise
+            taus = batch.iteration_time_s.tolist()
+            assert record.mean_iteration_time_s == ordered_sum(taus) / len(taus)
+            cursor += len(batch)
+            assert session.cursor == cursor
+        assert session.env.profile(1, 1, 7) == env.profile(1, 1, 7)
+
+    # With seed 1 the first anchor stops at row 1644 with a window of 200,
+    # and at row 2127 with a window of 300.
     @pytest.mark.parametrize("warmup,window,limit,tol,stops", [
         (1000, 200, 930, 0.02, False),  # the limit ends inside the warm-up
         (1000, 200, 1730, 0.02, True),  # the stop falls in the short last chunk
-        (1000, 200, 1930, 0.02, True),  # the short last chunk is given back
+        (1000, 200, 1930, 0.02, True),  # the short last chunk's rows past the stop go back
         (350, 200, 1790, 0.02, True),
         (1000, 300, 2230, 0.02, True),
         (350, 200, 1130, 1e-9, False),
@@ -444,21 +498,32 @@ class TestAnchorBlocks:
         assert anchor_runs(search_module._Session.run_anchor, workload, cluster, GRID, params,
                            configs) == expected
 
-    @pytest.mark.parametrize("seed,stops", [(29, True), (46, True), (1, False), (18, False)])
-    def test_an_overflow_is_raised_only_where_the_loop_meets_it(self, seed, stops):
+    @pytest.mark.parametrize("seed,stops", [(52, True), (116, True), (1, False), (18, False)])
+    def test_an_overflow_is_raised_only_where_the_loop_meets_it(self, seed, stops, monkeypatch):
         # Jitter above 3 sigma overflows the compute plane at b = 128, and
-        # only there.  With seeds 29 and 46 the run stops before such a row
-        # that a multi-chunk call draws; with 1 and 18 it meets one inside a
-        # multi-chunk call, and the error names the first overflowing chunk.
+        # only there.  With seeds 52 and 116 the chunk-by-chunk loop stops,
+        # and a multi-chunk call draws an overflowing row past the stop; with
+        # 1 and 18 the loop meets one inside a multi-chunk call, and the
+        # error names the first overflowing chunk.
         workload = replace(preset_workload("resnet18-like", seed=seed, jitter=0.05),
                            time_base_s=0.0, time_per_sample_s=sys.float_info.max / (128 * 1.15))
         cluster = preset_cluster("resnet18-like")
         configs = [JobConfig(8, 1024)]
         expected = anchor_runs(chunked_anchor, workload, cluster, GRID, SearchParams(), configs)
         assert isinstance(expected[0][0][0], Exploration) == stops
+        profile, overflowed = SimEnvironment.profile, []
+
+        def logged(env, workers, global_batch, iters, *args):
+            try:
+                return profile(env, workers, global_batch, iters, *args)
+            except ModelOutOfDomainError:
+                overflowed.append(iters)
+                raise
+
+        monkeypatch.setattr(SimEnvironment, "profile", logged)
         assert anchor_runs(search_module._Session.run_anchor, workload, cluster, GRID,
                            SearchParams(), configs) == expected
-
+        assert max(overflowed) > SearchParams().ewma.stability_window
 
     def test_mean_time_adds_like_ordered_sum_with_signed_zeros(self, monkeypatch):
         profile = SimEnvironment.profile

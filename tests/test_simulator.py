@@ -40,7 +40,6 @@ def small_workload(**overrides):
         time_per_worker_s=0.05,
         ramp_iters=100.0,
         jitter=0.0,
-        grad_dim=10_000,
         seed=0,
     )
     defaults.update(overrides)
@@ -73,8 +72,6 @@ class TestWorkload:
         with pytest.raises(ConfigurationError):
             small_workload(jitter=-0.1)
         with pytest.raises(ConfigurationError):
-            small_workload(grad_dim=1)
-        with pytest.raises(ConfigurationError):
             SimCluster(VMShape(4, 16.0), PricingModel.flat(0.1), restore_overhead_s=-1)
 
     def test_dataset_size_past_the_float_range_rejected(self):
@@ -102,9 +99,7 @@ class TestWorkload:
 
     @pytest.mark.parametrize("field,value,message", [
         ("seed", -1, "seed must be >= 0, got -1"),
-        ("grad_dim", 1, "grad_dim must be >= 2, got 1"),
-        ("grad_dim", 10**400, f"grad_dim must be <= 2**62, got {10**400}"),
-    ], ids=["negative_seed", "grad_dim_1", "grad_dim_400_digits"])
+    ], ids=["negative_seed"])
     def test_integer_knobs_name_the_field(self, field, value, message):
         with pytest.raises(ConfigurationError) as exc_info:
             small_workload(**{field: value})
@@ -160,28 +155,24 @@ class TestProfile:
             env.profile(8, 512, 5, start_iteration=2**63)
         with pytest.raises(ConfigurationError):
             env.profile(8, 100, 5)  # indivisible batch
-        with pytest.raises(ConfigurationError, match="rows_per_draw must be >= 1, got 0"):
-            env.profile(8, 512, 5, rows_per_draw=0)
 
     @pytest.mark.parametrize("workers", [1, 3, 16])
     def test_draws_follow_the_documented_order(self, workers):
-        # Four separate draws per call: noise jitter, worker spread, compute
-        # jitter, sync jitter; a second call continues the same generator.
+        # Three values per row: noise jitter, compute jitter, sync jitter;
+        # every worker's squared norm is the row's target, and a second call
+        # continues the same generator.
         w = small_workload(jitter=0.05, seed=7)
         env = SimEnvironment(w, flat_cluster())
         rng = np.random.default_rng(w.seed)
         for start in (0, 30):
             t = start + np.arange(30, dtype=float)
-            noise_jit = w.jitter * rng.standard_normal(30)
-            spread = rng.standard_normal((30, workers)) * math.sqrt(2.0 / w.grad_dim)
-            compute_jit = w.jitter * rng.standard_normal(30)
-            sync_jit = w.jitter * rng.standard_normal(30)
+            noise_jit, compute_jit, sync_jit = (w.jitter * rng.standard_normal(3 * 30)
+                                                .reshape(30, 3)).T
             gamma = workers * w.true_normalized_noise(96) * (1.0 - np.exp(-t / w.ramp_iters))
             gamma = np.clip(gamma * (1.0 + noise_jit), 0.0, None)
-            spread -= spread.mean(axis=1, keepdims=True)
             expected = SampleBatch(
                 t.astype(np.int64),
-                np.clip(gamma[:, None] * (1.0 + spread), 0.0, None),
+                np.repeat(gamma[:, None], workers, axis=1),
                 np.ones(30),
                 np.clip((w.time_base_s / 2.0 + w.time_per_sample_s * (96 // workers))
                         * (1.0 + compute_jit), 0.0, None),
@@ -191,57 +182,66 @@ class TestProfile:
             assert env.profile(workers, 96, 30, start) == expected
 
     @pytest.mark.parametrize("workers", [1, 16, 64])
-    @pytest.mark.parametrize("blocks,tail", [(3, 0), (3, 7), (1, 0), (0, 7)])
-    def test_blocks_equal_one_call_per_block(self, workers, blocks, tail):
+    @pytest.mark.parametrize("sizes", [(40, 40, 40), (40, 40, 40, 7), (1, 40, 1, 1, 5), (1,)])
+    def test_any_split_of_calls_equals_one_call(self, workers, sizes):
         w = small_workload(jitter=0.05, seed=7)
-        at_once, by_block = SimEnvironment(w, flat_cluster()), SimEnvironment(w, flat_cluster())
-        batch = at_once.profile(workers, 6144, blocks * 40 + tail, 300, rows_per_draw=40)
-        sizes = [40] * blocks + [tail] * bool(tail)
-        parts = [by_block.profile(workers, 6144, n, 300 + 40 * i) for i, n in enumerate(sizes)]
+        at_once, split = SimEnvironment(w, flat_cluster()), SimEnvironment(w, flat_cluster())
+        batch = at_once.profile(workers, 6144, sum(sizes), 300)
+        starts = 300 + np.cumsum((0, *sizes[:-1]))
+        parts = [split.profile(workers, 6144, n, int(t)) for n, t in zip(sizes, starts)]
         for name in SampleBatch.__slots__:
             column = np.concatenate([getattr(part, name) for part in parts])
             assert getattr(batch, name).tobytes() == column.tobytes(), name
-        assert at_once.profile(3, 96, 5) == by_block.profile(3, 96, 5)
+        assert at_once.profile(3, 96, 5) == split.profile(3, 96, 5)
+
+    def test_calls_at_different_worker_counts_read_the_same_values(self):
+        w = small_workload(jitter=0.05, seed=7)
+        envs = [SimEnvironment(w, flat_cluster()) for _ in range(3)]
+        for env, workers in zip(envs, (1, 16, 64)):
+            env.profile(workers, 6144, 45, 10)
+        nexts = [env.profile(2, 96, 9) for env in envs]
+        assert nexts[0] == nexts[1] == nexts[2]
 
     @pytest.mark.parametrize("workers", [1, 16])
     def test_give_back_equals_never_drawing_the_rows(self, workers):
         w = small_workload(jitter=0.05, seed=3)
         env, fresh = SimEnvironment(w, flat_cluster()), SimEnvironment(w, flat_cluster())
-        env.profile(workers, 1536, 5 * 40 + 7, 0, rows_per_draw=40)
-        env.give_back(2 * 40 + 7)
-        env.give_back(40)  # the kept rows end on a block too
-        fresh.profile(workers, 1536, 2 * 40, 0, rows_per_draw=40)
-        for args in ((workers, 1536, 3 * 40 + 7, 80), (2, 96, 11, 0)):
-            assert env.profile(*args, rows_per_draw=40) == fresh.profile(*args, rows_per_draw=40)
+        env.profile(workers, 1536, 207, 0)
+        env.give_back(93)
+        env.give_back(31)  # any number of the kept rows, again
+        fresh.profile(workers, 1536, 83, 0)
+        for args in ((workers, 1536, 3 * 40 + 7, 83), (2, 96, 11, 0)):
+            assert env.profile(*args) == fresh.profile(*args)
 
-    @pytest.mark.parametrize("rows_per_draw", [None, 300, 40])
-    def test_given_back_draws_are_the_raw_draws(self, rows_per_draw):
-        # Synthesis must not write into the draw, with one block or several.
+    @pytest.mark.parametrize("workers", [1, 16])
+    def test_given_back_draws_are_the_raw_draws(self, workers):
+        # Synthesis must not write into the draw.
         env = SimEnvironment(small_workload(jitter=0.05), flat_cluster())
-        first = env.profile(16, 1536, 200, 0, rows_per_draw=rows_per_draw)
+        first = env.profile(workers, 1536, 200, 0)
         env.give_back(200)
-        assert env.profile(16, 1536, 200, 0, rows_per_draw=rows_per_draw) == first
+        assert env.profile(workers, 1536, 200, 0) == first
 
     def test_an_overflowing_call_can_give_its_draws_back(self):
         # b = B / K: 96 per worker overflows the compute plane, 6 does not.
         w = small_workload(jitter=0.05, time_per_sample_s=1e307)
         env, fresh = SimEnvironment(w, flat_cluster()), SimEnvironment(w, flat_cluster())
         with pytest.raises(ModelOutOfDomainError, match="overflow the synthesized compute_s"):
-            env.profile(1, 96, 120, 0, rows_per_draw=40)
+            env.profile(1, 96, 120, 0)
         env.give_back(120)
         assert env.profile(16, 96, 30) == fresh.profile(16, 96, 30)
 
-    def test_give_back_takes_whole_blocks_of_the_previous_call(self):
+    def test_give_back_takes_rows_of_the_previous_call(self):
         env = SimEnvironment(small_workload(), flat_cluster())
         with pytest.raises(ConfigurationError, match="rows must be <= 0, got 1"):
             env.give_back(1)  # nothing drawn yet
-        env.profile(4, 96, 2 * 40 + 7, 0, rows_per_draw=40)
-        for rows, match in ((-1, "rows must be >= 0"), (88, "rows must be <= 87"),
-                            (40, "end the previous call's blocks of 40, got 40 of 87")):
+        env.profile(4, 96, 87, 0)
+        for rows, match in ((-1, "rows must be >= 0"), (88, "rows must be <= 87")):
             with pytest.raises(ConfigurationError, match=match):
                 env.give_back(rows)
         env.give_back(47)
-        env.give_back(40)
+        with pytest.raises(ConfigurationError, match="rows must be <= 40, got 41"):
+            env.give_back(41)
+        env.give_back(1)
         env.give_back(0)
 
     def test_epochs_query_is_worker_independent(self):
