@@ -6,22 +6,29 @@ A trace file is JSON Lines, one record per iteration::
      "compute_s": 0.33, "sync_s": 0.33}
 
 All records in one file must share the same (K, B); ``t``, ``K`` and ``B``
-must be JSON integers, and every number must be finite and >= 0: ``NaN``
-and ``Infinity`` are rejected at their line.  The anchors side file is a
-single JSON object: ``{"anchors": [{"K": 8, "B": 384, "epochs": 35.2}, ...]}``.
+must be JSON integers, the other fields JSON numbers (a string or a bool
+is rejected, an integer reads as a float), and every number must be finite
+and >= 0: ``NaN`` and ``Infinity`` are rejected at their line.  The anchors
+side file is a single JSON object:
+``{"anchors": [{"K": 8, "B": 384, "epochs": 35.2}, ...]}``, where ``epochs``
+follows the same number rule.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .config import JobConfig
 from .errors import ConfigurationError, InvalidSampleError, TraceParseError
 from .noise import SampleBatch
 
 _KEYS = ("t", "K", "B", "worker_sqnorms", "agg_sqnorm", "compute_s", "sync_s")
+_FLOAT_KEYS = ("agg_sqnorm", "compute_s", "sync_s")
 
 
 def _integer(name: str, value) -> int:
@@ -31,16 +38,49 @@ def _integer(name: str, value) -> int:
     return value
 
 
+def _number(name: str, value) -> float:
+    """``float(value)`` for a JSON number; anything else, a bool too, is a ConfigurationError.
+
+    An integer past the float range raises OverflowError.
+    """
+    if type(value) is float or type(value) is int:
+        return float(value)
+    raise ConfigurationError(f"{name} must be a number, got {type(value).__name__}")
+
+
+def _typed_row(path: Path, lineno: int, row: tuple) -> tuple:
+    """``row`` with an integer ``t``, float norms and float times, or a TraceParseError."""
+    t, norms, *scalars = row
+    try:
+        return (_integer("t", t), [_number("worker_sqnorms value", v) for v in norms],
+                *map(_number, _FLOAT_KEYS, scalars))
+    except (ConfigurationError, OverflowError) as exc:
+        raise TraceParseError(str(path), lineno, str(exc)) from None
+
+
 def write_trace(path: str | Path, config: JobConfig, samples: SampleBatch) -> None:
-    """Write one line per row, byte for byte what ``json.dumps`` gives for the record."""
+    """Write one line per row, byte for byte what ``json.dumps`` gives for the record.
+
+    A row whose K worker norms are bitwise equal (``0.0`` and ``-0.0``
+    differ) has its norm formatted once and repeated; every other row
+    formats each value.  Lines stream to the file as they are built.
+    """
     head = f'"K": {config.workers}, "B": {config.global_batch}, "worker_sqnorms": ['
+    norms, workers = samples.worker_sqnorms, samples.workers
+    bits = norms.view(np.uint64)
+    uniform = (bits[:, 1:] == bits[:, :1]).all(axis=1)
+    mixed = iter(norms[~uniform].tolist())
+    texts = (
+        ", ".join([repr(first)] * workers) if same else ", ".join(map(repr, next(mixed)))
+        for same, first in zip(uniform.tolist(), norms[:, 0].tolist())
+    )
     with Path(path).open("w") as fh:
         fh.writelines(
-            f'{{"t": {t}, {head}{", ".join(map(repr, norms))}], '
+            f'{{"t": {t}, {head}{text}], '
             f'"agg_sqnorm": {agg!r}, "compute_s": {compute!r}, "sync_s": {sync!r}}}\n'
-            for t, norms, agg, compute, sync in zip(
+            for t, text, agg, compute, sync in zip(
                 samples.iteration.tolist(),
-                samples.worker_sqnorms.tolist(),
+                texts,
                 samples.agg_sqnorm.tolist(),
                 samples.compute_s.tolist(),
                 samples.sync_s.tolist(),
@@ -51,8 +91,10 @@ def write_trace(path: str | Path, config: JobConfig, samples: SampleBatch) -> No
 def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
     """Parse one trace file, validating record shape and (K, B) consistency.
 
-    Lines are parsed one at a time; the columns are stacked and validated
-    once at the end, and a bad value is reported at the line it came from.
+    Lines are parsed one at a time; the columns are type-checked, stacked
+    and validated once at the end, and a bad value is reported at the line
+    it came from.  Only a file holding a value that is not a JSON float
+    (a JSON integer norm, say) is converted row by row.
     """
     path = Path(path)
     config: JobConfig | None = None
@@ -95,21 +137,17 @@ def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
                     lineno,
                     f"worker_sqnorms must list exactly {config.workers} values",
                 )
-            try:
-                rows.append((
-                    _integer("t", record["t"]),
-                    list(map(float, norms)),
-                    float(record["agg_sqnorm"]),
-                    float(record["compute_s"]),
-                    float(record["sync_s"]),
-                ))
-            except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
-                raise TraceParseError(str(path), lineno, str(exc)) from None
+            rows.append((record["t"], norms, record["agg_sqnorm"], record["compute_s"],
+                         record["sync_s"]))
             linenos.append(lineno)
     if config is None:
         raise TraceParseError(str(path), 0, "trace file has no records")
+    iteration, norms, *scalars = columns = list(zip(*rows))
+    if (set(map(type, iteration)) != {int}
+            or set(map(type, chain(chain.from_iterable(norms), *scalars))) != {float}):
+        columns = list(zip(*(_typed_row(path, lineno, row) for lineno, row in zip(linenos, rows))))
     try:
-        return config, SampleBatch(*zip(*rows))
+        return config, SampleBatch(*columns)
     except InvalidSampleError as exc:
         raise TraceParseError(
             str(path), linenos[exc.row], f"{exc.field} {exc.reason}"
@@ -143,8 +181,8 @@ def read_anchors(path: str | Path) -> list[tuple[JobConfig, float]]:
             raise TraceParseError(str(path), 0, f"{where} needs K, B, and epochs")
         try:
             cfg = JobConfig(_integer("K", entry["K"]), _integer("B", entry["B"]))
-            epochs = float(entry["epochs"])
-        except (ConfigurationError, TypeError, ValueError, OverflowError) as exc:
+            epochs = _number("epochs", entry["epochs"])
+        except (ConfigurationError, OverflowError) as exc:
             raise TraceParseError(str(path), 0, f"{where}: {exc}") from None
         if not 0 < epochs < math.inf:  # False for NaN too
             raise TraceParseError(

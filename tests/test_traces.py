@@ -4,6 +4,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -51,13 +52,28 @@ FLOATS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | st.sa
 
 
 @st.composite
+def worker_row(draw, k):
+    """K worker norms: one value repeated, a mix of ``0.0`` and ``-0.0``, or any values."""
+    kind = draw(st.sampled_from(["uniform", "signed_zeros", "any"]))
+    if kind == "uniform":
+        return [draw(FLOATS)] * k
+    values = st.sampled_from([0.0, -0.0]) if kind == "signed_zeros" else FLOATS
+    return draw(st.lists(values, min_size=k, max_size=k))
+
+
+@st.composite
 def batches(draw):
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 64))
     n = draw(st.integers(1, 6))
     column = st.lists(FLOATS, min_size=n, max_size=n)
+    iteration = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):  # one norm per row, broadcast to K workers as the simulator does
+        gamma = np.array(draw(column))
+        return SampleBatch.adopt(np.array(iteration), np.broadcast_to(gamma[:, None], (n, k)),
+                                 *(np.array(draw(column)) for _ in range(3)))
     return SampleBatch(
-        draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n)),
-        draw(st.lists(st.lists(FLOATS, min_size=k, max_size=k), min_size=n, max_size=n)),
+        iteration,
+        draw(st.lists(worker_row(k), min_size=n, max_size=n)),
         draw(column),
         draw(column),
         draw(column),
@@ -95,6 +111,20 @@ class TestTraceProperties:
             assert read.dtype == column.dtype
             assert read.tobytes() == column.tobytes()
 
+    def test_signed_zeros_in_one_row_keep_their_signs(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        batch = SampleBatch([0], [[0.0, -0.0]], [1.0], [0.3], [0.1])
+        write_trace(path, JobConfig(2, 64), batch)
+        assert '"worker_sqnorms": [0.0, -0.0]' in path.read_text()
+        assert path.read_text() == json_lines(JobConfig(2, 64), batch)
+
+    def test_one_worker_writes_what_json_dumps_gives(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        batch = SampleBatch([0, 1, 2], [[0.1], [-0.0], [1e308]], [1.0, 0.0, 2.5],
+                            [0.3, 0.31, 0.29], [0.1, 0.0, 0.12])
+        write_trace(path, JobConfig(1, 32), batch)
+        assert path.read_text() == json_lines(JobConfig(1, 32), batch)
+
 
 class TestTraceErrors:
     @pytest.mark.parametrize("field,value", [
@@ -126,7 +156,54 @@ class TestTraceErrors:
                "compute_s": 0.1, "sync_s": 0.1}
         good = dict(rec, worker_sqnorms=[1.0, 2.0])
         path.write_text(json.dumps(good) + "\n" + json.dumps(rec) + "\n")
-        with pytest.raises(TraceParseError, match=":2: could not convert string to float"):
+        with pytest.raises(TraceParseError,
+                           match=":2: worker_sqnorms value must be a number, got str"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("field", ["agg_sqnorm", "compute_s", "sync_s", "worker_sqnorms"])
+    @pytest.mark.parametrize("value,kind", [("0.5", "str"), (" 2 ", "str"), (True, "bool"),
+                                            (False, "bool"), (None, "NoneType"), ([1.0], "list")])
+    def test_float_field_must_be_a_json_number(self, tmp_path, field, value, kind):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, JobConfig(2, 64), make_samples(2, 3))
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        if field == "worker_sqnorms":
+            records[1][field] = [1.5, value]
+            field = "worker_sqnorms value"
+        else:
+            records[1][field] = value
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        with pytest.raises(TraceParseError) as exc_info:
+            read_trace(path)
+        assert str(exc_info.value) == f"{path}:2: {field} must be a number, got {kind}"
+
+    def test_json_integers_are_read_as_floats(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        rec = {"t": 0, "K": 2, "B": 64, "worker_sqnorms": [1, 2.5], "agg_sqnorm": 3,
+               "compute_s": 0, "sync_s": 1}
+        path.write_text(json.dumps(rec) + "\n")
+        _, back = read_trace(path)
+        assert back == SampleBatch([0], [[1.0, 2.5]], [3.0], [0.0], [1.0])
+
+    def test_the_first_mistyped_row_is_cited(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        rec = {"t": 0, "K": 2, "B": 64, "worker_sqnorms": [1, 2], "agg_sqnorm": 1,
+               "compute_s": 0.1, "sync_s": 0.1}
+        rows = [rec, dict(rec, t=1, sync_s="0.1"), dict(rec, t=True, agg_sqnorm=False)]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(TraceParseError) as exc_info:
+            read_trace(path)
+        assert str(exc_info.value) == f"{path}:2: sync_s must be a number, got str"
+
+    @pytest.mark.parametrize("old,new", [('"agg_sqnorm": 1.0', '"agg_sqnorm": 1' + "0" * 400),
+                                         ("2.0]", "1" + "0" * 400 + "]")])
+    def test_integer_past_the_float_range_cites_line(self, tmp_path, old, new):
+        path = tmp_path / "trace.jsonl"
+        rec = {"t": 0, "K": 2, "B": 64, "worker_sqnorms": [1.0, 2.0], "agg_sqnorm": 1.0,
+               "compute_s": 0.1, "sync_s": 0.1}
+        line = json.dumps(rec)
+        path.write_text(line + "\n" + line.replace(old, new) + "\n")
+        with pytest.raises(TraceParseError, match=":2: int too large to convert to float"):
             read_trace(path)
 
     @pytest.mark.parametrize("field", ["t", "K", "B"])
@@ -256,6 +333,20 @@ class TestAnchors:
         assert str(exc_info.value) == (
             f"{path}:0: anchors[0]: {field} must be an integer, got {kind}"
         )
+
+    @pytest.mark.parametrize("value,kind", [("35.2", "str"), (True, "bool"), (None, "NoneType")])
+    def test_epochs_must_be_a_json_number(self, tmp_path, value, kind):
+        path = tmp_path / "anchors.json"
+        path.write_text(json.dumps({"anchors": [{"K": 8, "B": 384, "epochs": value}]}))
+        with pytest.raises(TraceParseError) as exc_info:
+            read_anchors(path)
+        assert str(exc_info.value) == f"{path}:0: anchors[0]: epochs must be a number, got {kind}"
+
+    def test_integer_epochs_are_read_as_floats(self, tmp_path):
+        path = tmp_path / "anchors.json"
+        path.write_text('{"anchors": [{"K": 8, "B": 384, "epochs": 35}]}')
+        [(_, epochs)] = read_anchors(path)
+        assert epochs == 35.0 and type(epochs) is float
 
     def test_nonpositive_epochs(self, tmp_path):
         path = tmp_path / "anchors.json"
