@@ -18,7 +18,7 @@ import io
 import json
 import sys
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,6 @@ from .errors import (
 from .noise import normalized_noises
 from .perfmodel import (
     PerfModel,
-    Prediction,
     fit_iteration_time,
     fit_stat,
     predict,
@@ -311,20 +310,7 @@ def cmd_fit(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------- predict
 
 
-def _prediction_row(config: JobConfig, p: Prediction) -> dict:
-    return {
-        "workers": config.workers,
-        "global_batch": config.global_batch,
-        "mini_batch": mini_batch(config),
-        "normalized_noise": p.normalized_noise,
-        "epochs": p.epochs,
-        "iterations": p.iterations,
-        "iteration_time_s": p.iteration_time_s,
-        "time_s": p.total_time_s,
-        "cost_usd": p.cost_usd,
-    }
-
-
+# One prediction row: the configuration, then ``Prediction``'s fields in order.
 _ROW_FIELDS = (
     "workers",
     "global_batch",
@@ -346,7 +332,8 @@ def cmd_predict(parser: argparse.ArgumentParser, args) -> int:
     for k, b in sorted(args.configs):
         try:
             config = JobConfig(k, b)
-            rows.append(_prediction_row(config, predict(model, config, pricing, shape)))
+            p = predict(model, config, pricing, shape)
+            rows.append(dict(zip(_ROW_FIELDS, (k, b, mini_batch(config), *astuple(p)))))
         except (ConfigurationError, ModelOutOfDomainError) as exc:
             failures += 1
             rows.append({"workers": k, "global_batch": b, "error": str(exc)})

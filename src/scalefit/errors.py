@@ -1,10 +1,10 @@
-"""Exception hierarchy shared across the package, and the one range check."""
+"""Exceptions shared across the package, the one range check and the one left-to-right sum."""
 
 from __future__ import annotations
 
 import math
-import operator
-from functools import reduce
+
+import numpy as np
 
 # Largest accepted configuration or count integer: grids are enumerated in
 # int64, and sums such as ``b_min + k - 1`` must not wrap.
@@ -12,8 +12,13 @@ MAX_GRID_VALUE = 2**62
 
 
 def ordered_sum(values) -> float:
-    """``values`` added left to right from ``0.0``, unlike the compensated ``sum`` of 3.12+."""
-    return reduce(operator.add, values, 0.0)
+    """``values`` (an array or any iterable) added left to right from ``0.0``, quietly as float
+    adds are, unlike the compensated ``sum`` of 3.12+ and NumPy's pairwise ``sum``."""
+    values = values if isinstance(values, np.ndarray) else np.fromiter(values, float)
+    if not values.size:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # ``+ 0.0``: a -0.0 total is 0.0
+        return float(np.add.accumulate(values, dtype=float)[-1]) + 0.0
 
 
 class ScalefitError(Exception):

@@ -218,12 +218,9 @@ class _Session:
                 f"noise did not stabilize within {limit} "
                 f"iterations at K={config.workers}, B={config.global_batch}"
             )
-        # Left to right from 0.0 as ordered_sum adds: ``+ 0.0`` maps a -0.0
-        # total to 0.0, and an overflow gives inf quietly, as float adds do.
-        with np.errstate(over="ignore"):
-            total = float(np.add.accumulate(np.concatenate(taus))[-1]) + 0.0
         record = Exploration(config.workers, config.global_batch, "anchor", seen,
-                             total / seen, self.env.cluster.restore_overhead_s)
+                             ordered_sum(np.concatenate(taus)) / seen,
+                             self.env.cluster.restore_overhead_s)
         return record, tracker.estimate.normalized
 
     def fit_anchors(self) -> StatFit:
@@ -252,8 +249,7 @@ class _Session:
             self.cursor += len(batch)
             noises = normalized_noises(batch)
             noise[(k, b)] = ordered_sum(noises) / len(noises) if noises else 0.0
-            taus = batch.iteration_time_s.tolist()
-            mean_tau = ordered_sum(taus) / len(taus)
+            mean_tau = ordered_sum(batch.iteration_time_s) / len(batch)
             self.explored.append(Exploration(
                 k, b, "profile", len(batch), mean_tau, self.env.cluster.restore_overhead_s
             ))

@@ -280,12 +280,12 @@ def compose_end_to_end(outcome, workload: SimWorkload, cluster: SimCluster) -> E
     return totals
 
 
-# Preset workloads.  Ramp horizons are tuned so the noise ramp reaches 98%
-# of its plateau (t = ln(50)·R ≈ 3.9·R) near iteration 2000, 3000, and
-# 10000 respectively; restore overheads reflect typical checkpoint-restart
-# times for models of these sizes.
-_PRESET_WORKLOADS: dict[str, SimWorkload] = {
-    "resnet18-like": SimWorkload(
+# Preset workloads, each with its cluster's restore overhead.  Ramp horizons
+# are tuned so the noise ramp reaches 98% of its plateau (t = ln(50)·R ≈
+# 3.9·R) near iteration 2000, 3000, and 10000 respectively; restore
+# overheads reflect typical checkpoint-restart times for models of these sizes.
+_PRESETS: dict[str, tuple[SimWorkload, float]] = {
+    "resnet18-like": (SimWorkload(
         name="resnet18-like",
         dataset_size=1_000_000,
         noise_slope=48.0,
@@ -296,9 +296,8 @@ _PRESET_WORKLOADS: dict[str, SimWorkload] = {
         time_per_sample_s=0.012,
         time_per_worker_s=0.008,
         ramp_iters=500.0,
-        jitter=0.0,
-    ),
-    "resnet50-like": SimWorkload(
+    ), 37.0),
+    "resnet50-like": (SimWorkload(
         name="resnet50-like",
         dataset_size=1_300_000,
         noise_slope=60.0,
@@ -309,9 +308,8 @@ _PRESET_WORKLOADS: dict[str, SimWorkload] = {
         time_per_sample_s=0.03,
         time_per_worker_s=0.012,
         ramp_iters=750.0,
-        jitter=0.0,
-    ),
-    "transformer-like": SimWorkload(
+    ), 40.0),
+    "transformer-like": (SimWorkload(
         name="transformer-like",
         dataset_size=4_500_000,
         noise_slope=120.0,
@@ -322,28 +320,23 @@ _PRESET_WORKLOADS: dict[str, SimWorkload] = {
         time_per_sample_s=0.05,
         time_per_worker_s=0.02,
         ramp_iters=2500.0,
-        jitter=0.0,
-    ),
+    ), 127.0),
 }
 
-_PRESET_RESTORE_S = {
-    "resnet18-like": 37.0,
-    "resnet50-like": 40.0,
-    "transformer-like": 127.0,
-}
+PRESET_NAMES = tuple(_PRESETS)
 
-PRESET_NAMES = tuple(_PRESET_WORKLOADS)
+
+def _preset(name: str) -> tuple[SimWorkload, float]:
+    if name not in _PRESETS:
+        raise ConfigurationError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return _PRESETS[name]
 
 
 def preset_workload(
     name: str, seed: int = 0, jitter: float | None = None
 ) -> SimWorkload:
     """A named preset workload with the given seed and optional jitter override."""
-    if name not in _PRESET_WORKLOADS:
-        raise ConfigurationError(
-            f"unknown preset {name!r}; choose from {PRESET_NAMES}"
-        )
-    w = replace(_PRESET_WORKLOADS[name], seed=seed)
+    w = replace(_preset(name)[0], seed=seed)
     if jitter is not None:
         w = replace(w, jitter=jitter)
     return w
@@ -351,12 +344,8 @@ def preset_workload(
 
 def preset_cluster(name: str) -> SimCluster:
     """The matching 4-vCPU/16-GB flat-priced cluster for a preset workload."""
-    if name not in _PRESET_RESTORE_S:
-        raise ConfigurationError(
-            f"unknown preset {name!r}; choose from {PRESET_NAMES}"
-        )
     return SimCluster(
         shape=VMShape(vcpus=4, memory_gb=16.0),
         pricing=PricingModel.flat(0.13402),
-        restore_overhead_s=_PRESET_RESTORE_S[name],
+        restore_overhead_s=_preset(name)[1],
     )

@@ -89,13 +89,15 @@ def model_from_document(doc: dict, source: str = "<document>") -> StoredModel:
     ):
         if key not in doc:
             raise CorruptDocumentError(f"{source}: missing field {key!r}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if type(doc["schema_version"]) is not int or doc["schema_version"] != SCHEMA_VERSION:
         raise CorruptDocumentError(
             f"{source}: unsupported schema_version {doc['schema_version']!r}"
         )
     if not isinstance(doc["fingerprint"], str) or not doc["fingerprint"]:
         raise CorruptDocumentError(f"{source}: fingerprint must be a non-empty string")
-    if not isinstance(doc["dataset_size"], int) or doc["dataset_size"] < 1:
+    if not isinstance(doc["created_at"], str):
+        raise CorruptDocumentError(f"{source}: created_at must be a string")
+    if type(doc["dataset_size"]) is not int or doc["dataset_size"] < 1:
         raise CorruptDocumentError(f"{source}: dataset_size must be a positive integer")
     if doc["provenance"] not in PROVENANCES:
         raise CorruptDocumentError(
@@ -228,25 +230,14 @@ class ModelStore:
         stored = self.load_all()
         if not stored:
             raise ModelNotFoundError("store is empty; no universal model available")
-        n = len(stored)
 
-        def mean(get) -> float:
-            return ordered_sum(get(s.model) for s in stored) / n
+        def means(part: str, fields: tuple[str, ...]) -> dict[str, float]:
+            fits = [getattr(s.model, part) for s in stored]
+            return {f: ordered_sum(getattr(fit, f) for fit in fits) / len(fits) for f in fields}
 
-        stat = StatFit(
-            noise_slope=mean(lambda m: m.stat.noise_slope),
-            noise_intercept=mean(lambda m: m.stat.noise_intercept),
-            epochs_base=mean(lambda m: m.stat.epochs_base),
-            epochs_slope=mean(lambda m: m.stat.epochs_slope),
-        )
-        parallel = ParallelFit(
-            base_s=mean(lambda m: m.parallel.base_s),
-            per_sample_s=mean(lambda m: m.parallel.per_sample_s),
-            per_worker_s=mean(lambda m: m.parallel.per_worker_s),
-        )
         return PerfModel(
-            stat=stat,
-            parallel=parallel,
+            stat=StatFit(**means("stat", _STAT_FIELDS)),
+            parallel=ParallelFit(**means("parallel", _PARALLEL_FIELDS)),
             dataset_size=dataset_size,
             fingerprint=fingerprint,
             provenance="universal",

@@ -49,10 +49,11 @@ def _number(name: str, value) -> float:
 
 
 def _typed_row(path: Path, lineno: int, row: tuple) -> tuple:
-    """``row`` with an integer ``t``, float norms and float times, or a TraceParseError."""
-    t, norms, *scalars = row
+    """``row`` with integer K, B and ``t``, float norms and float times, or a TraceParseError."""
+    k, b, t, norms, *scalars = row
     try:
-        return (_integer("t", t), [_number("worker_sqnorms value", v) for v in norms],
+        return (_integer("K", k), _integer("B", b), _integer("t", t),
+                [_number("worker_sqnorms value", v) for v in norms],
                 *map(_number, _FLOAT_KEYS, scalars))
     except (ConfigurationError, OverflowError) as exc:
         raise TraceParseError(str(path), lineno, str(exc)) from None
@@ -93,8 +94,8 @@ def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
 
     Lines are parsed one at a time; the columns are type-checked, stacked
     and validated once at the end, and a bad value is reported at the line
-    it came from.  Only a file holding a value that is not a JSON float
-    (a JSON integer norm, say) is converted row by row.
+    it came from.  Only a file holding a value not of its column's JSON
+    type (an integer norm, or a K of 1.0, say) is converted row by row.
     """
     path = Path(path)
     config: JobConfig | None = None
@@ -137,15 +138,18 @@ def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
                     lineno,
                     f"worker_sqnorms must list exactly {config.workers} values",
                 )
-            rows.append((record["t"], norms, record["agg_sqnorm"], record["compute_s"],
+            rows.append((*kb, record["t"], norms, record["agg_sqnorm"], record["compute_s"],
                          record["sync_s"]))
             linenos.append(lineno)
     if config is None:
         raise TraceParseError(str(path), 0, "trace file has no records")
-    iteration, norms, *scalars = columns = list(zip(*rows))
-    if (set(map(type, iteration)) != {int}
+    # K and B too: a later line's 1.0 or true equals the first line's 1.
+    ks, bs, *columns = zip(*rows)
+    iteration, norms, *scalars = columns
+    if (set(map(type, chain(ks, bs, iteration))) != {int}
             or set(map(type, chain(chain.from_iterable(norms), *scalars))) != {float}):
-        columns = list(zip(*(_typed_row(path, lineno, row) for lineno, row in zip(linenos, rows))))
+        typed = (_typed_row(path, lineno, row) for lineno, row in zip(linenos, rows))
+        columns = list(zip(*typed))[2:]
     try:
         return config, SampleBatch(*columns)
     except InvalidSampleError as exc:

@@ -1,10 +1,13 @@
 """Job configurations, pricing, and search grids."""
 
 import math
+import operator
+import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalefit.config import (
@@ -96,6 +99,31 @@ class TestOrderedSum:
     def test_empty_and_negative_zero_totals_are_positive_zero(self):
         assert math.copysign(1.0, ordered_sum([])) == 1.0
         assert math.copysign(1.0, ordered_sum([-0.0, -0.0])) == 1.0
+
+    @pytest.mark.parametrize("form", [list, lambda xs: np.array(xs, dtype=np.float64),
+                                      lambda xs: (x for x in xs)],
+                             ids=["list", "float64_array", "generator"])
+    @settings(max_examples=300)
+    @example(xs=[])
+    @example(xs=[-0.0, -0.0])
+    @example(xs=[5e-324, -0.0, -5e-324, 2.2250738585072014e-308 / 3])
+    @example(xs=[math.inf, 1.0, -math.inf])
+    @example(xs=[math.nan, -0.0])
+    @example(xs=[1.7e308, 1e308, -1e308])
+    @example(xs=[-1.7e308, -1.7e308])
+    @given(xs=st.lists(
+        st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+        | st.floats(1e307, 1.7976931348623157e308).flatmap(lambda x: st.sampled_from([x, -x])),
+        max_size=12,
+    ))
+    def test_matches_a_left_to_right_reduce_bit_for_bit(self, form, xs):
+        want = reduce(operator.add, xs, 0.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = ordered_sum(form(xs))
+        assert caught == []
+        assert type(got) is float
+        assert got.hex() == want.hex()
 
 
 class TestPricing:

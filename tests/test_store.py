@@ -3,7 +3,9 @@
 import json
 import math
 import multiprocessing
-from dataclasses import replace
+import operator
+from dataclasses import asdict, replace
+from functools import reduce
 
 import pytest
 
@@ -265,6 +267,21 @@ class TestValidation:
         with pytest.raises(CorruptDocumentError, match="dataset_size"):
             model_from_document(bad_ds)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("schema_version", True, "unsupported schema_version True"),
+        ("schema_version", 1.0, "unsupported schema_version 1.0"),
+        ("dataset_size", True, "dataset_size must be a positive integer"),
+        ("dataset_size", 50000.0, "dataset_size must be a positive integer"),
+        ("created_at", 5, "created_at must be a string"),
+        ("created_at", None, "created_at must be a string"),
+    ])
+    def test_fields_must_have_their_json_type(self, make_model, field, value, message):
+        # True == 1 and 1.0 == 1, so a value test alone lets these through.
+        doc = dict(model_to_document(make_model(), created_at="t"), **{field: value})
+        with pytest.raises(CorruptDocumentError) as exc_info:
+            model_from_document(doc, source="model.json")
+        assert str(exc_info.value) == f"model.json: {message}"
+
     @pytest.mark.parametrize("entry", [5, None, "../outside.json", "/abs/model.json",
                                        "sub/model.json", "model.txt", "nul\0.json"])
     def test_index_entry_must_name_a_document_in_the_store(self, tmp_path, make_model, entry):
@@ -339,3 +356,20 @@ class TestUniversalAverage:
         s2.save(m2)
         s2.save(m1)
         assert s1.universal_average(100) == s2.universal_average(100)
+
+    def test_each_field_is_a_left_to_right_mean(self, tmp_path, make_model):
+        # A compensated total of 1e16 * j, j, -1e16 * j and 0.1 is j + 0.1; added left
+        # to right from 0.0, j is rounded at 1e16 * j first.
+        fields = ("noise_slope", "noise_intercept", "epochs_base", "epochs_slope",
+                  "base_s", "per_sample_s", "per_worker_s")
+        columns = {f: (1e16 * j, 1.0 * j, -1e16 * j, 0.1) for j, f in enumerate(fields, 1)}
+        store = ModelStore(tmp_path)
+        for i, fingerprint in enumerate("abcd"):  # load_all reads in fingerprint order
+            store.save(make_model(fingerprint=fingerprint,
+                                  **{f: values[i] for f, values in columns.items()}))
+        avg = store.universal_average(dataset_size=1000)
+        got = {**asdict(avg.stat), **asdict(avg.parallel)}
+        for f, values in columns.items():
+            want = reduce(operator.add, values, 0.0) / len(values)
+            assert want != math.fsum(values) / len(values)
+            assert got[f].hex() == want.hex(), f

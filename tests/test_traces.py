@@ -219,6 +219,21 @@ class TestTraceErrors:
             read_trace(path)
         assert str(exc_info.value) == f"{path}:1: {field} must be an integer, got {kind}"
 
+    @pytest.mark.parametrize("line", [2, 3])
+    @pytest.mark.parametrize("field", ["K", "B"])
+    @pytest.mark.parametrize("value,kind", [(1.0, "float"), (True, "bool")])
+    def test_later_k_or_b_equal_to_the_first_is_still_type_checked(self, tmp_path, line,
+                                                                    field, value, kind):
+        # 1.0 == 1 and True == 1, so the value matches the first line's K or B.
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, JobConfig(1, 1), make_samples(1, 3))
+        records = [json.loads(text) for text in path.read_text().splitlines()]
+        records[line - 1][field] = value
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        with pytest.raises(TraceParseError) as exc_info:
+            read_trace(path)
+        assert str(exc_info.value) == f"{path}:{line}: {field} must be an integer, got {kind}"
+
     def test_configuration_past_the_grid_cap_cites_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         write_trace(path, JobConfig(8, 512), make_samples(8, 2))
