@@ -18,12 +18,12 @@ import io
 import json
 import sys
 from collections import defaultdict
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import JobConfig, PricingModel, SearchBounds, VMShape, mini_batch
+from .config import JobConfig, PricingModel, SearchBounds, VMShape
 from .errors import (
     ConfigurationError,
     CorruptDocumentError,
@@ -38,13 +38,7 @@ from .errors import (
     ordered_sum,
 )
 from .noise import normalized_noises
-from .perfmodel import (
-    PerfModel,
-    fit_iteration_time,
-    fit_stat,
-    predict,
-    predict_columns,
-)
+from .perfmodel import GridPrediction, PerfModel, fit_iteration_time, fit_stat, predict_columns
 from .policy import Constraints, Objective, Recommendation, select_rows
 from .scenario import Scenario, _build_workload, load_scenario
 from .search import SearchOutcome, run_search
@@ -324,19 +318,33 @@ _ROW_FIELDS = (
 )
 
 
+def _row_columns(grid: GridPrediction) -> tuple[np.ndarray, ...]:
+    """The columns of the in-domain prediction rows, in ``_ROW_FIELDS`` order."""
+    points = grid.points
+    return (points.workers, points.global_batch, points.global_batch // points.workers,
+            grid.normalized_noise, grid.epochs, grid.iterations, grid.iteration_time_s,
+            points.time_s, points.cost_usd)
+
+
 def cmd_predict(parser: argparse.ArgumentParser, args) -> int:
     model = read_model_file(args.model).model
     pricing, shape = _pricing_from_args(parser, args)
-    rows = []
-    failures = 0
-    for k, b in sorted(args.configs):
+    configs = sorted(args.configs)
+    errors = {}
+    for k, b in configs:
         try:
-            config = JobConfig(k, b)
-            p = predict(model, config, pricing, shape)
-            rows.append(dict(zip(_ROW_FIELDS, (k, b, mini_batch(config), *astuple(p)))))
-        except (ConfigurationError, ModelOutOfDomainError) as exc:
-            failures += 1
-            rows.append({"workers": k, "global_batch": b, "error": str(exc)})
+            JobConfig(k, b)
+        except ConfigurationError as exc:
+            errors[k, b] = str(exc)
+    valid = np.array([c for c in configs if c not in errors], dtype=np.int64).reshape(-1, 2)
+    grid = predict_columns(model, valid[:, 0], valid[:, 1], pricing, shape)
+    errors.update(((c.workers, c.global_batch), reason) for c, reason in grid.skipped)
+    predicted = zip(*(c.tolist() for c in _row_columns(grid)))
+    rows = [
+        {"workers": k, "global_batch": b, "error": errors[k, b]}
+        if (k, b) in errors else dict(zip(_ROW_FIELDS, next(predicted)))
+        for k, b in configs
+    ]
     if args.format == "json":
         _write_output(_dump_json(rows), args.out)
     else:
@@ -350,7 +358,7 @@ def cmd_predict(parser: argparse.ArgumentParser, args) -> int:
                 ]
             )
         _write_output(_csv_table(header, table), args.out)
-    return EXIT_DATA if failures else EXIT_OK
+    return EXIT_DATA if errors else EXIT_OK
 
 
 # ---------------------------------------------------------------- curves
@@ -374,17 +382,7 @@ def cmd_curves(parser: argparse.ArgumentParser, args) -> int:
         raise EmptyInputError("no configuration in bounds was predictable")
     knees, kneedle = knee_rows(points, points.global_batch)
     frontier = pareto_rows(points)
-    columns = (
-        points.workers,
-        points.global_batch,
-        points.global_batch // points.workers,
-        grid.normalized_noise,
-        grid.epochs,
-        grid.iterations,
-        grid.iteration_time_s,
-        points.time_s,
-        points.cost_usd,
-    )
+    columns = _row_columns(grid)
     if args.format == "json":
         rows = [dict(zip(_ROW_FIELDS, row)) for row in zip(*(c.tolist() for c in columns))]
         starts = np.flatnonzero(np.diff(points.global_batch, prepend=0)).tolist()

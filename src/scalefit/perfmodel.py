@@ -19,19 +19,12 @@ from __future__ import annotations
 import math
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import (
-    JobConfig,
-    PricingModel,
-    VMShape,
-    mini_batch,
-    run_cost_usd,
-    vm_hourly_price,
-)
+from .config import JobConfig, PricingModel, VMShape, vm_hourly_price
 from .errors import DegenerateFitError, ModelOutOfDomainError, check, ordered_sum
 from .tradeoff import PointColumns
 
@@ -70,9 +63,6 @@ class StatFit:
 
     def predicted_noise(self, global_batch: int) -> float:
         return self.noise_slope * global_batch**-0.5 + self.noise_intercept
-
-    def predicted_epochs(self, normalized_noise: float) -> float:
-        return self.epochs_base + self.epochs_slope * normalized_noise
 
 
 @dataclass(frozen=True)
@@ -297,60 +287,29 @@ def fit_stat(
     return StatFit(slope, intercept, base, epochs_slope)
 
 
-def predict(
-    model: PerfModel,
-    config: JobConfig,
-    pricing: PricingModel,
-    shape: VMShape,
-) -> Prediction:
-    """Run the full chain: noise -> epochs -> iterations -> time -> cost."""
-    noise = model.stat.predicted_noise(config.global_batch)
-    if noise <= 0:
-        raise ModelOutOfDomainError(
-            f"predicted noise {noise:.6g} is not positive at B={config.global_batch}"
-        )
-    epochs = model.stat.predicted_epochs(noise)
-    if epochs <= 0:
-        raise ModelOutOfDomainError(
-            f"predicted epochs {epochs:.6g} is not positive at B={config.global_batch}"
-        )
-    iterations = epochs * model.dataset_size / config.global_batch
-    tau = model.parallel.predicted_iteration_time(config.workers, mini_batch(config))
-    if tau <= 0:
-        raise ModelOutOfDomainError(
-            f"predicted iteration time {tau:.6g} s is not positive at "
-            f"K={config.workers}, B={config.global_batch}"
-        )
-    total_time = iterations * tau
-    cost = run_cost_usd(pricing, shape, config.workers, total_time)
-    # Positive factors can still underflow the product to 0 or overflow it.
-    if not (math.isfinite(total_time) and total_time > 0):
-        raise ModelOutOfDomainError(
-            f"predicted total time {total_time:.6g} s is not finite and positive "
-            f"at K={config.workers}, B={config.global_batch}"
-        )
-    if not math.isfinite(cost):
-        raise ModelOutOfDomainError(
-            f"predicted cost {cost:.6g} USD is not finite "
-            f"at K={config.workers}, B={config.global_batch}"
-        )
-    return Prediction(
-        normalized_noise=noise,
-        epochs=epochs,
-        iterations=iterations,
-        iteration_time_s=tau,
-        total_time_s=total_time,
-        cost_usd=cost,
-    )
+# The chain's domain tests, in the order they run: a dropped row's code is
+# the index of the first it fails, and its message the entry at that index.
+_REASONS = (
+    "predicted noise {:.6g} is not positive at B={b}",
+    "predicted epochs {:.6g} is not positive at B={b}",
+    "predicted iteration time {:.6g} s is not positive at K={k}, B={b}",
+    "predicted total time {:.6g} s is not finite and positive at K={k}, B={b}",
+    "predicted cost {:.6g} USD is not finite at K={k}, B={b}",
+)
+
+
+def _reason(code: int, k: int, b: int, *values: float) -> str:
+    """The message of row (k, b), from its code and its noise, epochs, tau, total and cost."""
+    return _REASONS[code].format(values[code], k=k, b=b)
 
 
 @dataclass(frozen=True)
 class GridPrediction:
-    """:func:`predict` over many configurations, as columns.
+    """The prediction chain over many configurations, as columns.
 
     Every column holds the in-domain configurations, in input order.
-    ``skipped`` lists (config, reason) for the rest, in input order, with
-    :func:`predict`'s message.
+    ``skipped`` lists (config, reason) for the rest, in input order, each
+    with the message of the first domain test it fails.
     """
 
     points: PointColumns
@@ -359,6 +318,51 @@ class GridPrediction:
     iterations: np.ndarray
     iteration_time_s: np.ndarray
     skipped: list[tuple[JobConfig, str]]
+
+
+def _chain(
+    model: PerfModel,
+    workers: Sequence[int] | np.ndarray,
+    global_batch: Sequence[int] | np.ndarray,
+    noise: Sequence[float] | np.ndarray,
+    tau: Sequence[float] | np.ndarray,
+    pricing: PricingModel,
+    shape: VMShape,
+) -> tuple[GridPrediction, np.ndarray]:
+    """The one copy of the chain past noise and tau, and of its five domain tests.
+
+    epochs -> iterations -> time -> cost, on columns taken as int64 and
+    float64 arrays, each (workers, global_batch) row a valid
+    :class:`JobConfig`.  Returns the in-domain rows, every other row in
+    ``skipped``, and the mask of those other rows.  Codes and messages are
+    worked out over the dropped rows only.
+    """
+    workers, global_batch = np.asarray(workers, np.int64), np.asarray(global_batch, np.int64)
+    noise, tau = np.asarray(noise, float), np.asarray(tau, float)
+    stat = model.stat
+    with np.errstate(all="ignore"):
+        epochs = stat.epochs_base + stat.epochs_slope * noise
+        iterations = epochs * float(model.dataset_size) / global_batch
+        total = iterations * tau
+        cost = total / 3600.0 * (workers * vm_hourly_price(pricing, shape))
+        # In _REASONS' order.  NaN passes the ``<= 0`` tests and fails at the
+        # total, as does a product of positive factors that under- or overflows.
+        failed = (noise <= 0, epochs <= 0, tau <= 0,
+                  ~(np.isfinite(total) & (total > 0)), ~np.isfinite(cost))
+    bad = failed[0] | failed[1] | failed[2] | failed[3] | failed[4]
+    ok = ~bad
+    rows = np.flatnonzero(bad)
+    codes = np.argmax([f[rows] for f in failed], axis=0)  # every dropped row fails one
+    values = (c[rows].tolist() for c in (workers, global_batch, noise, epochs, tau, total, cost))
+    return GridPrediction(
+        points=PointColumns(workers[ok], global_batch[ok], total[ok], cost[ok]),
+        normalized_noise=noise[ok],
+        epochs=epochs[ok],
+        iterations=iterations[ok],
+        iteration_time_s=tau[ok],
+        skipped=[(JobConfig(k, b), _reason(code, k, b, *rest))
+                 for code, k, b, *rest in zip(codes.tolist(), *values)],
+    ), bad
 
 
 def chain_columns(
@@ -372,31 +376,12 @@ def chain_columns(
 ) -> tuple[GridPrediction, np.ndarray]:
     """The chain from given noise and iteration-time columns: epochs -> iterations -> time -> cost.
 
-    The one copy of :func:`predict`'s arithmetic past noise and tau, in its
-    order of IEEE operations, on columns taken as int64 and float64 arrays.
-    Returns the in-domain rows, with no ``skipped`` entries, and the mask of
-    the rows outside :func:`predict`'s domain.
+    Search's measured rows take this path, and search drops the rows outside
+    the chain's domain without a note.  Returns the in-domain rows, with no
+    ``skipped`` entries, and the mask of the rest.
     """
-    workers, global_batch = np.asarray(workers, np.int64), np.asarray(global_batch, np.int64)
-    noise, tau = np.asarray(noise, float), np.asarray(tau, float)
-    stat = model.stat
-    with np.errstate(all="ignore"):
-        epochs = stat.epochs_base + stat.epochs_slope * noise
-        iterations = epochs * float(model.dataset_size) / global_batch
-        total = iterations * tau
-        cost = total / 3600.0 * (workers * vm_hourly_price(pricing, shape))
-        # NaN passes the ``<= 0`` tests, as in predict, and fails at the total.
-        bad = (noise <= 0) | (epochs <= 0) | (tau <= 0)
-        bad |= ~(np.isfinite(total) & (total > 0)) | ~np.isfinite(cost)
-    ok = ~bad
-    return GridPrediction(
-        points=PointColumns(workers[ok], global_batch[ok], total[ok], cost[ok]),
-        normalized_noise=noise[ok],
-        epochs=epochs[ok],
-        iterations=iterations[ok],
-        iteration_time_s=tau[ok],
-        skipped=[],
-    ), bad
+    grid, bad = _chain(model, workers, global_batch, noise, tau, pricing, shape)
+    return replace(grid, skipped=[]), bad
 
 
 def predict_columns(
@@ -406,12 +391,11 @@ def predict_columns(
     pricing: PricingModel,
     shape: VMShape,
 ) -> GridPrediction:
-    """Run :func:`predict` on int64 (workers, global_batch) columns.
+    """The full chain on int64 (workers, global_batch) columns: noise -> ... -> cost.
 
-    Bit for bit the scalar chain: ``B**-0.5`` is taken in Python once per
-    distinct batch (``np.power`` rounds differently), and every other step
-    is the same IEEE operation in the same order.  The domain mask applies
-    the scalar tests; out-of-domain rows get their reason from :func:`predict`.
+    ``B**-0.5`` is taken in Python once per distinct batch (``np.power``
+    rounds differently), so every row's value is the scalar arithmetic's, one
+    IEEE operation at a time.  Out-of-domain rows go to ``skipped``.
     """
     stat, par = model.stat, model.parallel
     distinct, inverse = np.unique(global_batch, return_inverse=True)
@@ -421,11 +405,25 @@ def predict_columns(
         tau = (par.base_s + par.per_sample_s * (global_batch // workers)) + (
             par.per_worker_s * workers
         )
-    grid, bad = chain_columns(model, workers, global_batch, noise, tau, pricing, shape)
-    for i in np.flatnonzero(bad).tolist():
-        config = JobConfig(int(workers[i]), int(global_batch[i]))
-        try:
-            predict(model, config, pricing, shape)
-        except ModelOutOfDomainError as exc:
-            grid.skipped.append((config, str(exc)))
-    return grid
+    return _chain(model, workers, global_batch, noise, tau, pricing, shape)[0]
+
+
+def predict(
+    model: PerfModel,
+    config: JobConfig,
+    pricing: PricingModel,
+    shape: VMShape,
+) -> Prediction:
+    """Run the full chain: noise -> epochs -> iterations -> time -> cost.
+
+    :func:`predict_columns` on one row: raises :class:`ModelOutOfDomainError`
+    with the row's reason, or returns its values.
+    """
+    grid = predict_columns(model, np.array([config.workers], np.int64),
+                           np.array([config.global_batch], np.int64), pricing, shape)
+    if grid.skipped:
+        raise ModelOutOfDomainError(grid.skipped[0][1])
+    return Prediction(*(float(c[0]) for c in (
+        grid.normalized_noise, grid.epochs, grid.iterations, grid.iteration_time_s,
+        grid.points.time_s, grid.points.cost_usd,
+    )))

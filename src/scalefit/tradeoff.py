@@ -245,9 +245,10 @@ def _curve_knees(curve: PointColumns, starts: np.ndarray) -> tuple[np.ndarray, n
         picks = np.minimum.reduceat(np.where(at_top, np.arange(len(d)), len(d)), starts)
         if not kneedle.all():
             # Fallback: smallest cost-time product, ties toward time, cost,
-            # workers, batch.
-            fallback = curve.order(seg, t * c)[starts]
-            picks = np.where(kneedle, picks, fallback)
+            # workers, batch.  Only the fallback curves' rows are ordered.
+            rows = (~kneedle)[seg].nonzero()[0]
+            order = curve.take(rows).order(seg[rows], t[rows] * c[rows])
+            picks[~kneedle] = rows[order[_run_starts(seg[rows])]]
     return picks, kneedle
 
 

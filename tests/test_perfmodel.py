@@ -1,5 +1,6 @@
 """Performance model: statistical and parallel fits plus prediction chains."""
 
+import json
 import math
 from dataclasses import fields
 
@@ -8,13 +9,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape, run_cost_usd
+from scalefit.config import (
+    JobConfig,
+    PricingModel,
+    SearchBounds,
+    VMShape,
+    mini_batch,
+    run_cost_usd,
+)
 from scalefit.errors import DegenerateFitError, ModelOutOfDomainError
 from scalefit.perfmodel import (
     ParallelFit,
     PerfModel,
     Prediction,
     StatFit,
+    _chain,
     average_over_workers,
     chain_columns,
     fit_epochs_vs_noise,
@@ -26,6 +35,7 @@ from scalefit.perfmodel import (
     predict,
     predict_columns,
 )
+from scalefit.store import write_model_file
 
 
 class TestNoiseFit:
@@ -70,7 +80,7 @@ class TestEpochsFit:
         assert base == pytest.approx(10.0)
         assert slope == pytest.approx(50.0)
         fit = StatFit(1.0, 0.0, base, slope)
-        assert fit.predicted_epochs(3.0) == pytest.approx(160.0)
+        assert fit.epochs_base + fit.epochs_slope * 3.0 == pytest.approx(160.0)
 
     def test_degenerate_identical_noise(self):
         with pytest.raises(DegenerateFitError, match="no variation in noise"):
@@ -325,7 +335,8 @@ class TestFitStat:
         stat = fit_stat({(4, 256): 3e-200, (4, 1024): 1.5e-200}, [(256, 60.0), (1024, 50.0)])
         assert stat.noise_slope == pytest.approx(4.8e-199, rel=1e-12)
         for b, epochs in [(256, 60.0), (1024, 50.0)]:
-            assert stat.predicted_epochs(stat.predicted_noise(b)) == pytest.approx(epochs)
+            noise = stat.predicted_noise(b)
+            assert stat.epochs_base + stat.epochs_slope * noise == pytest.approx(epochs)
 
     def test_anchors_sharing_one_batch_on_a_sloped_curve_are_degenerate(self):
         with pytest.raises(DegenerateFitError, match="no variation in noise"):
@@ -362,7 +373,7 @@ class TestFitStat:
         queries = [b for b, _ in anchors] + data.draw(st.lists(st.integers(lo, hi), max_size=4))
         scale = max(e for _, e in anchors)
         for b in queries:
-            e1, e2 = (f.predicted_epochs(f.predicted_noise(b)) for f in fits)
+            e1, e2 = (f.epochs_base + f.epochs_slope * f.predicted_noise(b) for f in fits)
             assert abs(e1 - e2) <= 1e-10 * scale
 
 
@@ -522,7 +533,7 @@ class TestPredictGrid:
         grid, bad = chain_columns(model, *columns, pricing, shape)
         want = []
         for k, m, n, t in rows:
-            epochs = model.stat.predicted_epochs(n)
+            epochs = model.stat.epochs_base + model.stat.epochs_slope * n
             total = epochs * model.dataset_size / (k * m) * t
             cost = run_cost_usd(pricing, shape, k, total)
             if n > 0 and epochs > 0 and t > 0 and 0 < total < math.inf and math.isfinite(cost):
@@ -553,6 +564,174 @@ class TestPredictGrid:
         reasons = " ".join(reason for _, reason in grid.skipped)
         for word in ("predicted noise", "predicted epochs", "predicted iteration time"):
             assert word in reasons
+
+
+def _reference_predict(model, config, pricing, shape) -> Prediction:
+    """The scalar chain ``predict`` ran before it became one row of ``predict_columns``.
+
+    Its arithmetic, test order and messages, verbatim; the model methods it
+    called are written out, in the same IEEE operations.
+    """
+    stat, par = model.stat, model.parallel
+    noise = stat.noise_slope * config.global_batch**-0.5 + stat.noise_intercept
+    if noise <= 0:
+        raise ModelOutOfDomainError(
+            f"predicted noise {noise:.6g} is not positive at B={config.global_batch}"
+        )
+    epochs = stat.epochs_base + stat.epochs_slope * noise
+    if epochs <= 0:
+        raise ModelOutOfDomainError(
+            f"predicted epochs {epochs:.6g} is not positive at B={config.global_batch}"
+        )
+    iterations = epochs * model.dataset_size / config.global_batch
+    tau = par.base_s + par.per_sample_s * mini_batch(config) + par.per_worker_s * config.workers
+    if tau <= 0:
+        raise ModelOutOfDomainError(
+            f"predicted iteration time {tau:.6g} s is not positive at "
+            f"K={config.workers}, B={config.global_batch}"
+        )
+    total_time = iterations * tau
+    cost = run_cost_usd(pricing, shape, config.workers, total_time)
+    # Positive factors can still underflow the product to 0 or overflow it.
+    if not (math.isfinite(total_time) and total_time > 0):
+        raise ModelOutOfDomainError(
+            f"predicted total time {total_time:.6g} s is not finite and positive "
+            f"at K={config.workers}, B={config.global_batch}"
+        )
+    if not math.isfinite(cost):
+        raise ModelOutOfDomainError(
+            f"predicted cost {cost:.6g} USD is not finite "
+            f"at K={config.workers}, B={config.global_batch}"
+        )
+    return Prediction(
+        normalized_noise=noise,
+        epochs=epochs,
+        iterations=iterations,
+        iteration_time_s=tau,
+        total_time_s=total_time,
+        cost_usd=cost,
+    )
+
+
+def _assert_matches_reference(model, configs, pricing, shape) -> None:
+    """``predict_columns`` over ``configs`` and ``predict`` on each, bit for bit the reference."""
+    want = []  # each config's reference Prediction or message
+    for config in configs:
+        try:
+            want.append(_reference_predict(model, config, pricing, shape))
+        except ModelOutOfDomainError as exc:
+            want.append(str(exc))
+    kept = [(c, p) for c, p in zip(configs, want) if isinstance(p, Prediction)]
+    grid = predict_columns(model, *_columns(configs), pricing, shape)
+    assert list(zip(grid.points.workers.tolist(), grid.points.global_batch.tolist())) == [
+        (c.workers, c.global_batch) for c, _ in kept
+    ]
+    assert [_bits(p) for p in _predictions(grid)] == [_bits(p) for _, p in kept]
+    assert grid.skipped == [(c, m) for c, m in zip(configs, want) if isinstance(m, str)]
+    for config, expected in zip(configs, want):
+        try:
+            got = _bits(predict(model, config, pricing, shape))
+        except ModelOutOfDomainError as exc:
+            got = str(exc)
+        assert got == (expected if isinstance(expected, str) else _bits(expected))
+
+
+class TestScalarReference:
+    @settings(max_examples=200)
+    @given(
+        model=models,
+        pricing=pricings,
+        picks=st.lists(st.integers(0, len(GRID.valid_configs()) - 1), max_size=40),
+    )
+    def test_grid_models(self, model, pricing, picks):
+        valid = GRID.valid_configs()
+        _assert_matches_reference(model, [valid[i] for i in picks], pricing, VMShape(4, 16.0))
+
+    @settings(max_examples=300)
+    @given(
+        model=extreme_models,
+        pricing=extreme_pricings,
+        shape=st.builds(VMShape, st.integers(1, 64), st.floats(0.5, 1e300)),
+        pairs=st.lists(
+            st.tuples(st.integers(1, 2**20), st.integers(1, 2**28)), min_size=1, max_size=30
+        ),
+    )
+    def test_extreme_models(self, model, pricing, shape, pairs):
+        _assert_matches_reference(model, [JobConfig(k, k * m) for k, m in pairs], pricing, shape)
+
+
+# One model per domain test, each failing only that test at its configuration
+# (flat price 0.13402 per VM-hour unless given), and the exact message.
+REASON_CASES = {
+    "noise": (dict(noise_slope=-48.0), (8, 512), None,
+              "predicted noise -2.12132 is not positive at B=512"),
+    "epochs": (dict(epochs_base=-500.0), (8, 512), None,
+               "predicted epochs -393.934 is not positive at B=512"),
+    "iteration-time": (dict(base_s=-5.0), (8, 512), None,
+                       "predicted iteration time -4.536 s is not positive at K=8, B=512"),
+    "total-time": (dict(base_s=5e-324, per_sample_s=0.0, per_worker_s=0.0,
+                        epochs_base=1e-300, epochs_slope=0.0), (1, 1), None,
+                   "predicted total time 0 s is not finite and positive at K=1, B=1"),
+    "cost": (dict(), (8, 512), 1e308,
+             "predicted cost inf USD is not finite at K=8, B=512"),
+    # Every test but the total's fails: the first in order is reported.
+    "several": (dict(noise_slope=-48.0, epochs_base=-500.0, base_s=-5.0), (8, 512), None,
+                "predicted noise -2.12132 is not positive at B=512"),
+    "epochs-and-tau": (dict(epochs_base=-500.0, base_s=-5.0), (8, 512), None,
+                       "predicted epochs -393.934 is not positive at B=512"),
+    # per_sample_s * mini_batch is +inf and per_worker_s * K is -inf: a NaN
+    # iteration time passes ``tau <= 0`` and fails at the total.
+    "nan-iteration-time": (
+        dict(noise_slope=0.0, noise_intercept=1.0, epochs_base=1.0, epochs_slope=0.0,
+             base_s=0.0, per_sample_s=1e300, per_worker_s=-1e305, dataset_size=1),
+        (2**20, 2**48), None,
+        "predicted total time nan s is not finite and positive at K=1048576, B=281474976710656",
+    ),
+}
+
+
+class TestReasons:
+    @pytest.mark.parametrize("case", list(REASON_CASES))
+    def test_message_in_columns_scalar_and_cli(self, case, make_model, run_cli, tmp_path):
+        coefficients, (k, b), price, message = REASON_CASES[case]
+        model = make_model(**coefficients)
+        pricing, shape = PricingModel.flat(price or 0.13402), VMShape(4, 16.0)
+        config = JobConfig(k, b)
+        grid = predict_columns(model, *_columns([config]), pricing, shape)
+        assert grid.skipped == [(config, message)] and len(grid.points) == 0
+        with pytest.raises(ModelOutOfDomainError) as exc_info:
+            predict(model, config, pricing, shape)
+        assert str(exc_info.value) == message
+        path = tmp_path / "model.json"
+        write_model_file(path, model)
+        flags = ["--price-flat", repr(price)] if price else []
+        code, out, err = run_cli("predict", "--model", str(path), f"{k}x{b}", *flags)
+        assert (code, err) == (5, "")
+        assert json.loads(out) == [{"workers": k, "global_batch": b, "error": message}]
+
+    def test_cli_rows_keep_their_order(self, make_model, run_cli, tmp_path):
+        # Invalid, out-of-domain and in-domain rows, in sorted (K, B) order.
+        path = tmp_path / "model.json"
+        write_model_file(path, make_model(base_s=-0.5))
+        code, out, _ = run_cli("predict", "--model", str(path), "16x1024", "8x512", "7x512")
+        rows = json.loads(out)
+        assert code == 5 and [(r["workers"], r["global_batch"]) for r in rows] == [
+            (7, 512), (8, 512), (16, 1024),
+        ]
+        assert rows[0]["error"] == "global_batch 512 is not divisible by workers 7"
+        assert rows[1]["error"] == (
+            "predicted iteration time -0.036 s is not positive at K=8, B=512"
+        )
+        assert "error" not in rows[2] and rows[2]["iteration_time_s"] > 0
+
+    def test_nan_noise_is_reported_at_the_total(self, make_model):
+        # The fitted laws never give NaN noise; a given noise column can.
+        grid, bad = _chain(make_model(), [8], [512], [math.nan], [0.664],
+                           PricingModel.flat(0.13402), VMShape(4, 16.0))
+        assert bad.tolist() == [True] and grid.skipped == [(
+            JobConfig(8, 512),
+            "predicted total time nan s is not finite and positive at K=8, B=512",
+        )]
 
 
 class TestFlags:

@@ -203,7 +203,7 @@ class TestPartialSearch:
         outcome = partial_search(env, GRID, SearchParams(), Objective.min_cost_time())
         stat = outcome.model.stat
         for b in (384, 1024):
-            predicted = stat.predicted_epochs(stat.predicted_noise(b))
+            predicted = stat.epochs_base + stat.epochs_slope * stat.predicted_noise(b)
             assert predicted == pytest.approx(env.workload.true_epochs(b), rel=1e-12)
 
     def test_measured_noise_close_to_truth(self):
