@@ -1,8 +1,9 @@
 """Job configurations, VM shapes, cluster pricing, and search bounds.
 
 Conventions used throughout the package: prices are $/hour, durations are
-seconds, batch sizes are samples.  Seconds are converted to hours exactly
-once, in :func:`run_cost_usd`.
+seconds, batch sizes are samples.  Seconds become hours in two places, with
+one operation order, ``duration / 3600.0 * (workers * price)``:
+:func:`run_cost_usd` and ``perfmodel._chain``, which prices prediction columns.
 """
 
 from __future__ import annotations

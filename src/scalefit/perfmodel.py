@@ -8,10 +8,12 @@ Three small regressions carry the whole prediction chain:
 
 Every fit goes through one least-squares kernel, :func:`_lstsq`: it centres
 each predictor column, divides it by its largest deviation and solves the
-normal equations of the scaled columns once.  A column that does not vary
-gets coefficient 0.  There is no iterative optimizer anywhere, so two exact
-points reproduce a line and three non-collinear points reproduce a plane
-to rounding.
+normal equations of the one or two scaled columns in closed form, with every
+sum added left to right, so no BLAS or LAPACK kernel reaches a coefficient.
+A column that does not vary gets coefficient 0, and two columns whose Gram
+determinant is zero up to rounding are collinear.  There is no iterative
+optimizer anywhere, so two exact points reproduce a line and three
+non-collinear points reproduce a plane to rounding.
 """
 
 from __future__ import annotations
@@ -115,34 +117,41 @@ class Prediction:
 def _lstsq(columns: Sequence[Sequence[float]], y: Sequence[float]) -> tuple[float, list[float]]:
     """Least-squares intercept and slopes of ``y`` on the predictor ``columns``.
 
-    Each column is centred and divided by its largest deviation before the
-    one solve, so its entries lie in [-1, 1] whatever its spread, and spreads
-    far below 1e-154 square without underflow.  A column that does not vary
-    gets slope 0, so with no varying column the intercept is the mean of
-    ``y``.  Varying columns that are linearly dependent raise
-    :class:`DegenerateFitError`, worded for the timing plane, the only fit
-    with two columns.
-    Values past the float range give inf or NaN coefficients quietly; the
-    fit's dataclass rejects them, naming the coefficient.
+    Each column is centred and divided by its largest deviation, so its
+    entries lie in [-1, 1] whatever its spread, and spreads far below 1e-154
+    square without underflow.  A column that does not vary gets slope 0.
+    The normal equations are solved in closed form, every sum added left to
+    right by :func:`ordered_sum`: one varying column is a division, two are
+    Cramer's rule on their Gram matrix ``g``, more raise ``ValueError``.
+    Two columns with ``g00*g11 - g01**2 <= 16 * n * 2**-52 * g00 * g11`` over
+    ``n`` points (a determinant zero up to rounding) are collinear and raise
+    :class:`DegenerateFitError`, worded for the timing plane.  Values past the
+    float range give inf or NaN coefficients quietly; the dataclass rejects them.
     """
     x = np.array(columns, dtype=float)
     ys = np.asarray(y, dtype=float)
-    slopes = np.zeros(len(x))
+    n, slopes = len(ys), np.zeros(len(x))
     with np.errstate(all="ignore"):
-        vary = x.min(axis=1) != x.max(axis=1)  # NaN varies, so it reaches the fit
-        xbar = x[vary].mean(axis=1)
-        dev = x[vary] - xbar[:, None]
-        scale = np.abs(dev).max(axis=1)
-        z = dev / scale[:, None]
-        # One varying column is full rank by construction.
-        if len(z) >= 2 and np.linalg.matrix_rank(z) < len(z):
-            raise DegenerateFitError(
-                "timing points are collinear in the (mini_batch, workers) plane"
-            )
-        ybar = ys.mean()
-        slopes[vary] = np.linalg.solve(z @ z.T, z @ (ys - ybar)) / scale
-        intercept = ybar - slopes[vary] @ xbar
-    return float(intercept), slopes.tolist()
+        vary = np.flatnonzero(x.min(axis=1) != x.max(axis=1))  # NaN varies, so it reaches the fit
+        if len(vary) > 2:
+            raise ValueError(f"at most 2 predictor columns may vary, got {len(vary)}")
+        xbar = [ordered_sum(x[i]) / n for i in vary]
+        scale = [float(np.abs(x[i] - m).max()) for i, m in zip(vary, xbar)]
+        z = [(x[i] - m) / s for i, m, s in zip(vary, xbar, scale)]
+        ybar = ordered_sum(ys) / n
+        r = [ordered_sum(zi * (ys - ybar)) for zi in z]
+        g = [[ordered_sum(zi * zj) for zj in z] for zi in z]
+        if len(z) == 2:
+            (g00, g01), (_, g11) = g
+            det = g00 * g11 - g01 * g01
+            if det <= 16 * n * 2**-52 * g00 * g11:  # NaN is not <=, so it reaches the fit
+                raise DegenerateFitError("timing points are collinear in the "
+                                         "(mini_batch, workers) plane")
+            r = [(g11 * r[0] - g01 * r[1]) / det, (g00 * r[1] - g01 * r[0]) / det]
+        elif z:
+            r = [r[0] / g[0][0]]
+        slopes[vary] = np.divide(r, scale)
+        return ybar - ordered_sum(slopes[vary] * xbar), slopes.tolist()
 
 
 def fit_noise_vs_batch(points: Sequence[tuple[int, float]]) -> tuple[float, float]:

@@ -163,7 +163,7 @@ class SimEnvironment:
     ) -> SampleBatch:
         """Synthesize ``iters`` per-iteration samples starting at ``start_iteration``.
 
-        The raw noise target ramps as ``1 - exp(-t / ramp_iters)`` toward
+        The raw noise target ramps as ``1 - math.exp(-t / ramp_iters)`` toward
         ``workers * true_normalized_noise(B)``, and every worker's squared
         norm is that target; compute and sync times split the plane with
         half the base each.  The three jitter independently, each by its own
@@ -176,7 +176,7 @@ class SimEnvironment:
         w = self.workload
         b = mini_batch(config)
         t_idx = start_iteration + np.arange(iters, dtype=float)
-        ramp = 1.0 - np.exp(-t_idx / w.ramp_iters)
+        ramp = 1.0 - np.fromiter(map(math.exp, (-t_idx / w.ramp_iters).tolist()), float, iters)
         self._last = _EMPTY  # frees the previous draw before this one is made
         self._last = self._draw(3 * iters)
         # Scaled into a new array: the draw itself stays raw, so it can be given back.

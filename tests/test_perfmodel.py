@@ -24,6 +24,7 @@ from scalefit.perfmodel import (
     Prediction,
     StatFit,
     _chain,
+    _lstsq,
     average_over_workers,
     chain_columns,
     fit_epochs_vs_noise,
@@ -273,6 +274,87 @@ class TestLeastSquaresReference:
         _assert_close_to_reference(intercept, [slope], [x], noise, reference)
 
 
+def _sum_left_to_right(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _closed_form(columns: list[list[float]], y: list[float]):
+    """``_lstsq`` written out in plain Python floats, every sum added left to right.
+
+    Returns ``det / (g00 * g11)`` of two varying columns (else None) and the
+    (intercept, slopes) fit, None where the determinant is within the
+    collinearity tolerance.
+    """
+    n = len(y)
+    ybar = _sum_left_to_right(y) / n
+    vary = [i for i, c in enumerate(columns) if min(c) != max(c)]
+    xbar = {i: _sum_left_to_right(columns[i]) / n for i in vary}
+    scale = {i: max(abs(v - xbar[i]) for v in columns[i]) for i in vary}
+    z = [[(v - xbar[i]) / scale[i] for v in columns[i]] for i in vary]
+    r = [_sum_left_to_right(a * (b - ybar) for a, b in zip(zi, y)) for zi in z]
+    g = [[_sum_left_to_right(a * b for a, b in zip(zi, zj)) for zj in z] for zi in z]
+    ratio = None
+    if len(z) == 2:
+        det = g[0][0] * g[1][1] - g[0][1] * g[0][1]
+        ratio = det / (g[0][0] * g[1][1])
+        if det <= 16 * n * 2**-52 * g[0][0] * g[1][1]:
+            return ratio, None
+        solved = [(g[1][1] * r[0] - g[0][1] * r[1]) / det,
+                  (g[0][0] * r[1] - g[0][1] * r[0]) / det]
+    else:
+        solved = [rk / g[0][0] for rk in r]
+    slopes = [0.0] * len(columns)
+    for i, s in zip(vary, solved):
+        slopes[i] = s / scale[i]
+    return ratio, (ybar - _sum_left_to_right(slopes[i] * xbar[i] for i in vary), slopes)
+
+
+moderate = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+class TestClosedForm:
+    """``_lstsq`` against its closed form in plain Python floats, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_plain_python_closed_form(self, data):
+        n = data.draw(st.integers(1, 8))
+        column = st.lists(moderate, min_size=n, max_size=n) | moderate.map(lambda v: [v] * n)
+        columns = [data.draw(column) for _ in range(data.draw(st.integers(1, 2)))]
+        y = data.draw(st.lists(moderate, min_size=n, max_size=n))
+        _, want = _closed_form(columns, y)
+        if want is None:
+            with pytest.raises(DegenerateFitError, match="collinear"):
+                _lstsq(columns, y)
+        else:
+            intercept, slopes = _lstsq(columns, y)
+            assert [v.hex() for v in (intercept, *slopes)] == [v.hex() for v in (want[0], *want[1])]
+
+    # Mini-batches 1..4 against workers 1..4 with the last bumped:
+    # det / (g00 * g11) is about 0.06 * bump**2, against a tolerance of
+    # 16 * 4 * 2**-52 = 1.42e-14 for four points.
+    @pytest.mark.parametrize("bump,collinear", [(4.4e-7, True), (5.4e-7, False)])
+    def test_collinearity_tolerance(self, bump, collinear):
+        columns, taus = [[1.0, 2.0, 3.0, 4.0 + bump], [1.0, 2.0, 3.0, 4.0]], [0.5, 0.6, 0.8, 0.9]
+        tol = 16 * 4 * 2**-52
+        ratio, want = _closed_form(columns, taus)
+        if collinear:
+            assert 0.75 * tol < ratio < tol and want is None
+            with pytest.raises(DegenerateFitError, match="collinear"):
+                _lstsq(columns, taus)
+        else:
+            assert tol < ratio < 1.25 * tol
+            assert _lstsq(columns, taus) == want
+
+    def test_three_varying_columns_raise(self):
+        with pytest.raises(ValueError, match="at most 2 predictor columns may vary, got 3"):
+            _lstsq([[1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0], [1.0, 1.0, 2.0, 3.0]],
+                   [1.0, 2.0, 3.0, 4.0])
+
+
 class TestAverageOverWorkers:
     def test_unweighted_mean(self):
         fits = [(8, 40.0, 0.1), (16, 56.0, 0.3)]
@@ -483,7 +565,7 @@ class TestPredictGrid:
     # per_sample_s * mini_batch overflows to +inf and per_worker_s * K to -inf,
     # so the iteration time is inf - inf = NaN.
     @example(
-        model=PerfModel(StatFit(0.0, 1.0, 1.0, 0.0), ParallelFit(0.0, 1e300, -1e300),
+        model=PerfModel(StatFit(0.0, 1.0, 1.0, 0.0), ParallelFit(0.0, 1e300, -1e305),
                         1, "hyp", "full_search"),
         pricing=PricingModel.flat(1.0),
         shape=VMShape(4, 16.0),

@@ -168,7 +168,8 @@ class TestProfile:
             t = start + np.arange(30, dtype=float)
             noise_jit, compute_jit, sync_jit = (w.jitter * rng.standard_normal(3 * 30)
                                                 .reshape(30, 3)).T
-            gamma = workers * w.true_normalized_noise(96) * (1.0 - np.exp(-t / w.ramp_iters))
+            ramp = 1.0 - np.array([math.exp(v) for v in (-t / w.ramp_iters).tolist()])
+            gamma = workers * w.true_normalized_noise(96) * ramp
             gamma = np.clip(gamma * (1.0 + noise_jit), 0.0, None)
             expected = SampleBatch(
                 t.astype(np.int64),
