@@ -364,9 +364,13 @@ def cmd_predict(parser: argparse.ArgumentParser, args) -> int:
 # ---------------------------------------------------------------- curves
 
 
-# One curves CSV row: no field can hold a delimiter or quote, so nothing is
-# quoted, as csv.writer would also leave it.
-_CURVES_CSV_ROW = ",".join(["%d"] * 3 + ["%.6g"] * 6 + ["%s"] * 2)
+# One curves CSV row: the three integer columns, the three batch-only fields
+# (formatted once per batch), the three per-row floats and both flags.  No
+# field can hold a delimiter or quote, so nothing is quoted, as csv.writer
+# would also leave it.
+_CURVES_CSV_ROW = "%d,%d,%d,%s,%.6g,%.6g,%.6g,%s"
+# on_pareto,is_knee, indexed by 2*on_pareto + is_knee.
+_CURVES_FLAGS = np.array(["false,false", "false,true", "true,false", "true,true"], dtype=object)
 
 
 def cmd_curves(parser: argparse.ArgumentParser, args) -> int:
@@ -383,9 +387,10 @@ def cmd_curves(parser: argparse.ArgumentParser, args) -> int:
     knees, kneedle = knee_rows(points, points.global_batch)
     frontier = pareto_rows(points)
     columns = _row_columns(grid)
+    starts = np.flatnonzero(np.diff(points.global_batch, prepend=0))
     if args.format == "json":
         rows = [dict(zip(_ROW_FIELDS, row)) for row in zip(*(c.tolist() for c in columns))]
-        starts = np.flatnonzero(np.diff(points.global_batch, prepend=0)).tolist()
+        starts = starts.tolist()
         batches = [
             {
                 "global_batch": rows[start]["global_batch"],
@@ -402,13 +407,17 @@ def cmd_curves(parser: argparse.ArgumentParser, args) -> int:
         doc = {"batches": batches, "pareto": [rows[i] for i in frontier.tolist()]}
         _write_output(_dump_json(doc), args.out)
     else:
-        flags = []
-        for marked in (frontier, knees):
-            mask = np.zeros(len(points), dtype=bool)
-            mask[marked] = True
-            flags.append(np.where(mask, "true", "false").tolist())
+        # normalized_noise, epochs and iterations depend on the batch alone.
+        per_batch = np.array(["%.6g,%.6g,%.6g" % row for row in zip(
+            *(c[starts].tolist() for c in columns[3:6]))], dtype=object)
+        code = np.zeros(len(points), dtype=np.intp)
+        code[frontier] += 2
+        code[knees] += 1
         header = ",".join((*_ROW_FIELDS, "on_pareto", "is_knee"))
-        rows = map(_CURVES_CSV_ROW.__mod__, zip(*(c.tolist() for c in columns), *flags))
+        rows = map(_CURVES_CSV_ROW.__mod__, zip(
+            *(c.tolist() for c in columns[:3]),
+            per_batch.repeat(np.diff(starts, append=len(points))).tolist(),
+            *(c.tolist() for c in columns[6:]), _CURVES_FLAGS[code].tolist()))
         _write_output("\n".join((header, *rows)) + "\n", args.out)
     return EXIT_OK
 
@@ -585,12 +594,9 @@ def cmd_search(parser: argparse.ArgumentParser, args) -> int:
     if args.format == "json":
         _write_output(_dump_json(doc), args.out)
     else:
-        header = ["workers", "global_batch", "time_s", "cost_usd"]
-        table = [
-            [str(p.config.workers), str(p.config.global_batch), _fmt6(p.time_s), _fmt6(p.cost_usd)]
-            for p in outcome.tradeoff_points
-        ]
-        _write_output(_csv_table(header, table), args.out)
+        rows = ["%d,%d,%.6g,%.6g" % (p.config.workers, p.config.global_batch, p.time_s, p.cost_usd)
+                for p in outcome.tradeoff_points]
+        _write_output("\n".join(("workers,global_batch,time_s,cost_usd", *rows)) + "\n", args.out)
     return EXIT_OK if outcome.recommendation.feasible else EXIT_INFEASIBLE
 
 

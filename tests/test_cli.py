@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_model
 import scalefit
 from scalefit.cli import main as cli_main
 from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape
@@ -589,6 +590,36 @@ CURVE_FLAGS = [
     "--b-min", "1", "--b-max", "512", "--b-candidates", "48,96,192,384",
 ]
 
+# A curves row's fields and their CSV formats.
+CURVES_FIELDS = ("workers", "global_batch", "mini_batch", "normalized_noise", "epochs",
+                 "iterations", "iteration_time_s", "time_s", "cost_usd")
+CURVES_FORMATS = ("%d",) * 3 + ("%.6g",) * 6
+
+
+@st.composite
+def curves_inputs(draw):
+    """(coefficients, grid flags): a resnet-like model with each coefficient scaled.
+
+    Some draws make ``per_worker_s`` negative enough that a batch loses its
+    high-K rows to ``tau <= 0``, or ``per_sample_s`` so that it loses its
+    low-K rows.  Grids are small, with and without ``--b-candidates``.
+    """
+    coeffs = {name: value * draw(st.floats(0.75, 1.25)) if isinstance(value, float) else value
+              for name, value in RESNET_COEFFS.items()}
+    drop = draw(st.sampled_from([None, "per_worker_s", "per_sample_s"]))
+    if drop == "per_worker_s":
+        coeffs[drop] = -coeffs["base_s"] / draw(st.floats(1.0, 12.0))
+    elif drop == "per_sample_s":
+        coeffs[drop] = -coeffs["base_s"] / draw(st.floats(1.0, 64.0))
+    k_min, b_min = draw(st.integers(1, 4)), draw(st.integers(1, 64))
+    flags = ["--k-min", str(k_min), "--k-max", str(draw(st.integers(k_min, 12))),
+             "--k-step", str(draw(st.integers(1, 3))),
+             "--b-min", str(b_min), "--b-max", str(draw(st.integers(b_min, 256)))]
+    if draw(st.booleans()):
+        candidates = draw(st.lists(st.integers(1, 512), min_size=1, max_size=6))
+        flags += ["--b-candidates", ",".join(map(str, candidates))]
+    return coeffs, flags
+
 
 class TestCurves:
     def test_json_structure_and_knees(self, run_cli, model_file, make_model):
@@ -635,6 +666,39 @@ class TestCurves:
         for line in lines[1:]:
             assert line.split(",")[-1] in ("true", "false")
             assert line.split(",")[-2] in ("true", "false")
+
+    @settings(max_examples=150)
+    @given(inputs=curves_inputs())
+    def test_csv_is_the_json_at_six_digits(self, tmp_path_factory, inputs):
+        """Each CSV row is its JSON row at ``%d``/``%.6g``, flagged as the JSON marks it.
+
+        ``on_pareto`` marks exactly the ``pareto`` rows and ``is_knee`` exactly
+        each batch's ``knee``; the two documents are rendered apart.
+        """
+        coeffs, grid_flags = inputs
+        path = tmp_path_factory.getbasetemp() / "curves_model.json"
+        write_model_file(path, build_model(**coeffs))
+        outputs = {}
+        for fmt in ("csv", "json"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main(["curves", "--model", str(path), *grid_flags, "--format", fmt])
+            outputs[fmt] = code, out.getvalue()
+        if outputs["json"][0] == 5:  # every row in bounds dropped
+            assert outputs["csv"] == (5, "")
+            return
+        assert outputs["json"][0] == outputs["csv"][0] == 0
+        doc = json.loads(outputs["json"][1])
+        pareto = {(r["workers"], r["global_batch"]) for r in doc["pareto"]}
+        expected = [",".join((*CURVES_FIELDS, "on_pareto", "is_knee"))]
+        for batch in doc["batches"]:
+            knee = batch["knee"]["workers"], batch["knee"]["global_batch"]
+            for row in batch["points"]:
+                key = row["workers"], row["global_batch"]
+                flags = [str(key in pareto).lower(), str(key == knee).lower()]
+                expected.append(",".join(
+                    [fmt % row[f] for fmt, f in zip(CURVES_FORMATS, CURVES_FIELDS)] + flags))
+        assert outputs["csv"][1] == "\n".join(expected) + "\n"
 
     @pytest.mark.parametrize("flags,field", [
         (["--b-candidates", "99999999999999999998,4"], "b_candidates"),
