@@ -255,11 +255,9 @@ def cmd_fit(parser: argparse.ArgumentParser, args) -> int:
     measured = _measure_traces(args.traces)
     if len({b for _, b in measured}) < 2:
         raise DegenerateFitError("no variation in global_batch across trace files")
-    anchors = None
-    if args.anchors is not None:
-        anchors = [(cfg.global_batch, epochs) for cfg, epochs in read_anchors(args.anchors)]
-        if len(anchors) < 2:
-            raise DegenerateFitError("need at least 2 epoch anchors")
+    anchors = [(cfg.global_batch, epochs) for cfg, epochs in read_anchors(args.anchors)]
+    if len(anchors) < 2:
+        raise DegenerateFitError("need at least 2 epoch anchors")
     stat = fit_stat({key: noise for key, (noise, _) in measured.items()}, anchors)
 
     timing = [((k, b / k), tau) for (k, b), (_, tau) in sorted(measured.items())]
@@ -287,10 +285,7 @@ def cmd_fit(parser: argparse.ArgumentParser, args) -> int:
         f"noise fit: slope={_fmt6(stat.noise_slope)} "
         f"intercept={_fmt6(stat.noise_intercept)} max_resid={_fmt6(noise_resid)}"
     )
-    print(
-        f"epochs fit: base={_fmt6(stat.epochs_base)} slope={_fmt6(stat.epochs_slope)}"
-        + (" (relative scale: no anchors file)" if anchors is None else "")
-    )
+    print(f"epochs fit: base={_fmt6(stat.epochs_base)} slope={_fmt6(stat.epochs_slope)}")
     print(
         f"timing fit: base={_fmt6(parallel.base_s)} per_sample={_fmt6(parallel.per_sample_s)} "
         f"per_worker={_fmt6(parallel.per_worker_s)} max_resid={_fmt6(tau_resid)}"
@@ -628,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a model from trace files")
     p.add_argument("--traces", nargs="+", required=True, help="trace JSONL files")
-    p.add_argument("--anchors", default=None, help="epochs-to-target anchors JSON file")
+    p.add_argument("--anchors", required=True, help="epochs-to-target anchors JSON file")
     p.add_argument("--dataset-size", type=_dataset_size_arg, required=True,
                    help="samples per epoch")
     p.add_argument("--fingerprint", default="unnamed", help="workload identity string")

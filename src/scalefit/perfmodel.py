@@ -274,21 +274,19 @@ def fit_noise_curve(noise: Mapping[tuple[int, int], float]) -> tuple[float, floa
 
 def fit_stat(
     noise: Mapping[tuple[int, int], float],
-    epoch_anchors: Sequence[tuple[int, float]] | None,
+    epoch_anchors: Sequence[tuple[int, float]],
 ) -> StatFit:
     """Both statistical laws: the noise curve, then epochs on its fitted noise.
 
     ``noise`` maps (workers, global_batch) to mean normalized noise, as
     :func:`fit_noise_curve` takes it.  ``epoch_anchors`` are (global_batch,
     epochs) pairs, regressed on the fitted noise at each anchor's batch; a
-    flat curve pins the epochs at their mean, and ``None`` gives relative
-    epochs (base 0, slope 1).  On a sloped curve the predicted epochs at any
-    batch then depend on the anchors alone, not on the measured noise.
+    flat curve pins the epochs at their mean.  On a sloped curve the
+    predicted epochs at any batch then depend on the anchors alone, not on
+    the measured noise.
     """
     slope, intercept = fit_noise_curve(noise)
     curve = StatFit(slope, intercept, 0.0, 1.0)
-    if epoch_anchors is None:
-        return curve
     fitted = [curve.predicted_noise(b) for b, _ in epoch_anchors]
     if slope != 0.0 and len(set(fitted)) < 2:
         raise DegenerateFitError("no variation in noise among epoch anchors")

@@ -29,7 +29,7 @@ from scalefit.simulator import (
 )
 from scalefit.store import ModelStore, model_from_document, read_model_file, write_model_file
 from scalefit.tradeoff import TradeoffCurve, TradeoffPoint, kneedle_knee, pareto_frontier
-from scalefit.traces import read_trace, write_anchors, write_trace
+from scalefit.traces import read_anchors, read_trace, write_anchors, write_trace
 
 GRID_FLAGS = [
     "--k-min", "8", "--k-max", "20", "--k-step", "4",
@@ -399,19 +399,45 @@ class TestFit:
             assert fitted.total_time_s == pytest.approx(truth.total_time_s, rel=1e-6)
             assert fitted.cost_usd == pytest.approx(truth.cost_usd, rel=1e-6)
 
-    def test_relative_epoch_scale_without_anchors(self, run_cli, tmp_path, corner_traces):
+    # Either way of leaving out the anchors file is a usage error.
+    @pytest.mark.parametrize("tail", [[], ["--anchors"]], ids=["absent", "no-value"])
+    def test_missing_anchors_exits_2(self, run_cli, tmp_path, corner_traces, tail):
         paths, _ = corner_traces
         out_model = tmp_path / "fitted.json"
-        code, out, _ = run_cli(
+        code, _, err = run_cli(
             "fit", "--traces", *paths, "--dataset-size", "1000000",
-            "--out", str(out_model),
+            "--out", str(out_model), *tail,
         )
-        assert code == 0
-        assert "(relative scale: no anchors file)" in out
-        model = read_model_file(out_model).model
-        assert model.stat.epochs_base == 0.0
-        assert model.stat.epochs_slope == 1.0
-        assert model.fingerprint == "unnamed"
+        assert code == 2
+        assert "--anchors" in err
+        assert not out_model.exists()
+
+    def test_epochs_scale_with_the_anchors_file(self, run_cli, tmp_path, corner_traces):
+        # The anchors alone set the epochs scale: tripling every anchor's
+        # epochs triples both epochs coefficients and every predicted time,
+        # and leaves the noise and timing fits as they were.
+        paths, anchors = corner_traces
+        tripled = tmp_path / "tripled.json"
+        write_anchors(tripled, [(cfg, 3.0 * e) for cfg, e in read_anchors(anchors)])
+        models = []
+        for name, path in [("base", anchors), ("tripled", tripled)]:
+            out_model = tmp_path / f"{name}.json"
+            code, _, err = run_cli(
+                "fit", "--traces", *paths, "--anchors", str(path),
+                "--dataset-size", "1000000", "--out", str(out_model),
+            )
+            assert code == 0, err
+            models.append(read_model_file(out_model).model)
+        base, scaled = models
+        assert scaled.parallel == base.parallel
+        assert (scaled.stat.noise_slope, scaled.stat.noise_intercept) == (
+            base.stat.noise_slope, base.stat.noise_intercept)
+        assert scaled.stat.epochs_base == pytest.approx(3.0 * base.stat.epochs_base, rel=1e-12)
+        assert scaled.stat.epochs_slope == pytest.approx(3.0 * base.stat.epochs_slope, rel=1e-12)
+        cluster = preset_cluster("resnet18-like")
+        for config in GRID.valid_configs():
+            one, three = (predict(m, config, cluster.pricing, cluster.shape) for m in models)
+            assert three.total_time_s == pytest.approx(3.0 * one.total_time_s, rel=1e-12)
 
     def test_single_batch_exits_6(self, run_cli, tmp_path):
         out_dir = tmp_path / "traces"
@@ -420,9 +446,13 @@ class TestFit:
             "--config", "8x512", "--config", "16x512",
             "--iters", "20", "--start-iteration", "12500", "--out", str(out_dir),
         )
+        w = preset_workload("resnet18-like")
+        anchors = tmp_path / "anchors.json"
+        write_anchors(anchors, [(JobConfig(8, 384), w.true_epochs(384)),
+                                (JobConfig(8, 1024), w.true_epochs(1024))])
         code, _, err = run_cli(
-            "fit", "--traces", *out.splitlines(), "--dataset-size", "1000000",
-            "--out", str(tmp_path / "m.json"),
+            "fit", "--traces", *out.splitlines(), "--anchors", str(anchors),
+            "--dataset-size", "1000000", "--out", str(tmp_path / "m.json"),
         )
         assert code == 6
         assert "no variation in global_batch" in err
@@ -454,7 +484,9 @@ class TestFit:
             "--dataset-size", "1000000", "--out", str(out_model),
         )
         assert code == 0, err
-        stat = read_model_file(out_model).model.stat
+        model = read_model_file(out_model).model
+        assert model.fingerprint == "unnamed"
+        stat = model.stat
         w = preset_workload("resnet18-like")
         assert (stat.noise_slope, stat.noise_intercept) == (0.0, (2.0 / 8 + 2.0 / 16) / 2)
         assert stat.epochs_slope == 0.0

@@ -7,18 +7,21 @@ fit and search code paths were merged.  A refactor that changes any output
 byte, message or exit code fails here.  ``created_at`` in written model
 documents is the only masked value.
 
-Thirteen cases were re-recorded when the fits and the simulator's noise
-ramp stopped depending on the CPU's BLAS and SIMD kernels: ``_lstsq`` now
-solves in closed form over left-to-right sums (the last bits of every
-fitted coefficient moved in ``fit-anchors``, ``fit-relative``,
-``fit-pooled``, ``fit-mixed``, ``search-full``, ``search-partial``,
-``search-partial-capped``, ``search-scaling``, ``search-scaling-random``,
-``search-full-drops`` and ``search-scaling-drops``), and the ramp uses
-``math.exp`` in place of NumPy's AVX-512 ``exp`` (4 trace values each in
-``simulate-json`` and ``simulate-json-jitter``).  No pick, dropped row or
-error message changed; ``fit-pooled`` prints its largest residual as
-2.22045e-16, not 1.11022e-16.  ``tests/test_portability.py`` checks these
-digests under other kernels.
+Twelve cases were re-recorded when the fits and the simulator's noise ramp
+stopped depending on the CPU's BLAS and SIMD kernels: ``_lstsq`` now solves
+in closed form over left-to-right sums (the last bits of every fitted
+coefficient moved in ``fit-anchors``, ``fit-pooled``, ``fit-mixed``,
+``search-full``, ``search-partial``, ``search-partial-capped``,
+``search-scaling``, ``search-scaling-random``, ``search-full-drops`` and
+``search-scaling-drops``), and the ramp uses ``math.exp`` in place of
+NumPy's AVX-512 ``exp`` (4 trace values each in ``simulate-json`` and
+``simulate-json-jitter``).  No pick, dropped row or error message changed;
+``fit-pooled`` prints its largest residual as 2.22045e-16, not 1.11022e-16.
+``tests/test_portability.py`` checks these digests under other kernels.
+
+``fit-pooled`` was re-recorded once more when ``fit`` came to require
+``--anchors``: it now fits epochs on the anchors file (base 6, slope 16),
+not on the relative scale (base 0, slope 1).
 
 Print the digests of the code under test with::
 
@@ -198,17 +201,17 @@ CASES: list[tuple[str, list[str]]] = [
     ("fit-anchors", ["fit", "--traces", *TRACES[:4], "--anchors", "anchors.json",
                      "--dataset-size", "1000000", "--fingerprint", "resnet18-like",
                      "--out", "fit_anchors.json"]),
-    ("fit-relative", ["fit", "--traces", *TRACES[:4], "--dataset-size", "1000000",
-                      "--out", "fit_relative.json"]),
     # No worker count sees two batch sizes, so the noise curve is fitted pooled.
     ("fit-pooled", ["fit", "--traces", TRACES[0], TRACES[3], TRACES[4],
-                    "--dataset-size", "1000000", "--out", "fit_pooled.json"]),
+                    "--anchors", "anchors.json", "--dataset-size", "1000000",
+                    "--out", "fit_pooled.json"]),
     # Skipped zero-aggregate rows and blank lines in two of the four traces.
     ("fit-mixed", ["fit", "--traces", MIXED[0], TRACES[1], TRACES[2], MIXED[1],
                    "--anchors", "anchors.json", "--dataset-size", "1000000",
                    "--out", "fit_mixed.json"]),
     ("fit-single-batch", ["fit", "--traces", TRACES[0], TRACES[2],
-                          "--dataset-size", "1000000", "--out", "fit_single.json"]),
+                          "--anchors", "anchors.json", "--dataset-size", "1000000",
+                          "--out", "fit_single.json"]),
     ("predict-json", ["predict", "--model", "resnet.json", "8x512", "16x1024", "3x512"]),
     ("predict-csv", ["predict", "--model", "partly.json", "--format", "csv",
                      "2x128", "4x1024", "16x256"]),
@@ -298,17 +301,11 @@ GOLDEN: dict[str, tuple[int, str, str, str]] = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "dd7e5d658773d3c8d91c7a0ff3adee35cc56cce1da8ee592b0c54769e83cca1a",
     ),
-    "fit-relative": (
-        0,
-        "016450d25fb2bfdfd4f01eed78c3a388c7ad6739c3b1d1184608fc44e6617496",
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "b921b48910bb3ebc31ad908a961cf64cf85d2013688fe377f550543dc06d8bbe",
-    ),
     "fit-pooled": (
         0,
-        "e9a892e63a6cd3cbc86452c077f70f7549a8bc2ed22742d8d563859e5c569ce4",
+        "c2d744cb1b9ad593555a6b9e6ad58d6471d971b1663e96352dff56f5cb04b6f4",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "d8646e1bf1f7545f049db99e542292f64502e80f876e168c2057f7c2de94c486",
+        "081098d01c7d0599d4468c4997ce8298c5732ec3ff6f8f0310d1967d458914cd",
     ),
     "fit-mixed": (
         0,

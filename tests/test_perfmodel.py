@@ -391,10 +391,6 @@ class TestFitStat:
         fitted = [(stat.predicted_noise(b), e) for b, e in anchors]
         assert (stat.epochs_base, stat.epochs_slope) == fit_epochs_vs_noise(fitted)
 
-    def test_no_anchors_gives_relative_epochs(self):
-        stat = fit_stat({(4, 256): 3.0, (4, 1024): 1.5}, None)
-        assert (stat.epochs_base, stat.epochs_slope) == (0.0, 1.0)
-
     # The noise each caller hands over, flat across batch sizes: fit's and
     # full search's per-configuration means, and the two anchors' estimates.
     @pytest.mark.parametrize("noise", [
