@@ -7,7 +7,9 @@ knees and pareto flags), ``recommend`` (objective-driven pick), and
 
 Exit codes: 0 success, 2 usage error, 3 objective infeasible, 4 model not
 found, 5 data error (unparseable traces, invalid scenario, corrupt model
-document, or failed prediction rows), 6 degenerate fit.
+document, failed prediction rows, or an unreadable input file: a missing
+trace or anchors file, a directory, or bytes that are not UTF-8), 6
+degenerate fit.
 """
 
 from __future__ import annotations
@@ -197,7 +199,9 @@ def _workload_from_arg(parser: argparse.ArgumentParser, args):
         )
     try:
         doc = json.loads(path.read_text())
-    except ValueError as exc:  # also an integer past the digit limit
+    except OSError as exc:  # a directory, say
+        raise ScenarioError("<file>", f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # also undecodable bytes, and an integer past the digit limit
         raise ScenarioError("<file>", f"invalid JSON in {path}: {exc}") from None
     w = _build_workload(doc, seed=args.seed)
     return w if args.jitter is None else replace(w, jitter=args.jitter)

@@ -250,6 +250,8 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise ScenarioError("<file>", f"no scenario file at {path}") from None
-    except ValueError as exc:  # also an integer past the digit limit
+    except OSError as exc:  # a directory, say
+        raise ScenarioError("<file>", f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # also undecodable bytes, and an integer past the digit limit
         raise ScenarioError("<file>", f"invalid JSON in {path}: {exc}") from None
     return scenario_from_document(doc)

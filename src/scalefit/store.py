@@ -140,17 +140,22 @@ def write_model_file(path: str | Path, model: PerfModel, created_at: str | None 
 
 
 def read_model_file(path: str | Path) -> StoredModel:
-    """Read and validate one model document."""
-    path = Path(path)
+    """Read and validate one model document, named in messages as ``Path`` prints it."""
+    return _read_document(str(Path(path)))
+
+
+def _read_document(path: str) -> StoredModel:
+    """Open, read, parse and validate the model document at ``path``, named as given."""
     try:
-        text = path.read_text()
+        with open(path) as fh:
+            doc = json.loads(fh.read())
     except FileNotFoundError:
         raise ModelNotFoundError(f"no model document at {path}") from None
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an integer past the digit limit
+    except OSError as exc:  # a directory, say
+        raise CorruptDocumentError(f"{path}: cannot read: {exc.strerror}") from None
+    except ValueError as exc:  # also undecodable bytes, and an integer past the digit limit
         raise CorruptDocumentError(f"{path}: invalid JSON: {exc}") from None
-    return model_from_document(doc, source=str(path))
+    return model_from_document(doc, source=path)
 
 
 def _slug(fingerprint: str) -> str:
@@ -165,13 +170,19 @@ class ModelStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self._index_path = self.root / "index.json"
+        # ``self._prefix + name`` is ``str(self.root / name)`` for a bare file name.
+        self._prefix = str(self.root / "_")[:-1]
 
     def _read_index(self) -> dict[str, str]:
         if not self._index_path.exists():
             return {}
         try:
             index = json.loads(self._index_path.read_text())
-        except ValueError as exc:  # also an integer past the digit limit
+        except OSError as exc:  # a directory, say
+            raise CorruptDocumentError(
+                f"{self._index_path}: cannot read: {exc.strerror}"
+            ) from None
+        except ValueError as exc:  # also undecodable bytes, and an integer past the digit limit
             raise CorruptDocumentError(
                 f"{self._index_path}: invalid JSON: {exc}"
             ) from None
@@ -200,7 +211,7 @@ class ModelStore:
     def _load_entry(self, index: dict[str, str], fingerprint: str) -> StoredModel:
         if fingerprint not in index:
             raise ModelNotFoundError(f"no stored model for fingerprint {fingerprint!r}")
-        stored = read_model_file(self.root / index[fingerprint])
+        stored = _read_document(self._prefix + index[fingerprint])
         if stored.model.fingerprint != fingerprint:
             raise CorruptDocumentError(
                 f"index entry {fingerprint!r} points at a document for "

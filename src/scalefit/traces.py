@@ -28,7 +28,11 @@ from .errors import ConfigurationError, InvalidSampleError, TraceParseError
 from .noise import SampleBatch
 
 _KEYS = ("t", "K", "B", "worker_sqnorms", "agg_sqnorm", "compute_s", "sync_s")
+_KEY_SET = frozenset(_KEYS)
 _FLOAT_KEYS = ("agg_sqnorm", "compute_s", "sync_s")
+# ``json.loads`` on a stripped line is this one call plus an end check; the
+# decoder holds no state between calls.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def _integer(name: str, value) -> int:
@@ -48,7 +52,7 @@ def _number(name: str, value) -> float:
     raise ConfigurationError(f"{name} must be a number, got {type(value).__name__}")
 
 
-def _typed_row(path: Path, lineno: int, row: tuple) -> tuple:
+def _typed_row(path: str, lineno: int, row: tuple) -> tuple:
     """``row`` with integer K, B and ``t``, float norms and float times, or a TraceParseError."""
     k, b, t, norms, *scalars = row
     try:
@@ -56,7 +60,7 @@ def _typed_row(path: Path, lineno: int, row: tuple) -> tuple:
                 [_number("worker_sqnorms value", v) for v in norms],
                 *map(_number, _FLOAT_KEYS, scalars))
     except (ConfigurationError, OverflowError) as exc:
-        raise TraceParseError(str(path), lineno, str(exc)) from None
+        raise TraceParseError(path, lineno, str(exc)) from None
 
 
 def write_trace(path: str | Path, config: JobConfig, samples: SampleBatch) -> None:
@@ -89,6 +93,23 @@ def write_trace(path: str | Path, config: JobConfig, samples: SampleBatch) -> No
         )
 
 
+def _text_lines(path: str):
+    """The lines of the text file at ``path``, read as they are asked for.
+
+    A file that cannot be opened, or holds bytes that do not decode, is a
+    TraceParseError at line 0.
+    """
+    try:
+        with open(path) as fh:
+            yield from fh
+    except FileNotFoundError:
+        raise TraceParseError(path, 0, f"no trace file at {path}") from None
+    except OSError as exc:  # a directory, say
+        raise TraceParseError(path, 0, f"cannot read: {exc.strerror}") from None
+    except ValueError as exc:  # undecodable bytes
+        raise TraceParseError(path, 0, f"invalid JSON: {exc}") from None
+
+
 def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
     """Parse one trace file, validating record shape and (K, B) consistency.
 
@@ -97,52 +118,56 @@ def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
     it came from.  Only a file holding a value not of its column's JSON
     type (an integer norm, or a K of 1.0, say) is converted row by row.
     """
-    path = Path(path)
+    path = str(Path(path))
     config: JobConfig | None = None
     first_kb = None
     linenos: list[int] = []
     rows: list[tuple] = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record, end = _raw_decode(line)
+        except ValueError:
+            end = -1
+        if end != len(line):  # json.loads raises what it says of the line, a leading BOM too
             try:
                 record = json.loads(line)
             except ValueError as exc:  # also an integer past the digit limit
-                raise TraceParseError(str(path), lineno, f"invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise TraceParseError(str(path), lineno, "record must be an object")
-            for key in _KEYS:
-                if key not in record:
-                    raise TraceParseError(str(path), lineno, f"missing field {key!r}")
-            kb = (record["K"], record["B"])
-            if kb != first_kb:
-                try:
-                    line_config = JobConfig(_integer("K", kb[0]), _integer("B", kb[1]))
-                except ConfigurationError as exc:
-                    raise TraceParseError(str(path), lineno, str(exc)) from None
-                if config is None:
-                    config, first_kb = line_config, kb
-                elif line_config != config:
-                    raise TraceParseError(
-                        str(path),
-                        lineno,
-                        f"configuration changed mid-file: expected "
-                        f"K={config.workers}, B={config.global_batch}",
-                    )
-            norms = record["worker_sqnorms"]
-            if not isinstance(norms, list) or len(norms) != config.workers:
+                raise TraceParseError(path, lineno, f"invalid JSON: {exc}") from None
+        if type(record) is not dict:
+            raise TraceParseError(path, lineno, "record must be an object")
+        if not _KEY_SET <= record.keys():
+            missing = next(key for key in _KEYS if key not in record)
+            raise TraceParseError(path, lineno, f"missing field {missing!r}")
+        kb = (record["K"], record["B"])
+        if kb != first_kb:
+            try:
+                line_config = JobConfig(_integer("K", kb[0]), _integer("B", kb[1]))
+            except ConfigurationError as exc:
+                raise TraceParseError(path, lineno, str(exc)) from None
+            if config is None:
+                config, first_kb = line_config, kb
+            elif line_config != config:
                 raise TraceParseError(
-                    str(path),
+                    path,
                     lineno,
-                    f"worker_sqnorms must list exactly {config.workers} values",
+                    f"configuration changed mid-file: expected "
+                    f"K={config.workers}, B={config.global_batch}",
                 )
-            rows.append((*kb, record["t"], norms, record["agg_sqnorm"], record["compute_s"],
-                         record["sync_s"]))
-            linenos.append(lineno)
+        norms = record["worker_sqnorms"]
+        if type(norms) is not list or len(norms) != config.workers:
+            raise TraceParseError(
+                path,
+                lineno,
+                f"worker_sqnorms must list exactly {config.workers} values",
+            )
+        rows.append((*kb, record["t"], norms, record["agg_sqnorm"], record["compute_s"],
+                     record["sync_s"]))
+        linenos.append(lineno)
     if config is None:
-        raise TraceParseError(str(path), 0, "trace file has no records")
+        raise TraceParseError(path, 0, "trace file has no records")
     # K and B too: a later line's 1.0 or true equals the first line's 1.
     ks, bs, *columns = zip(*rows)
     iteration, norms, *scalars = columns
@@ -153,9 +178,7 @@ def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
     try:
         return config, SampleBatch(*columns)
     except InvalidSampleError as exc:
-        raise TraceParseError(
-            str(path), linenos[exc.row], f"{exc.field} {exc.reason}"
-        ) from None
+        raise TraceParseError(path, linenos[exc.row], f"{exc.field} {exc.reason}") from None
 
 
 def write_anchors(path: str | Path, anchors: list[tuple[JobConfig, float]]) -> None:
@@ -172,7 +195,11 @@ def read_anchors(path: str | Path) -> list[tuple[JobConfig, float]]:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except ValueError as exc:  # also an integer past the digit limit
+    except FileNotFoundError:
+        raise TraceParseError(str(path), 0, f"no anchors file at {path}") from None
+    except OSError as exc:  # a directory, say
+        raise TraceParseError(str(path), 0, f"cannot read: {exc.strerror}") from None
+    except ValueError as exc:  # also undecodable bytes, and an integer past the digit limit
         raise TraceParseError(str(path), 0, f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "anchors" not in doc or not isinstance(
         doc["anchors"], list

@@ -289,6 +289,14 @@ class TestSimulate:
         assert (code, out) == (5, "")
         assert "<file>: invalid JSON in" in err and "Exceeds the limit" in err
 
+    def test_workload_directory_exits_5_naming_it(self, run_cli, tmp_path):
+        wl = tmp_path / "workload.json"
+        wl.mkdir()
+        code, out, err = run_cli("simulate", "--workload", str(wl), "--config", "4x64",
+                                 "--out", str(tmp_path / "t"))
+        assert (code, out) == (5, "")
+        assert err == f"error: <file>: cannot read {wl}: Is a directory\n"
+
     @pytest.mark.parametrize("field,value", [("dataset_size", 10**400), ("jitter", math.nan),
                                              ("ramp_iters", math.inf), ("time_base_s", math.inf)],
                              ids=["dataset_size", "jitter", "ramp_iters", "time_base_s"])
@@ -1195,6 +1203,64 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "scalefit" in proc.stdout
+
+
+# ---------------------------------------------------------------- unreadable input files
+
+# Each flag that reads an input file, with the exit code a missing file gets;
+# a directory or bytes that do not decode exit 5.
+MISSING_FILE_EXITS = {
+    "predict --model": 4, "curves --model": 4, "recommend --model": 4,
+    "search --scenario": 5, "fit --traces": 5, "fit --anchors": 5, "store document": 4,
+}
+
+
+@pytest.fixture
+def file_reading_command(tmp_path, model_file, corner_traces, scenario_file):
+    """``(argv, input file)`` for a flag of ``MISSING_FILE_EXITS``; argv has no ``--out``."""
+    traces, anchors = corner_traces
+
+    def command(flag):
+        if flag == "store document":
+            store_dir = tmp_path / "store"
+            document = ModelStore(store_dir).save(preset_workload("resnet18-like").to_perf_model())
+            scenario = scenario_file(search={"mode": "none"}, store_dir=str(store_dir))
+            return ["search", "--scenario", str(scenario)], document
+        fit = ["fit", "--traces", *traces, "--anchors", str(anchors), "--dataset-size", "1000"]
+        scenario = scenario_file()
+        return {
+            "predict --model": (["predict", "--model", str(model_file), "8x512"], model_file),
+            "curves --model": (["curves", "--model", str(model_file), *GRID_FLAGS], model_file),
+            "recommend --model": (["recommend", "--model", str(model_file), *GRID_FLAGS,
+                                   "--objective", "knee"], model_file),
+            "search --scenario": (["search", "--scenario", str(scenario)], scenario),
+            "fit --traces": (fit, Path(traces[0])),
+            "fit --anchors": (fit, anchors),
+        }[flag]
+
+    return command
+
+
+class TestUnreadableInputFiles:
+    @pytest.mark.parametrize("case", ["missing", "directory", "undecodable"])
+    @pytest.mark.parametrize("flag", list(MISSING_FILE_EXITS))
+    def test_one_error_line_naming_the_file(self, run_cli, tmp_path, file_reading_command,
+                                            flag, case):
+        argv, target = file_reading_command(flag)
+        code, _, err = run_cli(*argv, "--out", str(tmp_path / "out.json"))
+        assert code == 0, err  # the command reads the file as it stands
+        target.unlink()
+        if case == "directory":
+            target.mkdir()
+        elif case == "undecodable":
+            target.write_bytes(b'{"\xff": 1}\n')
+        out_path = tmp_path / "out.json"
+        out_path.unlink()
+        code, _, err = run_cli(*argv, "--out", str(out_path))
+        assert code == (MISSING_FILE_EXITS[flag] if case == "missing" else 5), err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert str(target) in err
+        assert not out_path.exists()
 
 
 # ---------------------------------------------------------------- fuzz

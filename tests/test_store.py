@@ -6,6 +6,7 @@ import multiprocessing
 import operator
 from dataclasses import asdict, replace
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -159,7 +160,7 @@ class TestSnapshotReads:
         for fp in ("a", "b", "c"):
             store.save(make_model(fingerprint=fp))
         index_path = tmp_path / "index.json"
-        real_read = store_module.read_model_file
+        real_read = store_module._read_document
 
         def read_and_drop_c(path):
             index = json.loads(index_path.read_text())
@@ -168,7 +169,7 @@ class TestSnapshotReads:
                 index_path.write_text(json.dumps(index))
             return real_read(path)
 
-        monkeypatch.setattr(store_module, "read_model_file", read_and_drop_c)
+        monkeypatch.setattr(store_module, "_read_document", read_and_drop_c)
         assert [s.model.fingerprint for s in store.load_all()] == ["a", "b", "c"]
         with pytest.raises(ModelNotFoundError, match="'c'"):
             store.load("c")
@@ -302,6 +303,55 @@ class TestValidation:
         (store.root / "index.json").write_text(json.dumps(index))
         with pytest.raises(CorruptDocumentError, match="points at a document"):
             store.load("alpha")
+
+
+# What json.loads says of the text "{".
+OPEN_BRACE = "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+
+
+class TestDocumentPaths:
+    """A document is named as ``str(Path(root) / name)`` names it, however the root is spelt."""
+
+    @pytest.mark.parametrize("root", [".", "a//b/", "./a"])
+    def test_corrupt_and_missing_documents(self, tmp_path, make_model, monkeypatch, root):
+        monkeypatch.chdir(tmp_path)
+        store = ModelStore(root)
+        path = store.save(make_model(fingerprint="m"))
+        named = str(Path(root) / path.name)
+        path.write_text("{")
+        with pytest.raises(CorruptDocumentError) as exc_info:
+            store.load("m")
+        assert str(exc_info.value) == f"{named}: {OPEN_BRACE}"
+        path.unlink()
+        with pytest.raises(ModelNotFoundError) as exc_info:
+            store.load_all()
+        assert str(exc_info.value) == f"no model document at {named}"
+
+    @pytest.mark.parametrize("root", [".", "a//b/", "./a", "/"])
+    def test_missing_document_under_any_root(self, tmp_path, monkeypatch, root):
+        monkeypatch.chdir(tmp_path)
+        store = ModelStore(root)
+        name = "absent-scalefit-model.json"
+        monkeypatch.setattr(store, "_read_index", lambda: {"m": name})
+        with pytest.raises(ModelNotFoundError) as exc_info:
+            store.load("m")
+        assert str(exc_info.value) == f"no model document at {Path(root) / name}"
+
+    def test_read_model_file_names_the_normalised_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ModelNotFoundError) as exc_info:
+            read_model_file("./m.json")
+        assert str(exc_info.value) == "no model document at m.json"
+        Path("m.json").write_text("{")
+        with pytest.raises(CorruptDocumentError) as exc_info:
+            read_model_file("./m.json")
+        assert str(exc_info.value) == f"m.json: {OPEN_BRACE}"
+
+    def test_unreadable_index_is_corrupt(self, tmp_path):
+        (tmp_path / "index.json").mkdir()
+        with pytest.raises(CorruptDocumentError) as exc_info:
+            ModelStore(tmp_path).load_all()
+        assert str(exc_info.value) == f"{tmp_path / 'index.json'}: cannot read: Is a directory"
 
 
 class TestUniversalAverage:

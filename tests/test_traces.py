@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scalefit import traces
 from scalefit.config import JobConfig
-from scalefit.errors import TraceParseError
+from scalefit.errors import ConfigurationError, InvalidSampleError, TraceParseError
 from scalefit.noise import IterationSample, SampleBatch
 from scalefit.traces import read_anchors, read_trace, write_anchors, write_trace
 
@@ -304,6 +305,123 @@ class TestTraceErrors:
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(TraceParseError, match="not divisible"):
             read_trace(path)
+
+
+def reference_read_trace(path):
+    """``read_trace`` with one ``json.loads``, an ``isinstance`` test and a key loop per line."""
+    path = Path(path)
+    config = None
+    first_kb = None
+    linenos, rows = [], []
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise TraceParseError(str(path), lineno, f"invalid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise TraceParseError(str(path), lineno, "record must be an object")
+            for key in traces._KEYS:
+                if key not in record:
+                    raise TraceParseError(str(path), lineno, f"missing field {key!r}")
+            kb = (record["K"], record["B"])
+            if kb != first_kb:
+                try:
+                    line_config = JobConfig(traces._integer("K", kb[0]),
+                                            traces._integer("B", kb[1]))
+                except ConfigurationError as exc:
+                    raise TraceParseError(str(path), lineno, str(exc)) from None
+                if config is None:
+                    config, first_kb = line_config, kb
+                elif line_config != config:
+                    raise TraceParseError(
+                        str(path), lineno,
+                        f"configuration changed mid-file: expected "
+                        f"K={config.workers}, B={config.global_batch}",
+                    )
+            norms = record["worker_sqnorms"]
+            if not isinstance(norms, list) or len(norms) != config.workers:
+                raise TraceParseError(
+                    str(path), lineno, f"worker_sqnorms must list exactly {config.workers} values"
+                )
+            rows.append((*kb, record["t"], norms, record["agg_sqnorm"], record["compute_s"],
+                         record["sync_s"]))
+            linenos.append(lineno)
+    if config is None:
+        raise TraceParseError(str(path), 0, "trace file has no records")
+    typed = [traces._typed_row(str(path), lineno, row) for lineno, row in zip(linenos, rows)]
+    try:
+        return config, SampleBatch(*list(zip(*typed))[2:])
+    except InvalidSampleError as exc:
+        raise TraceParseError(str(path), linenos[exc.row], f"{exc.field} {exc.reason}") from None
+
+
+# Characters ``str.strip`` removes that JSON does not count as whitespace.
+UNICODE_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000"
+LINE_CHANGES = ("none", "bom", "spaced_bom", "trailing_text", "second_record", "outer_space",
+                "inner_space", "not_object", "missing_keys", "long_integer")
+
+
+@st.composite
+def trace_texts(draw):
+    """A valid trace whose one line has a BOM, trailing data, stripped space, a non-object
+    top level, missing keys or a long integer, or is left as it is."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    records = [{"t": t, "K": k, "B": 32 * k, "worker_sqnorms": [1.0 + w for w in range(k)],
+                "agg_sqnorm": 0.5, "compute_s": 0.3, "sync_s": 0.125} for t in range(n)]
+    lines = [json.dumps(record) for record in records]
+    row = draw(st.integers(0, n - 1))
+    line, change = lines[row], draw(st.sampled_from(LINE_CHANGES))
+    space = st.text(st.sampled_from(UNICODE_SPACES + " \t"), min_size=1, max_size=3)
+    if change == "bom":
+        line = "\ufeff" + line
+    elif change == "spaced_bom":  # strip leaves the BOM leading the line
+        line = draw(space) + "\ufeff" + line
+    elif change == "trailing_text":
+        line += draw(st.sampled_from(["x", "}", ",", "]", " 1", "null"]))
+    elif change == "second_record":
+        line += draw(st.sampled_from(["", " ", "\t", "\x1c"])) + draw(st.sampled_from(lines))
+    elif change == "outer_space":
+        line = draw(space) + line + draw(space)
+    elif change == "inner_space":
+        line = line.replace(", ", "," + draw(space), 1)
+    elif change == "not_object":
+        line = json.dumps(draw(st.sampled_from([[1, 2], [], 5, 1.5, "s", None, True])))
+    elif change == "missing_keys":
+        dropped = draw(st.sets(st.sampled_from(traces._KEYS), min_size=1))
+        line = json.dumps({key: v for key, v in records[row].items() if key not in dropped})
+    elif change == "long_integer":  # 4300 digits is the limit
+        key = draw(st.sampled_from(["t", "K", "B", "agg_sqnorm"]))
+        digits = "9" * draw(st.integers(4295, 4305))
+        line = json.dumps({**records[row], key: 0}).replace(f'"{key}": 0', f'"{key}": {digits}')
+    lines[row] = line
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(read, path):
+    """What ``read(path)`` returns, or the class and text of what it raises."""
+    try:
+        return read(path)
+    except Exception as exc:  # the property compares what each side raises
+        return type(exc), str(exc)
+
+
+class TestDecodeEquivalence:
+    @given(text=trace_texts())
+    def test_read_trace_matches_one_json_loads_per_line(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.jsonl"
+            path.write_text(text)
+            got, want = _outcome(read_trace, path), _outcome(reference_read_trace, path)
+        if isinstance(want[0], JobConfig):
+            assert isinstance(got[0], JobConfig)
+            assert got[0] == want[0] and got[1] == want[1]
+        else:
+            assert got == want
+            assert want[0] is TraceParseError
 
 
 class TestAnchors:
