@@ -5,10 +5,12 @@ Subcommands: ``simulate`` (trace export), ``fit`` (model from traces),
 knees and pareto flags), ``recommend`` (objective-driven pick), and
 ``search`` (scenario-driven simulated search).
 
-Exit codes: 0 success, 2 usage error, 3 objective infeasible, 4 model not
-found, 5 data error (unparseable traces, invalid scenario, corrupt model
-document, failed prediction rows, or an unreadable input file: a missing
-trace or anchors file, a directory, or bytes that are not UTF-8), 6
+Exit codes: 0 success, 2 usage error (also an ``--out`` path that cannot be
+written: a directory, a missing parent directory, or for ``simulate`` an
+existing file), 3 objective infeasible, 4 model not found, 5 data error
+(unparseable traces, invalid scenario, corrupt model document, failed
+prediction rows, or an unreadable input file: a missing trace or anchors
+file, a directory, bytes that are not UTF-8, or a value nested too deeply), 6
 degenerate fit.
 """
 
@@ -20,6 +22,7 @@ import io
 import json
 import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,7 +45,7 @@ from .errors import (
 from .noise import normalized_noises
 from .perfmodel import GridPrediction, PerfModel, fit_iteration_time, fit_stat, predict_columns
 from .policy import Constraints, Objective, Recommendation, select_rows
-from .scenario import Scenario, _build_workload, load_scenario
+from .scenario import Scenario, _build_workload, load_scenario, read_file
 from .search import SearchOutcome, run_search
 from .simulator import (
     PRESET_NAMES,
@@ -165,13 +168,23 @@ def _bounds_from_args(parser: argparse.ArgumentParser, args) -> SearchBounds:
         parser.error(str(exc))
 
 
+@contextmanager
+def _writing(path):
+    """An OSError inside is a ConfigurationError naming ``path``: a bad ``--out`` exits 2."""
+    try:
+        yield
+    except OSError as exc:  # a directory, say, or a missing parent directory
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        with _writing(out):
+            Path(out).write_text(text if text.endswith("\n") else text + "\n")
 
 
 def _dump_json(doc) -> str:
@@ -197,13 +210,7 @@ def _workload_from_arg(parser: argparse.ArgumentParser, args):
         parser.error(
             f"--workload must be a preset ({', '.join(PRESET_NAMES)}) or a JSON file"
         )
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:  # a directory, say
-        raise ScenarioError("<file>", f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:  # also undecodable bytes, and an integer past the digit limit
-        raise ScenarioError("<file>", f"invalid JSON in {path}: {exc}") from None
-    w = _build_workload(doc, seed=args.seed)
+    w = _build_workload(read_file(path, "workload"), seed=args.seed)
     return w if args.jitter is None else replace(w, jitter=args.jitter)
 
 
@@ -214,7 +221,8 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
     )
     env = SimEnvironment(workload, cluster)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     start = args.start_iteration
     for k, b in args.config:
@@ -225,7 +233,8 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         samples = env.profile(k, b, args.iters, start)
         start += args.iters
         path = out_dir / f"trace_K{k}_B{b}.jsonl"
-        write_trace(path, config, samples)
+        with _writing(path):
+            write_trace(path, config, samples)
         written.append(str(path))
     for path in written:
         print(path)
@@ -274,7 +283,8 @@ def cmd_fit(parser: argparse.ArgumentParser, args) -> int:
         fingerprint=args.fingerprint,
         provenance="trace_fit",
     )
-    write_model_file(args.out, model)
+    with _writing(args.out):
+        write_model_file(args.out, model)
 
     noise_resid = max(
         abs(stat.predicted_noise(b) - noise)

@@ -1,7 +1,9 @@
-"""Exceptions shared across the package, the one range check and the one left-to-right sum."""
+"""Exceptions shared across the package, the one range check, the one left-to-right sum and
+the one JSON file reader."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -115,3 +117,33 @@ def check(name: str, value, lo: float, hi: float = math.inf, *, lo_open: bool = 
             parts.append(f"{'>' if lo_open else '>='} {lo}")
         rule = " and ".join(parts)
     raise error(f"{name} must be {rule}, got {value}")
+
+
+def decode_json(text: str):
+    """``json.loads(text)``; a value nested past the recursion limit is a ValueError too."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("value is nested too deeply") from None
+
+
+def read_json(path, error, read=lambda fh: decode_json(fh.read())):
+    """``read`` of the open text file at ``path``, by default its JSON value.
+
+    A failure gives ``error(path, kind, detail)``, raised if it is an exception:
+    kind ``"missing"`` for no file, ``"cannot read"`` with the OS's reason for
+    any other OSError (a directory, say), or ``"invalid JSON"`` with the message
+    of a ValueError (bytes that are not UTF-8, an integer past the digit limit,
+    a value nested too deeply, or malformed text)."""
+    try:
+        with open(path) as fh:
+            return read(fh)
+    except FileNotFoundError:
+        failure = error(path, "missing", None)
+    except OSError as exc:
+        failure = error(path, "cannot read", exc.strerror)
+    except ValueError as exc:
+        failure = error(path, "invalid JSON", str(exc))
+    if isinstance(failure, Exception):
+        raise failure
+    return failure

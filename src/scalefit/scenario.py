@@ -8,12 +8,11 @@ the dotted path of the offending field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import PricingModel, SearchBounds, VMShape
-from .errors import ConfigurationError, ScenarioError
+from .errors import ConfigurationError, ScenarioError, read_json
 from .noise import EwmaConfig
 from .policy import OBJECTIVE_KINDS, Constraints, Objective
 from .search import GridSampling, RandomSampling, SearchParams, SEARCH_MODES
@@ -244,14 +243,16 @@ def scenario_from_document(doc: dict) -> Scenario:
     )
 
 
+_FILE_FAILURES = {"missing": "no {what} file at {path}",
+                  "cannot read": "cannot read {path}: {detail}",
+                  "invalid JSON": "invalid JSON in {path}: {detail}"}
+
+
+def read_file(path: Path, what: str):
+    """The JSON value in a scenario or workload file; each failure is a ScenarioError naming it."""
+    return read_json(path, lambda path, kind, detail: ScenarioError(
+        "<file>", _FILE_FAILURES[kind].format(what=what, path=path, detail=detail)))
+
+
 def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ScenarioError("<file>", f"no scenario file at {path}") from None
-    except OSError as exc:  # a directory, say
-        raise ScenarioError("<file>", f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:  # also undecodable bytes, and an integer past the digit limit
-        raise ScenarioError("<file>", f"invalid JSON in {path}: {exc}") from None
-    return scenario_from_document(doc)
+    return scenario_from_document(read_file(Path(path), "scenario"))

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import CorruptDocumentError, ModelNotFoundError, ModelOutOfDomainError, ordered_sum
+from .errors import (
+    CorruptDocumentError,
+    ModelNotFoundError,
+    ModelOutOfDomainError,
+    ordered_sum,
+    read_json,
+)
 from .perfmodel import PROVENANCES, ParallelFit, PerfModel, StatFit
 
 SCHEMA_VERSION = 1
@@ -130,8 +136,13 @@ def model_from_document(doc: dict, source: str = "<document>") -> StoredModel:
 
 def _write_json_atomically(path: Path, doc: dict) -> None:
     tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except OSError:  # a directory at ``path``, say: no temporary file is left behind
+        if tmp.exists():
+            tmp.unlink()
+        raise
 
 
 def write_model_file(path: str | Path, model: PerfModel, created_at: str | None = None) -> None:
@@ -146,16 +157,14 @@ def read_model_file(path: str | Path) -> StoredModel:
 
 def _read_document(path: str) -> StoredModel:
     """Open, read, parse and validate the model document at ``path``, named as given."""
-    try:
-        with open(path) as fh:
-            doc = json.loads(fh.read())
-    except FileNotFoundError:
-        raise ModelNotFoundError(f"no model document at {path}") from None
-    except OSError as exc:  # a directory, say
-        raise CorruptDocumentError(f"{path}: cannot read: {exc.strerror}") from None
-    except ValueError as exc:  # also undecodable bytes, and an integer past the digit limit
-        raise CorruptDocumentError(f"{path}: invalid JSON: {exc}") from None
-    return model_from_document(doc, source=path)
+    return model_from_document(read_json(path, _document_error), source=path)
+
+
+def _document_error(path, kind: str, detail):
+    """``read_json``'s failure for a model document: not found if missing, else corrupt."""
+    if kind == "missing":
+        return ModelNotFoundError(f"no model document at {path}")
+    return CorruptDocumentError(f"{path}: {kind}: {detail}")
 
 
 def _slug(fingerprint: str) -> str:
@@ -174,18 +183,8 @@ class ModelStore:
         self._prefix = str(self.root / "_")[:-1]
 
     def _read_index(self) -> dict[str, str]:
-        if not self._index_path.exists():
-            return {}
-        try:
-            index = json.loads(self._index_path.read_text())
-        except OSError as exc:  # a directory, say
-            raise CorruptDocumentError(
-                f"{self._index_path}: cannot read: {exc.strerror}"
-            ) from None
-        except ValueError as exc:  # also undecodable bytes, and an integer past the digit limit
-            raise CorruptDocumentError(
-                f"{self._index_path}: invalid JSON: {exc}"
-            ) from None
+        index = read_json(self._index_path, lambda path, kind, detail:  # none: an empty store
+                          {} if kind == "missing" else _document_error(path, kind, detail))
         if not isinstance(index, dict):
             raise CorruptDocumentError(f"{self._index_path}: index must be an object")
         for fp, name in index.items():  # bare file names only: no path leaves the store

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import JobConfig
-from .errors import ConfigurationError, InvalidSampleError, TraceParseError
+from .errors import ConfigurationError, InvalidSampleError, TraceParseError, decode_json, read_json
 from .noise import SampleBatch
 
 _KEYS = ("t", "K", "B", "worker_sqnorms", "agg_sqnorm", "compute_s", "sync_s")
@@ -93,48 +93,31 @@ def write_trace(path: str | Path, config: JobConfig, samples: SampleBatch) -> No
         )
 
 
-def _text_lines(path: str):
-    """The lines of the text file at ``path``, read as they are asked for.
-
-    A file that cannot be opened, or holds bytes that do not decode, is a
-    TraceParseError at line 0.
-    """
-    try:
-        with open(path) as fh:
-            yield from fh
-    except FileNotFoundError:
-        raise TraceParseError(path, 0, f"no trace file at {path}") from None
-    except OSError as exc:  # a directory, say
-        raise TraceParseError(path, 0, f"cannot read: {exc.strerror}") from None
-    except ValueError as exc:  # undecodable bytes
-        raise TraceParseError(path, 0, f"invalid JSON: {exc}") from None
+def _read_file(path: str, what: str, *read):
+    """``read_json`` for a trace or anchors file: each failure is a TraceParseError at line 0."""
+    return read_json(path, lambda path, kind, detail: TraceParseError(
+        path, 0, f"no {what} file at {path}" if kind == "missing" else f"{kind}: {detail}"), *read)
 
 
-def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
-    """Parse one trace file, validating record shape and (K, B) consistency.
-
-    Lines are parsed one at a time; the columns are type-checked, stacked
-    and validated once at the end, and a bad value is reported at the line
-    it came from.  Only a file holding a value not of its column's JSON
-    type (an integer norm, or a K of 1.0, say) is converted row by row.
-    """
-    path = str(Path(path))
+def _line_rows(path: str, lines) -> tuple[JobConfig | None, list[int], list[tuple]]:
+    """The configuration, then each record's line number and raw row, checked for shape and
+    K, B.  Every fault is a TraceParseError: ``read_json`` maps only the file's own errors."""
     config: JobConfig | None = None
     first_kb = None
     linenos: list[int] = []
     rows: list[tuple] = []
-    for lineno, line in enumerate(_text_lines(path), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             record, end = _raw_decode(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             end = -1
         if end != len(line):  # json.loads raises what it says of the line, a leading BOM too
             try:
-                record = json.loads(line)
-            except ValueError as exc:  # also an integer past the digit limit
+                record = decode_json(line)
+            except ValueError as exc:  # also an integer past the digit limit, or nesting
                 raise TraceParseError(path, lineno, f"invalid JSON: {exc}") from None
         if type(record) is not dict:
             raise TraceParseError(path, lineno, "record must be an object")
@@ -166,6 +149,19 @@ def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
         rows.append((*kb, record["t"], norms, record["agg_sqnorm"], record["compute_s"],
                      record["sync_s"]))
         linenos.append(lineno)
+    return config, linenos, rows
+
+
+def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
+    """Parse one trace file, validating record shape and (K, B) consistency.
+
+    Lines are read and parsed one at a time; the columns are type-checked,
+    stacked and validated once at the end, and a bad value is reported at the
+    line it came from.  Only a file holding a value not of its column's JSON
+    type (an integer norm, or a K of 1.0, say) is converted row by row.
+    """
+    path = str(Path(path))
+    config, linenos, rows = _read_file(path, "trace", lambda fh: _line_rows(path, fh))
     if config is None:
         raise TraceParseError(path, 0, "trace file has no records")
     # K and B too: a later line's 1.0 or true equals the first line's 1.
@@ -192,32 +188,25 @@ def write_anchors(path: str | Path, anchors: list[tuple[JobConfig, float]]) -> N
 
 
 def read_anchors(path: str | Path) -> list[tuple[JobConfig, float]]:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise TraceParseError(str(path), 0, f"no anchors file at {path}") from None
-    except OSError as exc:  # a directory, say
-        raise TraceParseError(str(path), 0, f"cannot read: {exc.strerror}") from None
-    except ValueError as exc:  # also undecodable bytes, and an integer past the digit limit
-        raise TraceParseError(str(path), 0, f"invalid JSON: {exc}") from None
+    path = str(Path(path))
+    doc = _read_file(path, "anchors")
     if not isinstance(doc, dict) or "anchors" not in doc or not isinstance(
         doc["anchors"], list
     ):
-        raise TraceParseError(str(path), 0, 'expected an object with an "anchors" list')
+        raise TraceParseError(path, 0, 'expected an object with an "anchors" list')
     out = []
     for i, entry in enumerate(doc["anchors"]):
         where = f"anchors[{i}]"
         if not isinstance(entry, dict) or not {"K", "B", "epochs"} <= set(entry):
-            raise TraceParseError(str(path), 0, f"{where} needs K, B, and epochs")
+            raise TraceParseError(path, 0, f"{where} needs K, B, and epochs")
         try:
             cfg = JobConfig(_integer("K", entry["K"]), _integer("B", entry["B"]))
             epochs = _number("epochs", entry["epochs"])
         except (ConfigurationError, OverflowError) as exc:
-            raise TraceParseError(str(path), 0, f"{where}: {exc}") from None
+            raise TraceParseError(path, 0, f"{where}: {exc}") from None
         if not 0 < epochs < math.inf:  # False for NaN too
             raise TraceParseError(
-                str(path), 0, f"{where}.epochs must be > 0 and finite, got {epochs}"
+                path, 0, f"{where}.epochs must be > 0 and finite, got {epochs}"
             )
         out.append((cfg, epochs))
     return out

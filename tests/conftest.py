@@ -18,6 +18,9 @@ from scalefit.tradeoff import TradeoffCurve, TradeoffPoint
 settings.register_profile("scalefit", derandomize=True, deadline=None)
 settings.load_profile("scalefit")
 
+# 100,000 nested arrays: past the recursion limit of any JSON decoder call.
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
+
 
 @pytest.fixture
 def run_cli(capsys):

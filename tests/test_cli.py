@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_model
+from conftest import NESTED_JSON, build_model
 import scalefit
 from scalefit.cli import main as cli_main
 from scalefit.config import JobConfig, PricingModel, SearchBounds, VMShape
@@ -288,6 +288,14 @@ class TestSimulate:
                                  "--out", str(tmp_path / "t"))
         assert (code, out) == (5, "")
         assert "<file>: invalid JSON in" in err and "Exceeds the limit" in err
+
+    def test_nested_workload_exits_5_naming_it(self, run_cli, tmp_path):
+        wl = tmp_path / "workload.json"
+        wl.write_text(NESTED_JSON)
+        code, out, err = run_cli("simulate", "--workload", str(wl), "--config", "4x64",
+                                 "--out", str(tmp_path / "t"))
+        assert (code, out) == (5, "")
+        assert err == f"error: <file>: invalid JSON in {wl}: value is nested too deeply\n"
 
     def test_workload_directory_exits_5_naming_it(self, run_cli, tmp_path):
         wl = tmp_path / "workload.json"
@@ -1009,6 +1017,16 @@ class TestSearch:
         assert (code, out) == (5, "")
         assert f"index.json: entry 'resnet18-like' must be a .json file name, got {entry!r}" in err
 
+    def test_mode_none_nested_index_exits_5(self, run_cli, scenario_file, tmp_path):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        (store_dir / "index.json").write_text(NESTED_JSON)
+        path = scenario_file(search={"mode": "none"}, store_dir=str(store_dir))
+        code, out, err = run_cli("search", "--scenario", str(path))
+        assert (code, out) == (5, "")
+        assert err == (f"error: {store_dir / 'index.json'}: invalid JSON: "
+                       "value is nested too deeply\n")
+
     def test_infeasible_objective_exits_3(self, run_cli, scenario_file):
         path = scenario_file(objective={"kind": "budget", "budget_usd": 0.01})
         code, out, _ = run_cli("search", "--scenario", str(path))
@@ -1208,7 +1226,7 @@ class TestTopLevel:
 # ---------------------------------------------------------------- unreadable input files
 
 # Each flag that reads an input file, with the exit code a missing file gets;
-# a directory or bytes that do not decode exit 5.
+# a directory, bytes that do not decode or a value nested too deeply exit 5.
 MISSING_FILE_EXITS = {
     "predict --model": 4, "curves --model": 4, "recommend --model": 4,
     "search --scenario": 5, "fit --traces": 5, "fit --anchors": 5, "store document": 4,
@@ -1242,7 +1260,7 @@ def file_reading_command(tmp_path, model_file, corner_traces, scenario_file):
 
 
 class TestUnreadableInputFiles:
-    @pytest.mark.parametrize("case", ["missing", "directory", "undecodable"])
+    @pytest.mark.parametrize("case", ["missing", "directory", "undecodable", "nested"])
     @pytest.mark.parametrize("flag", list(MISSING_FILE_EXITS))
     def test_one_error_line_naming_the_file(self, run_cli, tmp_path, file_reading_command,
                                             flag, case):
@@ -1254,13 +1272,50 @@ class TestUnreadableInputFiles:
             target.mkdir()
         elif case == "undecodable":
             target.write_bytes(b'{"\xff": 1}\n')
+        elif case == "nested":
+            target.write_text(NESTED_JSON)
         out_path = tmp_path / "out.json"
         out_path.unlink()
         code, _, err = run_cli(*argv, "--out", str(out_path))
         assert code == (MISSING_FILE_EXITS[flag] if case == "missing" else 5), err
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert str(target) in err
+        assert case != "nested" or "invalid JSON" in err and "value is nested too deeply" in err
         assert not out_path.exists()
+
+
+# Each flag that names an output path, with the ``file_reading_command`` flag whose argv it ends.
+OUTPUT_FLAGS = {
+    "predict --out": "predict --model", "curves --out": "curves --model",
+    "recommend --out": "recommend --model", "search --out": "search --scenario",
+    "fit --out": "fit --traces", "simulate --out": None,
+}
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize("case", ["directory", "missing parent"])
+    @pytest.mark.parametrize("flag", OUTPUT_FLAGS)
+    def test_one_error_line_naming_the_path(self, run_cli, tmp_path, file_reading_command,
+                                            flag, case):
+        """A path that cannot be written exits 2 and leaves no temporary file behind.
+
+        ``simulate --out`` names a directory it creates, so there the path is
+        an existing regular file, or a path under one.
+        """
+        if flag == "simulate --out":
+            argv = ["simulate", "--workload", "resnet18-like", "--config", "4x64", "--iters", "3"]
+            (tmp_path / "taken").touch()
+        else:
+            argv, _ = file_reading_command(OUTPUT_FLAGS[flag])
+            (tmp_path / "taken").mkdir()
+        out_path = tmp_path / ("taken" if case == "directory" else "absent/out.json")
+        if flag == "simulate --out" and case == "missing parent":
+            out_path = tmp_path / "taken" / "traces"
+        before = set(tmp_path.rglob("*"))
+        code, out, err = run_cli(*argv, "--out", str(out_path))
+        assert (code, out) == (2, ""), err
+        assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1, err
+        assert set(tmp_path.rglob("*")) == before  # no stray ``*.tmp`` or partial output
 
 
 # ---------------------------------------------------------------- fuzz
@@ -1286,7 +1341,10 @@ FUZZ_SCENARIO = {
     "constraints": {"budget_usd": 1e6},
 }
 MUTATIONS = ("drop", "wrong_type", "bool", "nan_string", "inf_string", "nan", "inf",
-             "negative", "huge_int", "huge_float", "truncate")
+             "negative", "huge_int", "huge_float", "deep", "truncate")
+# ``json.dumps`` cannot write ``NESTED_JSON``'s value: "deep" writes this string,
+# and the dumped text gets the nested arrays spliced in its place.
+DEEP_PLACEHOLDER = "<100,000 nested arrays>"
 
 
 @pytest.fixture(scope="module")
@@ -1344,8 +1402,9 @@ def _mutated(doc, path, mutation):
             "negative": -abs(value) if number and value else -1,
             "huge_int": 10**400,
             "huge_float": 1e308,
+            "deep": DEEP_PLACEHOLDER,
         }[mutation]
-    return json.dumps(doc)
+    return json.dumps(doc).replace(json.dumps(DEEP_PLACEHOLDER), NESTED_JSON)
 
 
 @st.composite

@@ -1,15 +1,19 @@
 """Job configurations, pricing, and search grids."""
 
+import ast
 import math
 import operator
 import warnings
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import NESTED_JSON
+import scalefit
 from scalefit.config import (
     JobConfig,
     PricingModel,
@@ -18,7 +22,14 @@ from scalefit.config import (
     mini_batch,
     run_cost_usd,
 )
-from scalefit.errors import ConfigurationError, ModelOutOfDomainError, check, ordered_sum
+from scalefit.errors import (
+    ConfigurationError,
+    ModelOutOfDomainError,
+    check,
+    decode_json,
+    ordered_sum,
+    read_json,
+)
 
 
 class TestJobConfig:
@@ -274,3 +285,64 @@ class TestSearchBounds:
         workers, batch = bounds.columns()
         assert list(zip(workers.tolist(), batch.tolist())) == [(top - 1, top - 1), (top, top)]
         assert bounds.valid_configs() == [JobConfig(top - 1, top - 1), JobConfig(top, top)]
+
+
+class TestReadJson:
+    """The one JSON file reader every input file goes through."""
+
+    @staticmethod
+    def fail(path, kind, detail):
+        return ConfigurationError(f"{kind}: {detail}")
+
+    def test_reads_the_value(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, 2.5]}')
+        assert read_json(str(path), self.fail) == {"a": [1, 2.5]}
+
+    def test_missing_file_gives_or_raises_what_error_returns(self, tmp_path):
+        path = str(tmp_path / "absent.json")
+        assert read_json(path, lambda *failure: failure) == (path, "missing", None)
+        missing = ModelOutOfDomainError("no file")
+        with pytest.raises(ModelOutOfDomainError) as exc_info:
+            read_json(path, lambda *failure: missing)
+        assert exc_info.value is missing
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read: Is a directory"),
+        (b'{"\xff": 1}', "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 2: "
+                         "invalid start byte"),
+        (b"[" + b"9" * 5000 + b"]", "invalid JSON: Exceeds the limit (4300 digits) for "
+                                    "integer string conversion: value has 5000 digits; use "
+                                    "sys.set_int_max_str_digits() to increase the limit"),
+        (NESTED_JSON.encode(), "invalid JSON: value is nested too deeply"),
+        (b"{", "invalid JSON: Expecting property name enclosed in double quotes: "
+               "line 1 column 2 (char 1)"),
+    ], ids=["directory", "undecodable", "digit-limit", "nested", "malformed"])
+    def test_each_failure_is_one_error_of_its_kind(self, tmp_path, content, message):
+        path = tmp_path / "doc.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ConfigurationError) as exc_info:
+            read_json(str(path), self.fail)
+        assert str(exc_info.value) == message
+
+    def test_decode_json_nesting_is_a_value_error(self):
+        deep = reduce(lambda inner, _: [inner], range(499), [])
+        assert decode_json("[" * 500 + "]" * 500) == deep
+        with pytest.raises(ValueError, match="^value is nested too deeply$"):
+            decode_json(NESTED_JSON)
+
+    def test_no_other_module_decodes_json(self):
+        """``json.load``/``json.loads`` appear only in ``errors.decode_json``, so every reader
+        of an input file shares its one ``except`` ladder."""
+        calls = []
+        for path in sorted(Path(scalefit.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            owner = {id(node): fn.name for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+            calls += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                      and isinstance(node.value, ast.Name) and node.value.id == "json"]
+        assert calls == [("errors.py", "decode_json")]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import NESTED_JSON
 import scalefit.store as store_module
 from scalefit.errors import CorruptDocumentError, ModelNotFoundError
 from scalefit.perfmodel import ParallelFit, PerfModel, StatFit
@@ -346,6 +347,22 @@ class TestDocumentPaths:
         with pytest.raises(CorruptDocumentError) as exc_info:
             read_model_file("./m.json")
         assert str(exc_info.value) == f"m.json: {OPEN_BRACE}"
+
+    def test_nested_index_is_corrupt(self, tmp_path):
+        (tmp_path / "index.json").write_text(NESTED_JSON)
+        with pytest.raises(CorruptDocumentError) as exc_info:
+            ModelStore(tmp_path).load_all()
+        assert str(exc_info.value) == (
+            f"{tmp_path / 'index.json'}: invalid JSON: value is nested too deeply"
+        )
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path, make_model):
+        (tmp_path / "taken").mkdir()
+        for path in (tmp_path / "taken", tmp_path / "absent" / "m.json"):
+            with pytest.raises(OSError):
+                write_model_file(path, make_model())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        assert list((tmp_path / "taken").iterdir()) == []
 
     def test_unreadable_index_is_corrupt(self, tmp_path):
         (tmp_path / "index.json").mkdir()

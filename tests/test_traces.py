@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import NESTED_JSON
 from scalefit import traces
 from scalefit.config import JobConfig
 from scalefit.errors import ConfigurationError, InvalidSampleError, TraceParseError
@@ -150,6 +151,16 @@ class TestTraceErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceParseError, match=":2: invalid JSON: Exceeds the limit"):
             read_trace(path)
+
+    def test_nested_value_cites_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, JobConfig(2, 64), make_samples(2, 3))
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"agg_sqnorm": ', f'"agg_sqnorm": {NESTED_JSON}, "was": ')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceParseError) as exc_info:
+            read_trace(path)
+        assert str(exc_info.value) == f"{path}:2: invalid JSON: value is nested too deeply"
 
     def test_bad_worker_value_cites_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -322,6 +333,9 @@ def reference_read_trace(path):
                 record = json.loads(line)
             except ValueError as exc:
                 raise TraceParseError(str(path), lineno, f"invalid JSON: {exc}") from None
+            except RecursionError:
+                raise TraceParseError(str(path), lineno,
+                                      "invalid JSON: value is nested too deeply") from None
             if not isinstance(record, dict):
                 raise TraceParseError(str(path), lineno, "record must be an object")
             for key in traces._KEYS:
@@ -362,13 +376,13 @@ def reference_read_trace(path):
 # Characters ``str.strip`` removes that JSON does not count as whitespace.
 UNICODE_SPACES = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000"
 LINE_CHANGES = ("none", "bom", "spaced_bom", "trailing_text", "second_record", "outer_space",
-                "inner_space", "not_object", "missing_keys", "long_integer")
+                "inner_space", "not_object", "missing_keys", "long_integer", "nested")
 
 
 @st.composite
 def trace_texts(draw):
     """A valid trace whose one line has a BOM, trailing data, stripped space, a non-object
-    top level, missing keys or a long integer, or is left as it is."""
+    top level, missing keys, a long integer or a value nested too deeply, or is left as it is."""
     k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     records = [{"t": t, "K": k, "B": 32 * k, "worker_sqnorms": [1.0 + w for w in range(k)],
                 "agg_sqnorm": 0.5, "compute_s": 0.3, "sync_s": 0.125} for t in range(n)]
@@ -397,6 +411,10 @@ def trace_texts(draw):
         key = draw(st.sampled_from(["t", "K", "B", "agg_sqnorm"]))
         digits = "9" * draw(st.integers(4295, 4305))
         line = json.dumps({**records[row], key: 0}).replace(f'"{key}": 0', f'"{key}": {digits}')
+    elif change == "nested":
+        key = draw(st.sampled_from(traces._KEYS))
+        line = json.dumps({**records[row], key: 0}).replace(f'"{key}": 0',
+                                                             f'"{key}": {NESTED_JSON}')
     lines[row] = line
     return "\n".join(lines) + "\n"
 
