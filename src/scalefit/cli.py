@@ -30,6 +30,7 @@ import numpy as np
 
 from .config import JobConfig, PricingModel, SearchBounds, VMShape
 from .errors import (
+    MAX_GRID_VALUE,
     ConfigurationError,
     CorruptDocumentError,
     DegenerateFitError,
@@ -40,6 +41,7 @@ from .errors import (
     ScenarioError,
     SearchFailedError,
     TraceParseError,
+    check,
     ordered_sum,
 )
 from .noise import normalized_noises
@@ -220,16 +222,26 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
         shape=VMShape(4, 16.0), pricing=PricingModel.flat(0.13402)
     )
     env = SimEnvironment(workload, cluster)
+    configs = []
+    for k, b in args.config:
+        try:
+            configs.append(JobConfig(k, b))
+        except ConfigurationError as exc:
+            parser.error(str(exc))
+    check("iters", args.iters, 1, MAX_GRID_VALUE)
+    # The checks ``profile`` makes of the first and the last run's start.
+    for start in (args.start_iteration, args.start_iteration + args.iters * (len(configs) - 1)):
+        check("start_iteration", start, 0, MAX_GRID_VALUE)
+    for i, config in enumerate(configs):
+        if config in configs[:i]:
+            parser.error(f"--config {config.workers}x{config.global_batch} is given twice")
     out_dir = Path(args.out)
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     start = args.start_iteration
-    for k, b in args.config:
-        try:
-            config = JobConfig(k, b)
-        except ConfigurationError as exc:
-            parser.error(str(exc))
+    for config in configs:
+        k, b = config.workers, config.global_batch
         samples = env.profile(k, b, args.iters, start)
         start += args.iters
         path = out_dir / f"trace_K{k}_B{b}.jsonl"
@@ -246,21 +258,22 @@ def cmd_simulate(parser: argparse.ArgumentParser, args) -> int:
 
 def _measure_traces(paths: list[str]) -> dict[tuple[int, int], tuple[float, float]]:
     """Per-configuration (mean normalized noise, mean iteration time)."""
-    measured: dict[tuple[int, int], tuple[list[float], list[float]]] = defaultdict(
+    measured: dict[tuple[int, int], tuple[list[np.ndarray], list[np.ndarray]]] = defaultdict(
         lambda: ([], [])
     )
     for path in paths:
         config, batch = read_trace(path)
         noises, taus = measured[(config.workers, config.global_batch)]
-        noises.extend(normalized_noises(batch))
-        taus.extend(batch.iteration_time_s.tolist())
+        noises.append(normalized_noises(batch))
+        taus.append(batch.iteration_time_s)
     out = {}
     for key, (noises, taus) in measured.items():
-        if not noises or not taus:
+        noises, taus = np.concatenate(noises), np.concatenate(taus)
+        if not noises.size:
             raise DegenerateFitError(
                 f"trace for K={key[0]}, B={key[1]} has no usable samples"
             )
-        out[key] = (ordered_sum(noises) / len(noises), ordered_sum(taus) / len(taus))
+        out[key] = (ordered_sum(noises) / noises.size, ordered_sum(taus) / taus.size)
     return out
 
 

@@ -52,6 +52,18 @@ class IterationSample:
 _FLOAT_COLUMNS = ("worker_sqnorms", "agg_sqnorm", "compute_s", "sync_s")
 
 
+def iteration_column(iteration) -> np.ndarray:
+    """The integers ``iteration`` as a new int64 array; the first one outside int64 is an
+    InvalidSampleError for its row."""
+    try:
+        return np.array(iteration, dtype=np.int64)
+    except OverflowError:
+        row = next(i for i, t in enumerate(iteration) if not -(2**63) <= t < 2**63)
+        raise InvalidSampleError(
+            "iteration", row, f"must be < 2**63, got {iteration[row]}"
+        ) from None
+
+
 class SampleBatch(Sequence):
     """Per-iteration samples of one configuration as read-only columns.
 
@@ -68,14 +80,7 @@ class SampleBatch(Sequence):
     __slots__ = ("iteration", *_FLOAT_COLUMNS)
 
     def __init__(self, iteration, worker_sqnorms, agg_sqnorm, compute_s, sync_s) -> None:
-        try:
-            iteration = np.array(iteration, dtype=np.int64)
-        except OverflowError:
-            row = next(i for i, t in enumerate(iteration) if not -(2**63) <= t < 2**63)
-            raise InvalidSampleError(
-                "iteration", row, f"must be < 2**63, got {iteration[row]}"
-            ) from None
-        self._own(iteration, *(np.array(column, dtype=np.float64)
+        self._own(iteration_column(iteration), *(np.array(column, dtype=np.float64)
                                for column in (worker_sqnorms, agg_sqnorm, compute_s, sync_s)))
 
     @classmethod
@@ -192,10 +197,10 @@ def compute_raw_noise(sample: IterationSample) -> float:
     return float(raw[0])
 
 
-def normalized_noises(batch: SampleBatch) -> list[float]:
+def normalized_noises(batch: SampleBatch) -> np.ndarray:
     """Raw noise over the worker count for each row, leaving out zero-aggregate rows."""
     raw, usable = _raw_noise_column(batch)
-    return (raw[usable] / batch.workers).tolist()
+    return raw[usable] / batch.workers
 
 
 @dataclass(frozen=True)

@@ -248,7 +248,7 @@ class _Session:
             batch = self.env.profile(k, b, self.params.profile_iters, self.cursor)
             self.cursor += len(batch)
             noises = normalized_noises(batch)
-            noise[(k, b)] = ordered_sum(noises) / len(noises) if noises else 0.0
+            noise[(k, b)] = ordered_sum(noises) / len(noises) if len(noises) else 0.0
             mean_tau = ordered_sum(batch.iteration_time_s) / len(batch)
             self.explored.append(Exploration(
                 k, b, "profile", len(batch), mean_tau, self.env.cluster.restore_overhead_s

@@ -12,12 +12,17 @@ and >= 0: ``NaN`` and ``Infinity`` are rejected at their line.  The anchors
 side file is a single JSON object:
 ``{"anchors": [{"K": 8, "B": 384, "epochs": 35.2}, ...]}``, where ``epochs``
 follows the same number rule.
+
+A trace is read one line at a time, and every ``_BLOCK_ROWS`` records become
+typed column blocks, so a read's peak memory is about twice the columns it
+returns.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from itertools import chain
 from pathlib import Path
 
@@ -25,11 +30,13 @@ import numpy as np
 
 from .config import JobConfig
 from .errors import ConfigurationError, InvalidSampleError, TraceParseError, decode_json, read_json
-from .noise import SampleBatch
+from .noise import SampleBatch, iteration_column
 
 _KEYS = ("t", "K", "B", "worker_sqnorms", "agg_sqnorm", "compute_s", "sync_s")
 _KEY_SET = frozenset(_KEYS)
 _FLOAT_KEYS = ("agg_sqnorm", "compute_s", "sync_s")
+# Records read into Python objects before they become typed column blocks.
+_BLOCK_ROWS = 256
 # ``json.loads`` on a stripped line is this one call plus an end check; the
 # decoder holds no state between calls.
 _raw_decode = json.JSONDecoder().raw_decode
@@ -99,9 +106,10 @@ def _read_file(path: str, what: str, *read):
         path, 0, f"no {what} file at {path}" if kind == "missing" else f"{kind}: {detail}"), *read)
 
 
-def _line_rows(path: str, lines) -> tuple[JobConfig | None, list[int], list[tuple]]:
-    """The configuration, then each record's line number and raw row, checked for shape and
-    K, B.  Every fault is a TraceParseError: ``read_json`` maps only the file's own errors."""
+def _line_blocks(path: str, lines):
+    """Each run of up to ``_BLOCK_ROWS`` records as the configuration, their line numbers and
+    raw rows, every record checked for shape and K, B as it is read.  Every fault is a
+    TraceParseError: ``read_json`` maps only the file's own errors."""
     config: JobConfig | None = None
     first_kb = None
     linenos: list[int] = []
@@ -149,21 +157,21 @@ def _line_rows(path: str, lines) -> tuple[JobConfig | None, list[int], list[tupl
         rows.append((*kb, record["t"], norms, record["agg_sqnorm"], record["compute_s"],
                      record["sync_s"]))
         linenos.append(lineno)
-    return config, linenos, rows
+        if len(rows) == _BLOCK_ROWS:
+            yield config, linenos, rows
+            linenos, rows = [], []
+    if rows:
+        yield config, linenos, rows
 
 
-def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
-    """Parse one trace file, validating record shape and (K, B) consistency.
+def _typed_block(path: str, linenos: list[int], rows: list[tuple]) -> list[np.ndarray]:
+    """The rows' ``t`` as int64, their norms as ``(rows, K)`` float64 and their times as float64.
 
-    Lines are read and parsed one at a time; the columns are type-checked,
-    stacked and validated once at the end, and a bad value is reported at the
-    line it came from.  Only a file holding a value not of its column's JSON
-    type (an integer norm, or a K of 1.0, say) is converted row by row.
+    The first row holding a value not of its column's JSON type is a
+    TraceParseError; then the first ``t`` outside int64 is an InvalidSampleError
+    for its row of the block.  Only a block holding a mistyped value (an
+    integer norm, or a K of 1.0, say) is converted row by row.
     """
-    path = str(Path(path))
-    config, linenos, rows = _read_file(path, "trace", lambda fh: _line_rows(path, fh))
-    if config is None:
-        raise TraceParseError(path, 0, "trace file has no records")
     # K and B too: a later line's 1.0 or true equals the first line's 1.
     ks, bs, *columns = zip(*rows)
     iteration, norms, *scalars = columns
@@ -171,8 +179,51 @@ def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
             or set(map(type, chain(chain.from_iterable(norms), *scalars))) != {float}):
         typed = (_typed_row(path, lineno, row) for lineno, row in zip(linenos, rows))
         columns = list(zip(*typed))[2:]
+    iteration, *floats = columns
+    return [iteration_column(iteration), *(np.array(column, dtype=np.float64)
+                                           for column in floats)]
+
+
+def _column_blocks(path: str, lines) -> tuple[JobConfig | None, array, list[list[np.ndarray]]]:
+    """The configuration, each record's line number and the typed column blocks.
+
+    A structural fault raises at its line; the first type fault, then the
+    first ``t`` outside int64, raises once every line has been read.
+    """
+    config, linenos, blocks = None, array("q"), []
+    type_fault = range_fault = None
+    for config, block_linenos, rows in _line_blocks(path, lines):
+        linenos.extend(block_linenos)
+        if type_fault is None:
+            try:
+                blocks.append(_typed_block(path, block_linenos, rows))
+            except TraceParseError as exc:
+                type_fault = exc
+            except InvalidSampleError as exc:
+                range_fault = range_fault or TraceParseError(
+                    path, block_linenos[exc.row], f"{exc.field} {exc.reason}")
+    if type_fault or range_fault:
+        raise type_fault or range_fault
+    return config, linenos, blocks
+
+
+def read_trace(path: str | Path) -> tuple[JobConfig, SampleBatch]:
+    """Parse one trace file, validating record shape and (K, B) consistency.
+
+    Lines are read and parsed one at a time, and every ``_BLOCK_ROWS``
+    records become typed column blocks, so the rows' Python objects never
+    outlive their block.  The blocks are joined once at the end and validated
+    there, and a bad value is reported at the line it came from.  The peak
+    memory is about twice the returned columns.
+    """
+    path = str(Path(path))
+    config, linenos, blocks = _read_file(path, "trace", lambda fh: _column_blocks(path, fh))
+    if config is None:
+        raise TraceParseError(path, 0, "trace file has no records")
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    del blocks  # before validation builds its temporaries
     try:
-        return config, SampleBatch(*columns)
+        return config, SampleBatch.adopt(*columns)
     except InvalidSampleError as exc:
         raise TraceParseError(path, linenos[exc.row], f"{exc.field} {exc.reason}") from None
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -356,6 +357,35 @@ class TestSimulate:
         assert code == 2
 
 
+    # Each is refused before anything is written: a bad second config, a
+    # config given twice, no iterations, and a last start past 2**62.
+    @pytest.mark.parametrize("flags, message", [
+        (["--config", "8x512", "--config", "3x512"], "not divisible"),
+        (["--config", "8x512", "--config", "8x512", "--iters", "3"],
+         "--config 8x512 is given twice"),
+        (["--config", "8x512", "--iters", "0"], "iters must be >= 1, got 0"),
+        (["--config", "8x512", "--config", "8x1024", "--config", "16x512", "--iters", "10",
+          "--start-iteration", str(2**62 - 15)],
+         f"start_iteration must be <= 2**62, got {2**62 + 5}"),
+    ], ids=["bad-second-config", "config-twice", "no-iterations", "last-start-past-cap"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_argument_error_exits_2_and_leaves_out_as_it_was(self, run_cli, tmp_path, flags,
+                                                             message, existing):
+        out_dir = tmp_path / "traces"
+        if existing:
+            out_dir.mkdir()
+            (out_dir / "trace_K8_B512.jsonl").write_text("kept\n")
+        code, out, err = run_cli("simulate", "--workload", "resnet18-like", *flags,
+                                 "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert message in err
+        if existing:
+            assert [p.name for p in out_dir.iterdir()] == ["trace_K8_B512.jsonl"]
+            assert (out_dir / "trace_K8_B512.jsonl").read_text() == "kept\n"
+        else:
+            assert not out_dir.exists()
+
+
 @pytest.fixture
 def corner_traces(run_cli, tmp_path):
     """Saturated noiseless traces at the four grid corners plus true anchors."""
@@ -472,6 +502,36 @@ class TestFit:
         )
         assert code == 6
         assert "no variation in global_batch" in err
+
+    def test_one_configuration_split_over_two_traces_fits_as_one(self, run_cli, tmp_path):
+        # Jittered rows, so the per-configuration sums depend on their order.
+        out_dir = tmp_path / "traces"
+        code, out, err = run_cli(
+            "simulate", "--workload", "resnet18-like", "--jitter", "0.05", "--seed", "4",
+            "--config", "8x384", "--config", "8x1024", "--config", "16x384",
+            "--config", "16x1024", "--iters", "40", "--start-iteration", "12500",
+            "--out", str(out_dir),
+        )
+        assert code == 0, err
+        whole, *others = out.splitlines()
+        lines = Path(whole).read_text().splitlines(keepends=True)
+        head, tail = tmp_path / "head.jsonl", tmp_path / "tail.jsonl"
+        head.write_text("".join(lines[:17]))
+        tail.write_text("".join(lines[17:]))
+        w = preset_workload("resnet18-like")
+        anchors = tmp_path / "anchors.json"
+        write_anchors(anchors, [(JobConfig(8, 384), w.true_epochs(384)),
+                                (JobConfig(8, 1024), w.true_epochs(1024))])
+        models = []
+        for name, traces in (("one", [whole, *others]), ("split", [head, *others, tail])):
+            models.append(tmp_path / f"{name}.json")
+            code, _, err = run_cli(
+                "fit", "--traces", *map(str, traces), "--anchors", str(anchors),
+                "--dataset-size", "1000000", "--out", str(models[-1]),
+            )
+            assert code == 0, err
+        one, split = (re.sub(r'"created_at": "[^"]*"', "", m.read_text()) for m in models)
+        assert one == split
 
     def test_too_few_anchors_exits_6(self, run_cli, tmp_path, corner_traces):
         paths, _ = corner_traces

@@ -147,8 +147,8 @@ class TestRawNoise:
 
     def test_normalized_noises_leave_out_zero_aggregates(self):
         samples = [sample([3.0, 3.0], 1.0), sample([1.0, 1.0], 0.0), sample([4.0, 2.0], 2.0)]
-        assert normalized_noises(SampleBatch.from_samples(samples)) == [1.5, 0.75]
-        assert normalized_noises(SampleBatch.from_samples(samples[1:2])) == []
+        assert normalized_noises(SampleBatch.from_samples(samples)).tolist() == [1.5, 0.75]
+        assert normalized_noises(SampleBatch.from_samples(samples[1:2])).tolist() == []
 
     def test_sample_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,12 +1,14 @@
 """Trace (JSONL) and epoch-anchor file round trips and error reporting."""
 
 import json
+import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import NESTED_JSON
@@ -379,16 +381,26 @@ LINE_CHANGES = ("none", "bom", "spaced_bom", "trailing_text", "second_record", "
                 "inner_space", "not_object", "missing_keys", "long_integer", "nested")
 
 
+def valid_records(k, n):
+    return [{"t": t, "K": k, "B": 32 * k, "worker_sqnorms": [1.0 + w for w in range(k)],
+             "agg_sqnorm": 0.5, "compute_s": 0.3, "sync_s": 0.125} for t in range(n)]
+
+
 @st.composite
 def trace_texts(draw):
     """A valid trace whose one line has a BOM, trailing data, stripped space, a non-object
     top level, missing keys, a long integer or a value nested too deeply, or is left as it is."""
     k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    records = [{"t": t, "K": k, "B": 32 * k, "worker_sqnorms": [1.0 + w for w in range(k)],
-                "agg_sqnorm": 0.5, "compute_s": 0.3, "sync_s": 0.125} for t in range(n)]
+    records = valid_records(k, n)
     lines = [json.dumps(record) for record in records]
     row = draw(st.integers(0, n - 1))
-    line, change = lines[row], draw(st.sampled_from(LINE_CHANGES))
+    lines[row] = changed_line(draw, records, lines, row, draw(st.sampled_from(LINE_CHANGES)))
+    return "\n".join(lines) + "\n"
+
+
+def changed_line(draw, records, lines, row, change):
+    """``lines[row]``, the dump of ``records[row]``, with ``change`` made to it."""
+    line = lines[row]
     space = st.text(st.sampled_from(UNICODE_SPACES + " \t"), min_size=1, max_size=3)
     if change == "bom":
         line = "\ufeff" + line
@@ -415,8 +427,7 @@ def trace_texts(draw):
         key = draw(st.sampled_from(traces._KEYS))
         line = json.dumps({**records[row], key: 0}).replace(f'"{key}": 0',
                                                              f'"{key}": {NESTED_JSON}')
-    lines[row] = line
-    return "\n".join(lines) + "\n"
+    return line
 
 
 def _outcome(read, path):
@@ -440,6 +451,82 @@ class TestDecodeEquivalence:
         else:
             assert got == want
             assert want[0] is TraceParseError
+
+
+FLOAT_FIELDS = ("worker_sqnorms", "agg_sqnorm", "compute_s", "sync_s")
+
+
+@st.composite
+def faulty_trace_texts(draw):
+    """A trace of up to nine lines with one to three faults, each a line change (structural),
+    a value of the wrong JSON type (type) or a value out of its column's range (value)."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 9))
+    records = valid_records(k, n)
+    rows = st.integers(0, n - 1)
+    changes = []
+    for _ in range(draw(st.integers(1, 3))):
+        phase, row = draw(st.sampled_from(["structural", "type", "value"])), draw(rows)
+        if phase == "structural":
+            changes.append((row, draw(st.sampled_from(LINE_CHANGES[1:]))))
+            continue
+        # ``t`` is drawn as often as the four float columns together.
+        key = draw(st.sampled_from(["t", draw(st.sampled_from(FLOAT_FIELDS))]))
+        if phase == "type":
+            value = 1.0 if key == "t" else draw(st.sampled_from([True, "0.5", None]))
+        else:
+            value = draw(st.sampled_from([2**63, 2**64 + 5, -(2**63) - 1, -1] if key == "t"
+                                         else [-1.0, -5e-324, math.nan, math.inf]))
+        if key == "worker_sqnorms":
+            records[row]["worker_sqnorms"][draw(st.integers(0, k - 1))] = value
+        else:
+            records[row][key] = value
+    lines = [json.dumps(record) for record in records]
+    for row, change in changes:
+        lines[row] = changed_line(draw, records, lines, row, change)
+    return "\n".join(lines) + "\n"
+
+
+class TestFaultOrderAcrossBlocks:
+    """With two or three records to a block, every trace spans blocks, and a fault in a later
+    block still wins over one of a later phase in an earlier block: structure, then the first
+    type fault, then the first ``t`` outside int64, then the first value out of range."""
+
+    @settings(max_examples=400)
+    @given(text=faulty_trace_texts(), block_rows=st.sampled_from([2, 3]))
+    def test_read_trace_matches_the_one_block_reference(self, text, block_rows):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(traces, "_BLOCK_ROWS", block_rows)
+            path = Path(tmp) / "trace.jsonl"
+            path.write_text(text)
+            got, want = _outcome(read_trace, path), _outcome(reference_read_trace, path)
+        if isinstance(want[0], JobConfig):
+            assert got[0] == want[0] and got[1] == want[1]
+        else:
+            assert got == want
+            assert want[0] is TraceParseError
+
+
+def _column_bytes(batch):
+    return sum(getattr(batch, name).nbytes for name in ("iteration", *FLOAT_FIELDS))
+
+
+class TestReadMemory:
+    @pytest.mark.parametrize("workers", [8, 64])
+    def test_peak_is_at_most_three_times_the_columns(self, tmp_path, workers):
+        n, rng = 4000, np.random.default_rng(workers)
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, JobConfig(workers, 64 * workers),
+                    SampleBatch(np.arange(n), rng.random((n, workers)), *rng.random((3, n))))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _, batch = read_trace(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == n
+        assert peak <= 3 * _column_bytes(batch)
 
 
 class TestAnchors:
