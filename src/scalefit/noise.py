@@ -59,8 +59,9 @@ def iteration_column(iteration) -> np.ndarray:
         return np.array(iteration, dtype=np.int64)
     except OverflowError:
         row = next(i for i, t in enumerate(iteration) if not -(2**63) <= t < 2**63)
+        bound = ">= 0" if iteration[row] < 0 else "< 2**63"
         raise InvalidSampleError(
-            "iteration", row, f"must be < 2**63, got {iteration[row]}"
+            "iteration", row, f"must be {bound}, got {iteration[row]}"
         ) from None
 
 

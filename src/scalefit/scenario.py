@@ -8,7 +8,7 @@ the dotted path of the offending field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .config import PricingModel, SearchBounds, VMShape
@@ -38,7 +38,7 @@ def _expect(doc: dict, key: str, kinds, path: str, default=None, required=False)
             raise ScenarioError(f"{path}.{key}", "is required")
         return default
     value = doc[key]
-    if kinds is not None and not isinstance(value, kinds):
+    if not isinstance(value, kinds):
         names = (
             kinds.__name__
             if isinstance(kinds, type)
@@ -61,48 +61,44 @@ def _number(doc: dict, key: str, path: str, default=None, required=False) -> flo
         raise ScenarioError(f"{path}.{key}", "is too large to be a float") from None
 
 
+_KINDS = {"int": int, "str": str}
+
+
+def _fields(cls, doc: dict, path: str, defaults=None, **given):
+    """``cls`` built from ``given`` and, for each other field, the key of its name in ``doc``.
+
+    A ``float`` field reads a number, an ``int`` or ``str`` field a value of
+    that type.  An absent key takes ``defaults[name]``, else the field's own
+    default; a key with neither is required."""
+    defaults = defaults or {}
+    for f in fields(cls):
+        if f.name not in given:
+            default = defaults.get(f.name, f.default)
+            required = default is MISSING
+            if f.type in ("float", "float | None"):
+                given[f.name] = _number(doc, f.name, path, default, required)
+            else:
+                given[f.name] = _expect(doc, f.name, _KINDS[f.type], path, default, required)
+    return cls(**given)
+
+
 def _build_workload(doc: dict, seed: int) -> SimWorkload:
     if not isinstance(doc, dict):
         raise ScenarioError("workload", "must be an object")
     preset = _expect(doc, "preset", str, "workload")
     try:
-        if preset is not None:
-            base = preset_workload(preset, seed=seed)
-            overrides = {}
-            for key in ("jitter", "ramp_iters"):
-                if key in doc:
-                    overrides[key] = _number(doc, key, "workload")
-            if "dataset_size" in doc:
-                overrides["dataset_size"] = _expect(doc, "dataset_size", int, "workload")
-            return replace(base, **overrides) if overrides else base
-        return SimWorkload(
-            name=_expect(doc, "name", str, "workload", default="custom"),
-            dataset_size=_expect(doc, "dataset_size", int, "workload", required=True),
-            noise_slope=_number(doc, "noise_slope", "workload", required=True),
-            noise_intercept=_number(doc, "noise_intercept", "workload", default=0.0),
-            epochs_base=_number(doc, "epochs_base", "workload", required=True),
-            epochs_slope=_number(doc, "epochs_slope", "workload", required=True),
-            time_base_s=_number(doc, "time_base_s", "workload", required=True),
-            time_per_sample_s=_number(doc, "time_per_sample_s", "workload", required=True),
-            time_per_worker_s=_number(doc, "time_per_worker_s", "workload", required=True),
-            ramp_iters=_number(doc, "ramp_iters", "workload", default=500.0),
-            jitter=_number(doc, "jitter", "workload", default=0.0),
-            seed=seed,
-        )
+        defaults = (vars(preset_workload(preset, seed=seed)) if preset is not None
+                    else {"name": "custom", "noise_intercept": 0.0})
+        return _fields(SimWorkload, doc, "workload", defaults, seed=seed)
     except ConfigurationError as exc:
         raise ScenarioError("workload", str(exc)) from None
 
 
 def _build_cluster(doc: dict) -> SimCluster:
-    if not isinstance(doc, dict):
-        raise ScenarioError("cluster", "must be an object")
     shape_doc = _expect(doc, "shape", dict, "cluster", default={"vcpus": 4, "memory_gb": 16})
     pricing_doc = _expect(doc, "pricing", dict, "cluster", required=True)
     try:
-        shape = VMShape(
-            vcpus=_expect(shape_doc, "vcpus", int, "cluster.shape", required=True),
-            memory_gb=_number(shape_doc, "memory_gb", "cluster.shape", required=True),
-        )
+        shape = _fields(VMShape, shape_doc, "cluster.shape")
     except ConfigurationError as exc:
         raise ScenarioError("cluster.shape", str(exc)) from None
     mode = _expect(pricing_doc, "mode", str, "cluster.pricing", default="flat_per_vm")
@@ -120,89 +116,50 @@ def _build_cluster(doc: dict) -> SimCluster:
             raise ScenarioError(
                 "cluster.pricing.mode", "must be flat_per_vm or per_resource"
             )
-        return SimCluster(
-            shape=shape,
-            pricing=pricing,
-            restore_overhead_s=_number(doc, "restore_overhead_s", "cluster", default=37.0),
-        )
+        return _fields(SimCluster, doc, "cluster", shape=shape, pricing=pricing)
     except ConfigurationError as exc:
         raise ScenarioError("cluster", str(exc)) from None
 
 
 def _build_bounds(doc: dict) -> SearchBounds:
-    if not isinstance(doc, dict):
-        raise ScenarioError("bounds", "must be an object")
     candidates = _expect(doc, "b_candidates", list, "bounds")
     if candidates is not None:
         if not all(isinstance(b, int) and not isinstance(b, bool) for b in candidates):
             raise ScenarioError("bounds.b_candidates", "must be a list of integers")
         candidates = tuple(candidates)
     try:
-        return SearchBounds(
-            k_min=_expect(doc, "k_min", int, "bounds", required=True),
-            k_max=_expect(doc, "k_max", int, "bounds", required=True),
-            b_min=_expect(doc, "b_min", int, "bounds", required=True),
-            b_max=_expect(doc, "b_max", int, "bounds", required=True),
-            k_step=_expect(doc, "k_step", int, "bounds", default=1),
-            b_candidates=candidates,
-        )
+        return _fields(SearchBounds, doc, "bounds", b_candidates=candidates)
     except ConfigurationError as exc:
         raise ScenarioError("bounds", str(exc)) from None
 
 
 def _build_params(doc: dict) -> SearchParams:
-    if not isinstance(doc, dict):
-        raise ScenarioError("search", "must be an object")
-    mode = _expect(doc, "mode", str, "search", default="partial")
+    mode = _expect(doc, "mode", str, "search", default=SearchParams.mode)
     if mode not in SEARCH_MODES:
         raise ScenarioError("search.mode", f"must be one of {SEARCH_MODES}, got {mode!r}")
-    sampling_doc = _expect(doc, "sampling", dict, "search", default={"kind": "grid"})
+    sampling_doc = _expect(doc, "sampling", dict, "search", default={})
     kind = _expect(sampling_doc, "kind", str, "search.sampling", default="grid")
     try:
         if kind == "grid":
             sampling: GridSampling | RandomSampling = GridSampling()
         elif kind == "random":
-            sampling = RandomSampling(
-                seed=_expect(sampling_doc, "seed", int, "search.sampling", required=True),
-                bspace=_expect(sampling_doc, "bspace", int, "search.sampling", default=4),
-                kspace=_expect(sampling_doc, "kspace", int, "search.sampling", default=4),
-            )
+            sampling = _fields(RandomSampling, sampling_doc, "search.sampling")
         else:
             raise ScenarioError("search.sampling.kind", "must be grid or random")
-        ewma_doc = _expect(doc, "ewma", dict, "search", default={})
-        ewma = EwmaConfig(
-            alpha=_number(ewma_doc, "alpha", "search.ewma", default=0.01),
-            warmup_iters=_expect(ewma_doc, "warmup_iters", int, "search.ewma", default=1000),
-            stability_window=_expect(ewma_doc, "stability_window", int, "search.ewma", default=200),
-            stability_rel_tol=_number(ewma_doc, "stability_rel_tol", "search.ewma", default=0.02),
-        )
-        return SearchParams(
-            mode=mode,
-            profile_iters=_expect(doc, "profile_iters", int, "search", default=20),
-            sampling=sampling,
-            ewma=ewma,
-            max_stabilize_iters=_expect(
-                doc, "max_stabilize_iters", int, "search", default=50_000
-            ),
-        )
+        ewma = _fields(EwmaConfig, _expect(doc, "ewma", dict, "search", default={}), "search.ewma")
+        return _fields(SearchParams, doc, "search", mode=mode, sampling=sampling, ewma=ewma)
     except ConfigurationError as exc:
         raise ScenarioError("search", str(exc)) from None
 
 
 def _build_objective(doc: dict) -> Objective:
-    if not isinstance(doc, dict):
-        raise ScenarioError("objective", "must be an object")
     kind = _expect(doc, "kind", str, "objective", required=True)
     if kind not in OBJECTIVE_KINDS:
         raise ScenarioError(
             "objective.kind", f"must be one of {OBJECTIVE_KINDS}, got {kind!r}"
         )
     try:
-        return Objective(
-            kind=kind,
-            deadline_s=_number(doc, "deadline_s", "objective"),
-            budget_usd=_number(doc, "budget_usd", "objective"),
-        )
+        return _fields(Objective, doc, "objective", kind=kind)
     except ConfigurationError as exc:
         raise ScenarioError("objective", str(exc)) from None
 
@@ -214,16 +171,13 @@ def scenario_from_document(doc: dict) -> Scenario:
     workload = _build_workload(_expect(doc, "workload", dict, "<root>", required=True), seed)
     cluster = _build_cluster(_expect(doc, "cluster", dict, "<root>", required=True))
     bounds = _build_bounds(_expect(doc, "bounds", dict, "<root>", required=True))
-    params = _build_params(_expect(doc, "search", dict, "<root>", default={"mode": "partial"}))
+    params = _build_params(_expect(doc, "search", dict, "<root>", default={}))
     objective = _build_objective(
         _expect(doc, "objective", dict, "<root>", default={"kind": "min_cost_time"})
     )
     constraints_doc = _expect(doc, "constraints", dict, "<root>", default={})
     try:
-        constraints = Constraints(
-            deadline_s=_number(constraints_doc, "deadline_s", "constraints"),
-            budget_usd=_number(constraints_doc, "budget_usd", "constraints"),
-        )
+        constraints = _fields(Constraints, constraints_doc, "constraints")
     except ConfigurationError as exc:
         raise ScenarioError("constraints", str(exc)) from None
     store_dir = _expect(doc, "store_dir", str, "<root>")

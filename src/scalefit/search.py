@@ -74,6 +74,8 @@ SEARCH_MODES = ("full", "partial", "scaling", "none")
 # search-anchor benchmark's peak RSS is within 0.2 MB of one window per
 # call, no more than moving the same code to another directory moves it.
 _ANCHOR_CALL_CHUNKS = 4
+# Most draws of a random sampling's bspace or kspace; each is drawn in one array.
+_MAX_DRAWS = 2**20
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class GridSampling:
 
 @dataclass(frozen=True)
 class RandomSampling:
-    """Seeded uniform sampling of batch sizes and worker counts."""
+    """Seeded uniform sampling of batch sizes and worker counts (at most 2**20 draws each)."""
 
     seed: int
     bspace: int = 4
@@ -91,8 +93,8 @@ class RandomSampling:
 
     def __post_init__(self) -> None:
         check("seed", self.seed, 0)
-        check("bspace", self.bspace, 1, MAX_GRID_VALUE)
-        check("kspace", self.kspace, 1, MAX_GRID_VALUE)
+        check("bspace", self.bspace, 1, _MAX_DRAWS)
+        check("kspace", self.kspace, 1, _MAX_DRAWS)
 
 
 @dataclass(frozen=True)

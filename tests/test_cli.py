@@ -1156,15 +1156,21 @@ class TestSearch:
          "cluster.shape", f"vcpus must be <= 2**62, got {10**400}"),
         ({"search": {"mode": "scaling",
                      "sampling": {"kind": "random", "seed": 1, "bspace": 10**30}}},
-         "search", f"bspace must be <= 2**62, got {10**30}"),
+         "search", f"bspace must be <= 1048576, got {10**30}"),
         ({"search": {"mode": "scaling",
                      "sampling": {"kind": "random", "seed": 1, "kspace": 10**30}}},
-         "search", f"kspace must be <= 2**62, got {10**30}"),
+         "search", f"kspace must be <= 1048576, got {10**30}"),
+        ({"search": {"mode": "scaling",
+                     "sampling": {"kind": "random", "seed": 1, "bspace": 2**62}}},
+         "search", f"bspace must be <= 1048576, got {2**62}"),
+        ({"search": {"mode": "scaling",
+                     "sampling": {"kind": "random", "seed": 1, "kspace": 2**62}}},
+         "search", f"kspace must be <= 1048576, got {2**62}"),
         ({"search": {"mode": "partial", "profile_iters": 10**400}}, "search",
          f"profile_iters must be <= 2**62, got {10**400}"),
     ], ids=["preset_dataset_size", "dataset_size", "jitter", "ramp_iters", "restore_overhead_s",
             "memory_gb", "noise_slope", "epochs_base", "seed", "sampling_seed", "vcpus",
-            "bspace", "kspace", "profile_iters"])
+            "bspace", "kspace", "bspace_2**62", "kspace_2**62", "profile_iters"])
     def test_out_of_range_value_exits_5_naming_the_field(self, run_cli, scenario_file,
                                                          overrides, path, message):
         code, out, err = run_cli("search", "--scenario", str(scenario_file(**overrides)))

@@ -106,7 +106,8 @@ class TestSampleBatch:
         assert str(exc_info.value) == f"{field} must be finite and >= 0, got {bad} at row 2"
 
     def test_iteration_must_be_non_negative_and_fit_64_bits(self):
-        for bad, reason in ((-1, "must be >= 0, got -1"), (2**63, f"must be < 2**63, got {2**63}")):
+        for bad, reason in ((-1, "must be >= 0, got -1"), (2**63, f"must be < 2**63, got {2**63}"),
+                            (-(2**63) - 1, f"must be >= 0, got {-(2**63) - 1}")):
             columns = batch_columns()
             columns["iteration"][1] = bad
             with pytest.raises(InvalidSampleError) as exc_info:

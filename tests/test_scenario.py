@@ -4,9 +4,13 @@ import json
 
 import pytest
 
+from scalefit.config import PricingModel, SearchBounds, VMShape
 from scalefit.errors import ScenarioError
+from scalefit.noise import EwmaConfig
+from scalefit.policy import Constraints, Objective
 from scalefit.scenario import load_scenario, scenario_from_document
-from scalefit.search import GridSampling, RandomSampling
+from scalefit.search import GridSampling, RandomSampling, SearchParams
+from scalefit.simulator import SimCluster, SimWorkload
 
 
 def minimal_doc(**overrides):
@@ -61,6 +65,13 @@ class TestDefaults:
         assert s.workload.ramp_iters == 900.0
         assert s.workload.dataset_size == 42_000
         assert s.workload.noise_slope == 60.0  # untouched preset coefficient
+
+    def test_preset_takes_every_workload_override(self):
+        doc = minimal_doc(workload={"preset": "resnet18-like", "noise_slope": 10})
+        assert scenario_from_document(doc).workload.noise_slope == 10.0
+        custom = scenario_from_document(minimal_doc(workload=CUSTOM_WORKLOAD)).workload
+        doc = minimal_doc(workload={"preset": "resnet18-like", **CUSTOM_WORKLOAD})
+        assert scenario_from_document(doc).workload == custom
 
     def test_custom_workload(self):
         doc = minimal_doc()
@@ -214,6 +225,150 @@ class TestValidationErrors:
         doc["bounds"]["b_candidates"] = [512, "768"]
         path, _ = error_path(doc)
         assert path == "bounds.b_candidates"
+
+
+REQUIRED_WORKLOAD = {"dataset_size": 50_000, "noise_slope": 48, "epochs_base": 10,
+                     "epochs_slope": 50, "time_base_s": 0.2, "time_per_sample_s": 0.001,
+                     "time_per_worker_s": 0.05}
+CUSTOM_WORKLOAD = {**REQUIRED_WORKLOAD, "name": "toy", "noise_intercept": 0.1,
+                   "ramp_iters": 400, "jitter": 0.01}
+REQUIRED_BOUNDS = {"k_min": 8, "k_max": 16, "b_min": 256, "b_max": 1024}
+
+
+def full_doc(workload):
+    """A scenario that sets every key the reader fills."""
+    return {
+        "seed": 2,
+        "workload": dict(workload),
+        "cluster": {"pricing": {"mode": "flat_per_vm", "flat_hourly_usd": 0.13402},
+                    "shape": {"vcpus": 8, "memory_gb": 32}, "restore_overhead_s": 40},
+        "bounds": {**REQUIRED_BOUNDS, "k_step": 8, "b_candidates": [256, 512]},
+        "search": {"mode": "scaling", "profile_iters": 30, "max_stabilize_iters": 40_000,
+                   "sampling": {"kind": "random", "seed": 1, "bspace": 3, "kspace": 2},
+                   "ewma": {"alpha": 0.02, "warmup_iters": 900, "stability_window": 100,
+                            "stability_rel_tol": 0.03}},
+        "objective": {"kind": "min_cost_time", "deadline_s": 9000, "budget_usd": 90},
+        "constraints": {"deadline_s": 8000, "budget_usd": 80},
+        "store_dir": "models",
+        "allow_universal": False,
+    }
+
+
+# (workload, section path, key, JSON kind, required) for every key a scenario sets.
+SCENARIO_FIELDS = [
+    *(("custom", "workload", key, "int" if key == "dataset_size" else "float", True)
+      for key in REQUIRED_WORKLOAD),
+    ("custom", "workload", "name", "str", False),
+    ("custom", "workload", "noise_intercept", "float", False),
+    ("custom", "workload", "ramp_iters", "float", False),
+    ("custom", "workload", "jitter", "float", False),
+    ("preset", "workload", "preset", "str", False),
+    ("preset", "workload", "dataset_size", "int", False),
+    ("preset", "workload", "ramp_iters", "float", False),
+    ("preset", "workload", "jitter", "float", False),
+    ("custom", "cluster", "shape", "dict", False),
+    ("custom", "cluster", "pricing", "dict", True),
+    ("custom", "cluster", "restore_overhead_s", "float", False),
+    ("custom", "cluster.shape", "vcpus", "int", True),
+    ("custom", "cluster.shape", "memory_gb", "float", True),
+    ("custom", "cluster.pricing", "mode", "str", False),
+    ("custom", "cluster.pricing", "flat_hourly_usd", "float", True),
+    *(("custom", "bounds", key, "int", True) for key in REQUIRED_BOUNDS),
+    ("custom", "bounds", "k_step", "int", False),
+    ("custom", "bounds", "b_candidates", "list", False),
+    ("custom", "search", "mode", "str", False),
+    ("custom", "search", "profile_iters", "int", False),
+    ("custom", "search", "max_stabilize_iters", "int", False),
+    ("custom", "search", "sampling", "dict", False),
+    ("custom", "search", "ewma", "dict", False),
+    ("custom", "search.sampling", "kind", "str", False),
+    ("custom", "search.sampling", "seed", "int", True),
+    ("custom", "search.sampling", "bspace", "int", False),
+    ("custom", "search.sampling", "kspace", "int", False),
+    ("custom", "search.ewma", "alpha", "float", False),
+    ("custom", "search.ewma", "warmup_iters", "int", False),
+    ("custom", "search.ewma", "stability_window", "int", False),
+    ("custom", "search.ewma", "stability_rel_tol", "float", False),
+    ("custom", "objective", "kind", "str", True),
+    ("custom", "objective", "deadline_s", "float", False),
+    ("custom", "objective", "budget_usd", "float", False),
+    ("custom", "constraints", "deadline_s", "float", False),
+    ("custom", "constraints", "budget_usd", "float", False),
+    ("custom", "<root>", "seed", "int", False),
+    ("custom", "<root>", "store_dir", "str", False),
+    ("custom", "<root>", "allow_universal", "bool", False),
+    *(("custom", "<root>", key, "dict", True) for key in ("workload", "cluster", "bounds")),
+    *(("custom", "<root>", key, "dict", False) for key in ("search", "objective", "constraints")),
+]
+WRONG_TYPES = {"float": ("x", "must be int/float, got str"), "int": ("x", "must be int, got str"),
+               "str": (5, "must be str, got int"), "bool": (1, "must be bool, got int"),
+               "dict": ("x", "must be dict, got str"), "list": ("x", "must be list, got str")}
+
+
+def section_of(doc, path):
+    for key in [] if path == "<root>" else path.split("."):
+        doc = doc[key]
+    return doc
+
+
+def field_ids(fields):
+    return [f"{workload}-{path}.{key}" for workload, path, key, *_ in fields]
+
+
+class TestEveryField:
+    """Each key's wrong type, boolean number and absence give its dotted path and message."""
+
+    @pytest.mark.parametrize("workload", ["custom", "preset"])
+    def test_full_document_is_valid(self, workload):
+        assert scenario_from_document(self.doc(workload)).params.sampling == RandomSampling(1, 3, 2)
+
+    @pytest.mark.parametrize("workload,path,key,kind,required", SCENARIO_FIELDS,
+                             ids=field_ids(SCENARIO_FIELDS))
+    def test_wrong_type(self, workload, path, key, kind, required):
+        value, reason = WRONG_TYPES[kind]
+        doc = self.doc(workload)
+        section_of(doc, path)[key] = value
+        assert error_path(doc) == (f"{path}.{key}", f"{path}.{key}: {reason}")
+
+    NUMBERS = [f for f in SCENARIO_FIELDS if f[3] in ("int", "float")]
+
+    @pytest.mark.parametrize("workload,path,key,kind,required", NUMBERS, ids=field_ids(NUMBERS))
+    def test_boolean_number(self, workload, path, key, kind, required):
+        doc = self.doc(workload)
+        section_of(doc, path)[key] = True
+        assert error_path(doc) == (f"{path}.{key}",
+                                   f"{path}.{key}: must be a number, got a boolean")
+
+    REQUIRED = [f for f in SCENARIO_FIELDS if f[4]]
+
+    @pytest.mark.parametrize("workload,path,key,kind,required", REQUIRED, ids=field_ids(REQUIRED))
+    def test_missing_required_key(self, workload, path, key, kind, required):
+        doc = self.doc(workload)
+        del section_of(doc, path)[key]
+        assert error_path(doc) == (f"{path}.{key}", f"{path}.{key}: is required")
+
+    @staticmethod
+    def doc(workload):
+        return full_doc(CUSTOM_WORKLOAD if workload == "custom"
+                        else {"preset": "resnet18-like", "jitter": 0.01, "ramp_iters": 400,
+                              "dataset_size": 60_000})
+
+    def test_left_out_keys_take_the_library_defaults(self):
+        s = scenario_from_document({
+            "workload": REQUIRED_WORKLOAD,
+            "cluster": {"pricing": {"flat_hourly_usd": 0.13402}},
+            "bounds": REQUIRED_BOUNDS,
+        })
+        assert s.workload == SimWorkload(name="custom", noise_intercept=0.0, **{
+            key: float(value) if key != "dataset_size" else value
+            for key, value in REQUIRED_WORKLOAD.items()})
+        assert s.cluster == SimCluster(VMShape(4, 16.0), PricingModel.flat(0.13402))
+        assert s.bounds == SearchBounds(**REQUIRED_BOUNDS, k_step=1)
+        assert s.params == SearchParams(sampling=GridSampling())
+        assert s.params.ewma == EwmaConfig()
+        assert s.objective == Objective("min_cost_time")
+        assert s.constraints == Constraints()
+        assert (s.seed, s.store_dir, s.allow_universal) == (0, None, True)
 
 
 class TestLoadScenario:

@@ -80,11 +80,12 @@ class TestParams:
     @pytest.mark.parametrize("build,message", [
         (lambda: RandomSampling(seed=-1), "seed must be >= 0, got -1"),
         (lambda: RandomSampling(seed=1, bspace=0), "bspace must be >= 1, got 0"),
-        (lambda: RandomSampling(seed=1, kspace=10**30), f"kspace must be <= 2**62, got {10**30}"),
+        (lambda: RandomSampling(seed=1, kspace=10**30), f"kspace must be <= 1048576, got {10**30}"),
+        (lambda: RandomSampling(seed=1, bspace=2**62), f"bspace must be <= 1048576, got {2**62}"),
         (lambda: SearchParams(profile_iters=10**400),
          f"profile_iters must be <= 2**62, got {10**400}"),
         (lambda: SearchParams(max_stabilize_iters=0), "max_stabilize_iters must be >= 1, got 0"),
-    ], ids=["seed", "bspace", "kspace", "profile_iters", "max_stabilize_iters"])
+    ], ids=["seed", "bspace", "kspace", "bspace_2**62", "profile_iters", "max_stabilize_iters"])
     def test_out_of_range_integer_names_the_field(self, build, message):
         with pytest.raises(ConfigurationError) as exc_info:
             build()

@@ -255,6 +255,15 @@ class TestTraceErrors:
         with pytest.raises(TraceParseError, match=f":1: global_batch must be <= 2\\*\\*62, got 1"):
             read_trace(path)
 
+    @pytest.mark.parametrize("t,reason", [(2**63, "must be < 2**63"), (-(2**63) - 1, "must be >= 0")])
+    def test_iteration_outside_int64_names_its_bound(self, tmp_path, t, reason):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(json.dumps({"t": t, "K": 2, "B": 64, "worker_sqnorms": [1.0, 1.0],
+                                    "agg_sqnorm": 1.0, "compute_s": 0.1, "sync_s": 0.1}) + "\n")
+        with pytest.raises(TraceParseError) as exc_info:
+            read_trace(path)
+        assert str(exc_info.value) == f"{path}:1: iteration {reason}, got {t}"
+
     def test_mid_file_config_change_cites_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         rec1 = {
